@@ -228,6 +228,8 @@ def _dump_wavefunction(path, r, comps, names):
 
 def cmd_solve(args) -> int:
     m = args.mass
+    if not (math.isfinite(m) and m > 0):
+        raise DomainError(f"--mass must be finite and positive, got {m!r}")
     rows = []
     dump = None
     if args.family in ("coulomb", "coulomb-linear", "bag") and not args.lam > 0:

@@ -11,8 +11,9 @@ so the time-like pieces always enter as E - V0 - V2 and the scalar piece
 shifts the mass, m + V1.  Eigenvalues are located by integrating outward
 from a power-series start at r_min and inward from a WKB-seeded tail at
 r_max, and driving the mismatch of g/f at an interior matching radius to
-zero (bisection, then secant polish).  A fourth-order Runge-Kutta kernel
-does the stepping; see ``diraconf._kernels`` for backend selection.
+zero (a bracketed Brent iteration, run to the rounding floor).  A
+fourth-order Runge-Kutta kernel does the stepping; see
+``diraconf._kernels`` for backend selection.
 
 A radial Schroedinger solver built on the same machinery handles the
 nonrelativistic confining problems (single component u(r), with
@@ -21,6 +22,7 @@ nonrelativistic confining problems (single component u(r), with
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -371,6 +373,11 @@ def _merge_and_scale(system, E: float):
     im = i_match
     while f_out[im] == 0.0 or f_in[im] == 0.0:
         im += 1
+        if im == n:
+            raise ConvergenceError(
+                f"no radius beyond the match point where both sweeps are "
+                f"nonzero (E={E!r})"
+            )
     mag_out = np.maximum(np.abs(f_out[: im + 1]), np.abs(g_out[: im + 1]))
     with np.errstate(divide="ignore"):
         ref = float(np.max(np.log(np.where(mag_out > 0, mag_out, 1e-320))
@@ -441,11 +448,34 @@ def _dirac_fd_residual(system, E: float, f: np.ndarray, g: np.ndarray) -> float:
     return float(np.max(np.maximum(rel1, rel2)))
 
 
+_EPS = sys.float_info.epsilon
+# Brent needs about 10 evaluations per bracket and never more than a few
+# times the ~60 halvings from a wide bracket to the rounding floor
+_MAX_DEFECT_EVALS = 300
+
+
+def _finite_defect(system, E: float, i_match: int) -> float:
+    d = _matching_defect(system, E, i_match)
+    if not math.isfinite(d):
+        raise ConvergenceError(f"non-finite matching defect {d!r} at E={E!r}")
+    return d
+
+
 def _solve_eigenvalue(system, E_bracket, tol: float):
+    """Root of the matching defect by a bracketed Brent iteration.
+
+    Inverse-quadratic or secant steps, with bisection whenever they would
+    not shrink the sign-change bracket fast enough.  The iteration runs to
+    the rounding floor (a final bracket of about 4 ulp of E, or adjacent
+    floats), never wider than ``tol``; the returned energy is the bracket
+    end with the smaller defect.
+    """
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol!r}")
     e_lo, e_hi = sorted(float(e) for e in E_bracket)
     i_match = _match_index(system, 0.5 * (e_lo + e_hi))
-    d_lo = _matching_defect(system, e_lo, i_match)
-    d_hi = _matching_defect(system, e_hi, i_match)
+    d_lo = _finite_defect(system, e_lo, i_match)
+    d_hi = _finite_defect(system, e_hi, i_match)
     if d_lo == 0.0:
         return e_lo, i_match
     if d_hi == 0.0:
@@ -455,33 +485,50 @@ def _solve_eigenvalue(system, E_bracket, tol: float):
             f"matching defect does not change sign on [{e_lo}, {e_hi}] "
             f"(defects {d_lo:.3e}, {d_hi:.3e})"
         )
-    last = (e_lo, d_lo)
-    prev = (e_hi, d_hi)
-    while e_hi - e_lo > tol:
-        e_mid = 0.5 * (e_lo + e_hi)
-        d_mid = _matching_defect(system, e_mid, i_match)
-        prev, last = last, (e_mid, d_mid)
-        if d_mid == 0.0:
-            return e_mid, i_match
-        if d_lo * d_mid < 0:
-            e_hi, d_hi = e_mid, d_mid
+    # b: best estimate; c: the other end of the bracket; a: previous b
+    a, fa = e_lo, d_lo
+    b, fb = e_hi, d_hi
+    c, fc = b, fb
+    for _ in range(_MAX_DEFECT_EVALS):
+        if fb * fc > 0:
+            c, fc = a, fa
+            step = last_step = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = min(0.5 * tol, 2.0 * _EPS * abs(b))
+        half = 0.5 * (c - b)
+        if fb == 0.0 or abs(half) <= tol1 or math.nextafter(b, c) == c:
+            return b, i_match
+        if abs(last_step) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p = 2.0 * half * s
+                q = 1.0 - s
+            else:  # inverse quadratic interpolation
+                q = fa / fc
+                r = fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * half * q - abs(tol1 * q), abs(last_step * q)):
+                last_step, step = step, p / q
+            else:
+                step = last_step = half
         else:
-            e_lo, d_lo = e_mid, d_mid
-    # secant polish inside the final bracket
-    e_best = 0.5 * (e_lo + e_hi)
-    (e1, d1), (e2, d2) = prev, last
-    for _ in range(8):
-        if d2 == d1:
-            break
-        e_new = e2 - d2 * (e2 - e1) / (d2 - d1)
-        if not (e_lo <= e_new <= e_hi):
-            break
-        d_new = _matching_defect(system, e_new, i_match)
-        e1, d1, e2, d2 = e2, d2, e_new, d_new
-        e_best = e_new
-        if d_new == 0.0 or abs(e2 - e1) < 1e-16 * max(1.0, abs(e2)):
-            break
-    return e_best, i_match
+            step = last_step = half
+        a, fa = b, fb
+        b_next = b + step if abs(step) > tol1 else b + math.copysign(tol1, half)
+        b = b_next if b_next != b else math.nextafter(b, c)
+        fb = _finite_defect(system, b, i_match)
+    raise ConvergenceError(
+        f"eigenvalue search did not converge in {_MAX_DEFECT_EVALS} steps; "
+        f"bracket [{min(b, c)!r}, {max(b, c)!r}]",
+        partial=b,
+    )
 
 
 def integrate_radial(potential: PotentialSpec, kappa: int, E: float, m: float,
@@ -520,7 +567,9 @@ def find_bound_state(potential: PotentialSpec, kappa: int, m: float,
         Required node count of f (n - l - 1 for Coulomb-like numbering);
         a mismatch raises WrongStateError so the caller can widen the scan.
     tol : float, optional
-        Bisection window; defaults to 1e-12 * m.
+        Ceiling on the width of the final energy bracket; defaults to
+        1e-12 * m.  The search always continues to the rounding floor
+        (about 4 ulp of E), so tol only matters when it is tighter.
 
     Returns
     -------
@@ -593,10 +642,32 @@ def solve_schrodinger_radial(v: Callable, ell: int, m: float, grid: RadialGrid,
                             nodes=nodes, converged=True, residual=residual)
 
 
+def _check_r_start(r_start: float) -> float:
+    r = float(r_start)
+    if not (math.isfinite(r) and r > 0):
+        raise DomainError(f"r_start must be finite and positive, got {r!r}")
+    return r
+
+
+def _dirac_decay_rate(mass_term: float, energy_term: float) -> float:
+    """sqrt(mass_term^2 - energy_term^2) where positive, else 0."""
+    try:
+        w2 = mass_term ** 2 - energy_term ** 2
+    except OverflowError:
+        # a square beyond the float range, e.g. deep inside a steep wall:
+        # the same difference in ratio form
+        a, b = abs(mass_term), abs(energy_term)
+        if a <= b:
+            return 0.0
+        x = b / a
+        return a * math.sqrt((1.0 - x) * (1.0 + x))
+    return math.sqrt(w2) if w2 > 0 else 0.0
+
+
 def suggest_rmax(potential: PotentialSpec, kappa: int, E_guess: float,
                  m: float, r_start: float, decay_target: float = 34.0) -> float:
     """Extend r_max until the WKB tail suppression reaches exp(-decay_target)."""
-    r = float(r_start)
+    r = _check_r_start(r_start)
     acc = 0.0
     growth = 1.005  # fine enough that even M ~ 1000 power-law walls are resolved
     while acc < decay_target:
@@ -605,9 +676,9 @@ def suggest_rmax(potential: PotentialSpec, kappa: int, E_guess: float,
         v0 = float(np.asarray(potential.v0(np.array([rm])))[0])
         v1 = float(np.asarray(potential.v1(np.array([rm])))[0])
         v2 = float(np.asarray(potential.v2(np.array([rm])))[0])
-        w2 = (m + v1) ** 2 - (E_guess - v0 - v2) ** 2
-        if w2 > 0:
-            acc += math.sqrt(w2) * (r_next - r)
+        w = _dirac_decay_rate(m + v1, E_guess - v0 - v2)
+        if w > 0:
+            acc += w * (r_next - r)
         r = r_next
         if r > 1e9:
             raise ConvergenceError(
@@ -619,7 +690,7 @@ def suggest_rmax(potential: PotentialSpec, kappa: int, E_guess: float,
 def suggest_rmax_schrodinger(v: Callable, E_guess: float, m: float,
                              r_start: float, decay_target: float = 34.0) -> float:
     """Schroedinger analogue of ``suggest_rmax`` (decay rate sqrt(2m(v - E~)))."""
-    r = float(r_start)
+    r = _check_r_start(r_start)
     acc = 0.0
     growth = 1.005
     while acc < decay_target:

@@ -54,6 +54,25 @@ __all__ = [
 _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
 
 
+def _diff_of_squares(a, b):
+    """(a^2 - b^2, sqrt(max(a^2 - b^2, 0))) elementwise.
+
+    Where a square leaves the float range (deep inside a steep wall) the
+    difference is not finite and the root is taken in factored form,
+    sqrt(|a| - |b|) sqrt(|a| + |b|).
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = a * a - b * b
+        root = np.sqrt(np.maximum(d2, 0.0))
+        big = ~np.isfinite(d2)
+        if np.any(big):
+            a, b = np.abs(a[big]), np.abs(b[big])
+            root[big] = np.sqrt(np.maximum(a - b, 0.0)) * np.sqrt(a + b)
+    return d2, root
+
+
 @dataclass(frozen=True)
 class RescaleProfile:
     """Sampled rescaling exponent h on a grid, anchored h(r_min) = 0."""
@@ -66,9 +85,9 @@ class RescaleProfile:
 
     def h_prime(self, r):
         r = np.asarray(r, dtype=float)
-        w2 = np.asarray(self.v1(r)) ** 2 - np.asarray(self.v2(r)) ** 2
+        _, root = _diff_of_squares(self.v1(r), self.v2(r))
         sign = 1.0 if self.branch == "+" else -1.0
-        return sign * np.sqrt(np.maximum(w2, 0.0))
+        return sign * root
 
 
 def h_profile(v1: Callable, v2: Callable, grid: RadialGrid,
@@ -89,16 +108,17 @@ def h_profile(v1: Callable, v2: Callable, grid: RadialGrid,
     pts = mid[:, None] + half[:, None] * _GL4_X[None, :]
     w1 = np.asarray(v1(pts), dtype=float)
     w2 = np.asarray(v2(pts), dtype=float)
-    integrand2 = w1 * w1 - w2 * w2
-    bad = integrand2 < -1e-14 * (w1 * w1 + w2 * w2 + 1e-300)
+    integrand2, vals = _diff_of_squares(w1, w2)
+    with np.errstate(over="ignore"):
+        bad = integrand2 < -1e-14 * (w1 * w1 + w2 * w2 + 1e-300)
     if np.any(bad):
         first = np.argwhere(bad)
         r_bad = float(pts[first[0][0], first[0][1]])
         raise ConditionViolationError(
             f"V1^2 < V2^2 first violated near r = {r_bad!r}", radius=r_bad
         )
-    vals = np.sqrt(np.maximum(integrand2, 0.0))
-    increments = half * (vals @ _GL4_W)
+    with np.errstate(over="ignore"):
+        increments = half * (vals @ _GL4_W)
     h = np.concatenate(([0.0], np.cumsum(sign * increments)))
     return RescaleProfile(grid=grid, h=h, branch=branch, v1=v1, v2=v2)
 
@@ -262,8 +282,12 @@ def bag_model_case(A: float, r0: float, M: int, lam: float, kappa0: int,
     grid = RadialGrid(r_min=r_min, r_max=r_max, count=points)
     profile = h_profile(v1, v2, grid, branch="-")
 
-    # defect per unit f: no e^h needed, so arbitrarily steep walls are fine
-    rn = grid.r
+    # defect per unit f: no e^h needed, so arbitrarily steep walls are fine;
+    # only where e^h has underflowed to zero (no state left, and wall terms
+    # near the float range) is the defect not measured
+    with np.errstate(under="ignore"):
+        live = np.exp(profile.h - np.max(profile.h)) > 0.0
+    rn = grid.r[live]
     log_deriv = (ground.b - 1.0) / rn - ground.a   # f0'/f0
     hp = profile.h_prime(rn)
     gam = ground.gamma

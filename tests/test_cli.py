@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -176,6 +177,30 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "--family",
                                "antiparticle-linear", "--mu", "-0.5")
         assert code == 2
+
+    @pytest.mark.parametrize("mass", ["inf", "nan", "0", "-1"])
+    def test_bad_mass_rejected(self, capsys, mass):
+        # --mass inf used to hang in the r_max search (r_start = 0)
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "solve", "--family", "coulomb",
+                               "--mass", mass, "--lambda", "0.5", "--n", "1",
+                               "--kappa", "-1")
+        assert code == 2
+        assert "mass" in err
+        assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("argv", [
+        ["--lambda", "0.5", "--kappa0", "-1", "--A", "1", "--r0", "2"],
+        ["--lambda", "0.2", "--kappa0", "-3", "--A", "2", "--r0", "5"],
+    ])
+    def test_bag_wall_beyond_rmax_start(self, capsys, argv):
+        # suggest_rmax starts past the wall, where (m + v1)^2 overflows
+        code, out, _ = run_cli(capsys, "solve", "--family", "bag", *argv,
+                               "--M", "1000", "--points", "4001")
+        assert code == 0
+        row = csv_rows(out)[0]
+        assert abs(float(row["energy"]) - float(row["energy_ref"])) < 1e-8
+        assert float(row["residual"]) < 1e-8
 
     def test_dump_wavefunction(self, capsys, tmp_path):
         path = tmp_path / "wf.csv"

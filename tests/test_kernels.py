@@ -1,4 +1,5 @@
 """Backend cross-checks: compiled kernel vs pure-Python fallback."""
+import hashlib
 import math
 
 import numpy as np
@@ -51,6 +52,23 @@ def test_backends_agree(reverse):
     assert np.allclose(f_c, f_p, rtol=1e-12, atol=1e-300)
     assert np.allclose(g_c, g_p, rtol=1e-12, atol=1e-300)
     assert np.allclose(sc_c, sc_p, rtol=1e-12, atol=1e-12)
+
+
+# sha256 of the y1, y2 and logscale bytes of the fallback kernel on
+# _coulomb_arrays(), recorded before the kernel switched from list(arr) to
+# arr.tolist(); the arithmetic must stay bit-identical
+_FALLBACK_SHA256 = {
+    False: "91443a5c484e054134faf83e35b6e1a463fb3fa99a9af4941412d5d7f08fe7ac",
+    True: "c10c39e14e39c90779883512e7bff2ed8b4e8401c940e4aa2c659c2e6339eac6",
+}
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_fallback_bit_identical(reverse):
+    digest = hashlib.sha256()
+    for values in _run(fallback.rk4_linear2x2, reverse):
+        digest.update(values.tobytes())
+    assert digest.hexdigest() == _FALLBACK_SHA256[reverse]
 
 
 def test_backend_selected():

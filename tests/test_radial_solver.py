@@ -3,9 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from diraconf.ansatz import build_ansatz, evaluate_spinor
+import diraconf.radial_solver as rs
+from diraconf.ansatz import build_ansatz, evaluate_spinor, nu_fine_tuned
 from diraconf.coulomb import dirac_coulomb_energy, schrodinger_energy
-from diraconf.errors import BracketError, DomainError, WrongStateError
+from diraconf.errors import (
+    BracketError,
+    ConvergenceError,
+    DomainError,
+    WrongStateError,
+)
 from diraconf.fw_effective import antiparticle_spectrum_airy, first_order_shift
 from diraconf.radial_solver import (
     RadialGrid,
@@ -30,6 +36,68 @@ def _coulomb_grid(lam, n, kappa, m=1.0, points=20000):
 
 def _nodes(n, kappa):
     return n - (abs(kappa) if kappa < 0 else kappa + 1)
+
+
+def _preserved_case(lam=0.3, kappa0=-2, mu=1e-5, m=1.0, points=1000):
+    """Preserved-level problem: potential, grid and reference energy."""
+    n0 = -kappa0
+    e_ref = dirac_coulomb_energy(n0, kappa0, lam, m)
+    grid = RadialGrid(
+        1e-6 / (lam * m),
+        suggest_rmax(coulomb_potential(lam), kappa0, e_ref, m,
+                     r_start=4.0 * n0 * n0 / (lam * m)),
+        points)
+    pot = coulomb_plus_linear(lam, mu, nu_fine_tuned(mu, lam, kappa0))
+    return pot, grid, e_ref
+
+
+def _airy_case(mu=0.3, m=1.0, count=3, points=1000):
+    slope = 2.0 * mu
+    refs = antiparticle_spectrum_airy(mu, m, count=count)
+    r_char = (2.0 * m * slope) ** (-1.0 / 3.0)
+
+    def v(r):
+        return slope * np.asarray(r, dtype=float)
+
+    grid = RadialGrid(
+        1e-6 * r_char,
+        suggest_rmax_schrodinger(v, refs[-1], m,
+                                 r_start=2.0 * (refs[-1] - m) / slope),
+        points)
+    return v, grid, refs
+
+
+@pytest.fixture
+def defect_calls(monkeypatch):
+    """Counts evaluations of the matching defect."""
+    calls = [0]
+    original = rs._matching_defect
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(rs, "_matching_defect", counted)
+    return calls
+
+
+def _bisect_to_floor(system, E_bracket):
+    """Plain bisection of the matching defect down to adjacent floats."""
+    lo, hi = E_bracket
+    i_match = rs._match_index(system, 0.5 * (lo + hi))
+    d_lo = rs._matching_defect(system, lo, i_match)
+    d_hi = rs._matching_defect(system, hi, i_match)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo if abs(d_lo) < abs(d_hi) else hi
+        d_mid = rs._matching_defect(system, mid, i_match)
+        if d_mid == 0.0:
+            return mid
+        if d_lo * d_mid < 0:
+            hi, d_hi = mid, d_mid
+        else:
+            lo, d_lo = mid, d_mid
 
 
 class TestGrid:
@@ -226,6 +294,123 @@ class TestFindBoundState:
                              (e1 - 0.01, e1 + 0.01), 3)
         assert err.value.found_nodes == 0
         assert err.value.target_nodes == 3
+
+
+class TestEigenvalueSearch:
+    def test_preserved_level_evaluation_budget(self, defect_calls):
+        pot, grid, e_ref = _preserved_case()
+        state = find_bound_state(pot, -2, 1.0, grid,
+                                 (e_ref - 0.4e-4, e_ref + 0.6e-4), 0)
+        assert abs(state.energy - e_ref) < 1e-8
+        assert defect_calls[0] <= 10
+
+    def test_airy_ground_state_evaluation_budget(self, defect_calls):
+        v, grid, refs = _airy_case()
+        state = solve_schrodinger_radial(v, 0, 1.0, grid,
+                                         (refs[0] - 0.08, refs[0] + 0.12), 0)
+        assert state.energy == pytest.approx(refs[0], rel=1e-6)
+        assert defect_calls[0] <= 12
+
+    @pytest.mark.parametrize("level", ["coulomb-n2", "preserved", "airy-k2"])
+    def test_matches_bisection_to_the_floor(self, level):
+        m = 1.0
+        if level == "coulomb-n2":
+            lam, kappa = 0.5, -1
+            e_ref = dirac_coulomb_energy(2, kappa, lam, m)
+            grid = _coulomb_grid(lam, 2, kappa, points=1000)
+            pot = coulomb_potential(lam)
+            bracket = (e_ref - 0.004, e_ref + 0.005)
+            energy = find_bound_state(pot, kappa, m, grid, bracket, 1).energy
+            system = rs._DiracSystem(pot, kappa, m, grid)
+        elif level == "preserved":
+            pot, grid, e_ref = _preserved_case()
+            bracket = (e_ref - 0.3e-4, e_ref + 0.7e-4)
+            energy = find_bound_state(pot, -2, m, grid, bracket, 0).energy
+            system = rs._DiracSystem(pot, -2, m, grid)
+        else:
+            v, grid, refs = _airy_case()
+            bracket = (refs[2] - 0.09, refs[2] + 0.11)
+            energy = solve_schrodinger_radial(v, 0, m, grid, bracket,
+                                              2).energy
+            system = rs._SchrodingerSystem(v, 0, m, grid)
+        assert abs(energy - _bisect_to_floor(system, bracket)) <= 2e-15 * m
+
+    def test_runs_to_the_floor_whatever_the_tol(self):
+        pot, grid, e_ref = _preserved_case()
+        bracket = (e_ref - 0.4e-4, e_ref + 0.6e-4)
+        default = find_bound_state(pot, -2, 1.0, grid, bracket, 0).energy
+        loose = find_bound_state(pot, -2, 1.0, grid, bracket, 0,
+                                 tol=1e-6).energy
+        assert loose == default
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
+    def test_rejects_bad_tol(self, tol):
+        pot, grid, e_ref = _preserved_case()
+        with pytest.raises(DomainError):
+            find_bound_state(pot, -2, 1.0, grid, (e_ref - 1e-4, e_ref + 1e-4),
+                             0, tol=tol)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        pot, grid, e_ref = _preserved_case()
+        monkeypatch.setattr(rs, "_MAX_DEFECT_EVALS", 3)
+        with pytest.raises(ConvergenceError):
+            find_bound_state(pot, -2, 1.0, grid,
+                             (e_ref - 0.4e-4, e_ref + 0.6e-4), 0)
+
+    def test_nan_potential_raises(self):
+        _, grid, refs = _airy_case()
+        with pytest.raises(ConvergenceError):
+            solve_schrodinger_radial(lambda r: np.full_like(r, np.nan), 0,
+                                     1.0, grid, (refs[0] - 0.1, refs[0] + 0.1),
+                                     0)
+
+    @pytest.mark.parametrize("bad_call", [0, 1, 4])
+    def test_nan_defect_raises(self, monkeypatch, bad_call):
+        # at either bracket end (calls 0, 1) or at an interior iterate
+        pot, grid, e_ref = _preserved_case()
+        calls = [0]
+        original = rs._matching_defect
+
+        def poisoned(*args):
+            calls[0] += 1
+            return math.nan if calls[0] - 1 == bad_call else original(*args)
+
+        monkeypatch.setattr(rs, "_matching_defect", poisoned)
+        with pytest.raises(ConvergenceError):
+            find_bound_state(pot, -2, 1.0, grid,
+                             (e_ref - 0.4e-4, e_ref + 0.6e-4), 0)
+
+    def test_merge_without_live_match_point_raises(self, monkeypatch):
+        pot, grid, e_ref = _preserved_case()
+        system = rs._DiracSystem(pot, -2, 1.0, grid)
+        zeros = np.zeros(grid.count)
+        monkeypatch.setattr(rs, "_propagate",
+                            lambda *args, **kwargs: (zeros, zeros, zeros))
+        monkeypatch.setattr(rs, "_match_index", lambda *args: 8)
+        with pytest.raises(ConvergenceError):
+            rs._merge_and_scale(system, e_ref)
+
+
+class TestSuggestRmax:
+    @pytest.mark.parametrize("r_start", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_start(self, r_start):
+        with pytest.raises(DomainError):
+            suggest_rmax(coulomb_potential(0.5), -1, 0.86, 1.0, r_start)
+        with pytest.raises(DomainError):
+            suggest_rmax_schrodinger(lambda r: r, 1.5, 1.0, r_start)
+
+    def test_start_beyond_a_steep_wall(self):
+        # (m + v1)^2 leaves the float range right at the start: the tail is
+        # forbidden there, so one growth step already reaches the target
+        from diraconf.radial_solver import PotentialSpec
+
+        def wall(r):
+            return np.exp(np.minimum(1000.0 * np.log(np.asarray(r) / 2.0),
+                                     700.0))
+
+        pot = PotentialSpec(v0=lambda r: -0.5 / r, v1=wall,
+                            v2=lambda r: -0.5 * wall(r), coulomb_strength=0.5)
+        assert suggest_rmax(pot, -1, 0.86, 1.0, r_start=4.0) == 4.0 * 1.005
 
 
 class TestSchrodinger:
