@@ -15,6 +15,7 @@ from .ansatz import (
     nu_expanded,
     nu_fine_tuned,
     radial_residual,
+    residual_grid,
 )
 from .coulomb import (
     CouplingSet,
@@ -48,9 +49,11 @@ from .fw_effective import (
 )
 from .quantum_numbers import (
     AngularState,
+    check_state,
     decompose_kappa,
     enumerate_kappa,
     kappa_from_lj,
+    radial_nodes,
     sigma_dot_L_plus_one_eigenvalue,
 )
 from .radial_solver import (
@@ -59,6 +62,7 @@ from .radial_solver import (
     RadialGrid,
     ScalarBoundState,
     ShiftStudy,
+    coulomb_grid,
     coulomb_plus_linear,
     coulomb_potential,
     find_bound_state,

@@ -44,6 +44,7 @@ __all__ = [
     "build_ansatz",
     "evaluate_spinor",
     "radial_residual",
+    "residual_grid",
 ]
 
 
@@ -175,3 +176,16 @@ def radial_residual(params: AnsatzParams, grid) -> float:
     )
     scale = np.maximum(np.abs(f), np.abs(g))
     return float(np.max(np.maximum(np.abs(res1), np.abs(res2)) / scale))
+
+
+def residual_grid(params: AnsatzParams, n: int = 2001) -> np.ndarray:
+    """Geometric radii for ``radial_residual``: from well inside the
+    power-law region (1e-4 Bohr radii) out to where f has fallen below
+    1e-13 of its value at max(b, 1)/a."""
+    r_peak = max(params.b / params.a, 1.0 / params.a)
+    f_peak, _ = evaluate_spinor(params, r_peak)
+    r_hi = r_peak
+    while evaluate_spinor(params, r_hi)[0] > 1e-13 * f_peak:
+        r_hi *= 1.05
+    c = params.couplings
+    return np.geomspace(1e-4 / (c.lam * c.mass), r_hi, n)

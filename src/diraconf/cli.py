@@ -7,20 +7,28 @@ report).  Output is CSV (default) or JSON with every float printed as
 17-significant-digit scientific notation, so repeated runs are
 byte-identical.
 
-Exit codes: 0 success, 2 domain error (including bad flags), 3 physics
+Exit codes: 0 success, 2 domain error (including bad flags, a NaN or
+infinite number, and an (n, kappa) pair that names no state), 3 physics
 claim violation (``scan`` found an unexpected solution), 4 numerical
 non-convergence.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
 import numpy as np
 
 from . import __version__
-from .ansatz import build_ansatz, evaluate_spinor, nu_fine_tuned, radial_residual
+from .ansatz import (
+    build_ansatz,
+    evaluate_spinor,
+    nu_fine_tuned,
+    radial_residual,
+    residual_grid,
+)
 from .coulomb import dirac_coulomb_energy, schrodinger_energy
 from .errors import (
     BracketError,
@@ -34,14 +42,14 @@ from .fw_effective import (
     first_order_shift,
     preservation_scan,
 )
-from .quantum_numbers import enumerate_kappa
+from .quantum_numbers import enumerate_kappa, radial_nodes
 from .radial_solver import (
     RadialGrid,
+    coulomb_grid,
     coulomb_plus_linear,
     coulomb_potential,
     find_bound_state,
     solve_schrodinger_radial,
-    suggest_rmax,
     suggest_rmax_schrodinger,
 )
 from .rescale import bag_model_case
@@ -65,34 +73,29 @@ _SEED_DEFAULTS = [
 ]
 
 
-def _fmt(value) -> str:
+def _fmt(value, fmt: str = "csv") -> str:
+    """One field: strings bare in CSV and quoted in JSON, None empty in CSV
+    and null in JSON, floats at 17 significant digits."""
     if value is None:
-        return ""
+        return "" if fmt == "csv" else "null"
+    if isinstance(value, str):
+        return value if fmt == "csv" else f'"{value}"'
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.16e}"
 
 
-def _emit(columns, rows, fmt: str, path: str | None):
-    lines = []
+def _emit(rows, fmt: str, path: str | None):
+    """Write rows (dicts keyed alike; columns in the first row's key order)
+    as CSV or as a JSON list of objects."""
+    columns = list(rows[0])
     if fmt == "csv":
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(row[c]) for c in columns))
+        lines = [",".join(columns)]
+        lines += [",".join(_fmt(row[c]) for c in columns) for row in rows]
     else:
-        items = []
-        for row in rows:
-            fields = []
-            for c in columns:
-                v = row[c]
-                if v is None:
-                    fields.append(f'"{c}": null')
-                elif isinstance(v, (int, np.integer)):
-                    fields.append(f'"{c}": {int(v)}')
-                else:
-                    fields.append(f'"{c}": {_fmt(v)}')
-            items.append("{" + ", ".join(fields) + "}")
-        lines.append("[" + ",\n ".join(items) + "]")
+        items = ["{" + ", ".join(f'"{c}": {_fmt(row[c], fmt)}' for c in columns)
+                 + "}" for row in rows]
+        lines = ["[" + ",\n ".join(items) + "]"]
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -111,17 +114,17 @@ def cmd_energy(args) -> int:
     e_dirac = dirac_coulomb_energy(args.n, args.kappa, args.lam, args.mass)
     e_schr = schrodinger_energy(args.n, args.lam, args.mass)
     preserved = e_dirac if args.kappa == -args.n else None
-    rows = [{
+    _emit([{
         "n": args.n, "kappa": args.kappa,
         "E_dirac": e_dirac, "E_schrodinger": e_schr,
         "E_preserved": preserved,
-    }]
-    _emit(["n", "kappa", "E_dirac", "E_schrodinger", "E_preserved"],
-          rows, args.format, args.output)
+    }], args.format, args.output)
     return EXIT_OK
 
 
 def cmd_shift(args) -> int:
+    if args.n_max < 1:
+        raise DomainError(f"--n-max must be >= 1, got {args.n_max}")
     rows = []
     for n in range(1, args.n_max + 1):
         for kappa in enumerate_kappa(n):
@@ -134,8 +137,7 @@ def cmd_shift(args) -> int:
                 "term_kinetic": shift.term_kinetic,
                 "preserved": int(n == -args.kappa0 and kappa == args.kappa0),
             })
-    _emit(["n", "kappa", "total", "term_linear", "term_spin_orbit",
-           "term_kinetic", "preserved"], rows, args.format, args.output)
+    _emit(rows, args.format, args.output)
     return EXIT_OK
 
 
@@ -144,7 +146,7 @@ def cmd_scan(args) -> int:
     rows = [{
         "n": n, "kappa": kappa, "N": big_n, "physical": int(kappa == -n),
     } for (n, kappa, big_n) in report.solutions]
-    _emit(["n", "kappa", "N", "physical"], rows, args.format, args.output)
+    _emit(rows, args.format, args.output)
     expected = sorted(
         (n, kappa, 1) for n in range(1, args.n_max + 1) for kappa in (-n, n)
     )
@@ -157,23 +159,12 @@ def cmd_scan(args) -> int:
 def cmd_ansatz(args) -> int:
     params = build_ansatz(args.lam, args.mu, args.kappa0, args.mass)
     if args.detune_nu != 0.0:
-        import dataclasses
         c = params.couplings
         params = dataclasses.replace(
             params,
             couplings=dataclasses.replace(c, nu=c.nu * (1.0 + args.detune_nu)),
         )
-    # residual grid: from well inside the power-law region to deep in the tail
-    r_peak = max(params.b / params.a, 1.0 / params.a)
-    r_hi = r_peak
-    f_peak, _ = evaluate_spinor(params, r_peak)
-    while True:
-        f_val, _ = evaluate_spinor(params, r_hi)
-        if f_val < 1e-13 * f_peak:
-            break
-        r_hi *= 1.05
-    r_grid = np.geomspace(1e-4 / (args.lam * args.mass), r_hi, 2001)
-    resid = radial_residual(params, r_grid)
+    resid = radial_residual(params, residual_grid(params))
 
     def norm_integrand(r):
         f, g = evaluate_spinor(params, r)
@@ -185,155 +176,113 @@ def cmd_ansatz(args) -> int:
         ("b", params.b), ("a", params.a), ("alpha2", params.alpha2),
         ("gamma", params.gamma), ("nu", params.couplings.nu),
         ("energy", params.energy), ("norm", params.norm),
-        ("gamma_dev_1", devs[0]), ("gamma_dev_2", devs[1]),
-        ("gamma_dev_3", devs[2]), ("gamma_dev_4", devs[3]),
-        ("gamma_dev_5", devs[4]), ("gamma_dev_6", devs[5]),
+        *((f"gamma_dev_{k}", dev) for k, dev in enumerate(devs, 1)),
         ("norm_quadrature_defect", abs(quad.value - 1.0)),
         ("max_radial_residual", resid),
     ]]
-    columns = ["quantity", "value"]
-    if args.format == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(f'{row["quantity"]},{_fmt(row["value"])}')
-        text = "\n".join(lines) + "\n"
-        if args.output is None:
-            sys.stdout.write(text)
-        else:
-            with open(args.output, "w", newline="") as fh:
-                fh.write(text)
-    else:
-        _emit_named(rows, args.output)
+    _emit(rows, args.format, args.output)
     return EXIT_OK
 
 
-def _emit_named(rows, path):
-    items = [f'{{"quantity": "{r["quantity"]}", "value": {_fmt(r["value"])}}}'
-             for r in rows]
-    text = "[" + ",\n ".join(items) + "]\n"
-    if path is None:
-        sys.stdout.write(text)
+def _solve_coulomb(args):
+    """Coulomb level |n, kappa>, bare or with the fine-tuned linear pair."""
+    m = args.mass
+    e_ref = dirac_coulomb_energy(args.n, args.kappa, args.lam, m)
+    half = _coulomb_bracket(args.n, args.lam, m)
+    grid = coulomb_grid(args.lam, args.n, args.kappa, m, args.points)
+    linear = args.family == "coulomb-linear"
+    if linear:
+        nu = nu_fine_tuned(args.mu, args.lam, args.kappa0)
+        pot = coulomb_plus_linear(args.lam, args.mu, nu)
     else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        pot = coulomb_potential(args.lam)
+    state = find_bound_state(pot, args.kappa, m, grid,
+                             (e_ref - half, e_ref + half),
+                             radial_nodes(args.n, args.kappa))
+    row = {"n": args.n, "kappa": args.kappa}
+    if linear:
+        row.update({"mu": args.mu, "nu": nu, "energy": state.energy,
+                    "energy_coulomb": e_ref, "shift": state.energy - e_ref})
+    else:
+        row.update({"energy": state.energy, "energy_ref": e_ref,
+                    "defect": abs(state.energy - e_ref)})
+    row.update({"nodes": state.nodes_f, "residual": state.residual})
+    return [row], {"r": grid.r, "f": state.f, "g": state.g}
 
 
-def _dump_wavefunction(path, r, comps, names):
-    lines = [",".join(["r"] + names)]
-    for i in range(len(r)):
-        lines.append(",".join([_fmt(r[i])] + [_fmt(c[i]) for c in comps]))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _solve_bag(args):
+    case = bag_model_case(args.A, args.r0, args.M, args.lam, args.kappa0,
+                          args.mass, points=args.points)
+    e_ref = dirac_coulomb_energy(-args.kappa0, args.kappa0, args.lam, args.mass)
+    row = {"M": args.M, "A": args.A, "r0": args.r0, "energy": case.energy,
+           "energy_ref": e_ref, "residual": case.residual}
+    r = case.grid.r
+    scale = np.exp(case.profile.h - np.max(case.profile.h))
+    return [row], {"r": r, "f": case.ground.f(r) * scale,
+                   "g": case.ground.g(r) * scale}
+
+
+def _solve_antiparticle(args):
+    """s-wave ladder of the slope 2 mu (plus an optional +lam/r core)."""
+    m = args.mass
+    if args.mu <= 0:
+        raise DomainError("--mu must be positive for the confining slope")
+    if args.states < 1:
+        raise DomainError(f"--states must be >= 1, got {args.states}")
+    slope = 2.0 * args.mu
+
+    def v(r):
+        r = np.asarray(r, dtype=float)
+        base = slope * r
+        return base + args.lam / r if args.lam else base
+
+    refs = antiparticle_spectrum_airy(args.mu, m, count=args.states + 1)
+    r_char = (2.0 * m * slope) ** (-1.0 / 3.0)
+    grid = RadialGrid(
+        1e-6 * r_char,
+        suggest_rmax_schrodinger(v, refs[args.states - 1], m,
+                                 r_start=2.0 * (refs[args.states - 1] - m)
+                                 / slope),
+        args.points,
+    )
+    shift_room = 2.0 * args.lam / r_char if args.lam else 0.0
+    rows = []
+    for k in range(1, args.states + 1):
+        lo = refs[k - 1] - (0.45 * (refs[k - 1] - refs[k - 2])
+                           if k > 1 else 0.45 * (refs[0] - m))
+        hi = refs[k - 1] + 0.45 * (refs[k] - refs[k - 1]) + shift_room
+        state = solve_schrodinger_radial(v, 0, m, grid, (lo, hi), k - 1,
+                                         coulomb_coeff=args.lam)
+        rows.append({
+            "k": k, "energy": state.energy,
+            "energy_airy": refs[k - 1] if not args.lam else None,
+            "nodes": state.nodes, "residual": state.residual,
+        })
+    return rows, {"r": grid.r, "u": state.u}
+
+
+# each family maps the parsed flags to (table rows, wavefunction columns)
+_SOLVE_FAMILIES = {
+    "coulomb": _solve_coulomb,
+    "coulomb-linear": _solve_coulomb,
+    "bag": _solve_bag,
+    "antiparticle-linear": _solve_antiparticle,
+}
 
 
 def cmd_solve(args) -> int:
-    m = args.mass
-    if not (math.isfinite(m) and m > 0):
-        raise DomainError(f"--mass must be finite and positive, got {m!r}")
-    rows = []
-    dump = None
-    if args.family in ("coulomb", "coulomb-linear", "bag") and not args.lam > 0:
+    if not args.mass > 0:
+        raise DomainError(f"--mass must be positive, got {args.mass!r}")
+    if args.family != "antiparticle-linear" and not args.lam > 0:
         raise DomainError(f"--lambda must be positive for family {args.family}")
     if args.lam < 0:
         raise DomainError("--lambda must be >= 0")
-    if args.family == "coulomb":
-        e_ref = dirac_coulomb_energy(args.n, args.kappa, args.lam, m)
-        half = _coulomb_bracket(args.n, args.lam, m)
-        pot = coulomb_potential(args.lam)
-        grid = RadialGrid(
-            1e-6 / (args.lam * m),
-            suggest_rmax(pot, args.kappa, e_ref, m,
-                         r_start=4.0 * args.n * args.n / (args.lam * m)),
-            args.points,
-        )
-        nodes = args.n - (abs(args.kappa) if args.kappa < 0 else args.kappa + 1)
-        state = find_bound_state(pot, args.kappa, m, grid,
-                                 (e_ref - half, e_ref + half), nodes)
-        rows.append({
-            "n": args.n, "kappa": args.kappa, "energy": state.energy,
-            "energy_ref": e_ref, "defect": abs(state.energy - e_ref),
-            "nodes": state.nodes_f, "residual": state.residual,
-        })
-        columns = ["n", "kappa", "energy", "energy_ref", "defect", "nodes",
-                   "residual"]
-        dump = (state.grid.r, [state.f, state.g], ["f", "g"])
-    elif args.family == "coulomb-linear":
-        nu = nu_fine_tuned(args.mu, args.lam, args.kappa0)
-        e_ref = dirac_coulomb_energy(args.n, args.kappa, args.lam, m)
-        half = _coulomb_bracket(args.n, args.lam, m)
-        pot0 = coulomb_potential(args.lam)
-        grid = RadialGrid(
-            1e-6 / (args.lam * m),
-            suggest_rmax(pot0, args.kappa, e_ref, m,
-                         r_start=4.0 * args.n * args.n / (args.lam * m)),
-            args.points,
-        )
-        pot = coulomb_plus_linear(args.lam, args.mu, nu)
-        nodes = args.n - (abs(args.kappa) if args.kappa < 0 else args.kappa + 1)
-        state = find_bound_state(pot, args.kappa, m, grid,
-                                 (e_ref - half, e_ref + half), nodes)
-        rows.append({
-            "n": args.n, "kappa": args.kappa, "mu": args.mu, "nu": nu,
-            "energy": state.energy, "energy_coulomb": e_ref,
-            "shift": state.energy - e_ref,
-            "nodes": state.nodes_f, "residual": state.residual,
-        })
-        columns = ["n", "kappa", "mu", "nu", "energy", "energy_coulomb",
-                   "shift", "nodes", "residual"]
-        dump = (state.grid.r, [state.f, state.g], ["f", "g"])
-    elif args.family == "bag":
-        case = bag_model_case(args.A, args.r0, args.M, args.lam, args.kappa0,
-                              m, points=args.points)
-        e_ref = dirac_coulomb_energy(-args.kappa0, args.kappa0, args.lam, m)
-        rows.append({
-            "M": args.M, "A": args.A, "r0": args.r0, "energy": case.energy,
-            "energy_ref": e_ref, "residual": case.residual,
-        })
-        columns = ["M", "A", "r0", "energy", "energy_ref", "residual"]
-        f0 = case.ground.f(case.grid.r)
-        g0 = case.ground.g(case.grid.r)
-        scale = np.exp(case.profile.h - np.max(case.profile.h))
-        dump = (case.grid.r, [f0 * scale, g0 * scale], ["f", "g"])
-    elif args.family == "antiparticle-linear":
-        if args.mu <= 0:
-            raise DomainError("--mu must be positive for the confining slope")
-        slope = 2.0 * args.mu
-
-        def v(r):
-            r = np.asarray(r, dtype=float)
-            base = slope * r
-            return base + args.lam / r if args.lam else base
-
-        refs = antiparticle_spectrum_airy(args.mu, m, count=args.states + 1)
-        r_char = (2.0 * m * slope) ** (-1.0 / 3.0)
-        grid = RadialGrid(
-            1e-6 * r_char,
-            suggest_rmax_schrodinger(v, refs[args.states - 1], m,
-                                     r_start=2.0 * (refs[args.states - 1] - m)
-                                     / slope),
-            args.points,
-        )
-        shift_room = 2.0 * args.lam / r_char if args.lam else 0.0
-        state = None
-        for k in range(1, args.states + 1):
-            lo = refs[k - 1] - (0.45 * (refs[k - 1] - refs[k - 2])
-                               if k > 1 else 0.45 * (refs[0] - m))
-            hi = refs[k - 1] + 0.45 * (refs[k] - refs[k - 1]) + shift_room
-            state = solve_schrodinger_radial(v, 0, m, grid, (lo, hi), k - 1,
-                                             coulomb_coeff=args.lam)
-            rows.append({
-                "k": k, "energy": state.energy,
-                "energy_airy": refs[k - 1] if not args.lam else None,
-                "nodes": state.nodes, "residual": state.residual,
-            })
-        columns = ["k", "energy", "energy_airy", "nodes", "residual"]
-        dump = (state.grid.r, [state.u], ["u"])
-    else:
-        raise DomainError(f"unknown family {args.family!r}")
-
-    _emit(columns, rows, args.format, args.output)
+    rows, wavefunction = _SOLVE_FAMILIES[args.family](args)
+    _emit(rows, args.format, args.output)
     if args.dump_wavefunction:
-        _dump_wavefunction(args.dump_wavefunction, dump[0], dump[1], dump[2])
+        _emit([dict(zip(wavefunction, values))
+               for values in zip(*wavefunction.values())],
+              "csv", args.dump_wavefunction)
     return EXIT_OK
 
 
@@ -389,9 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="numerical bound states")
     _add_common(p)
-    p.add_argument("--family", required=True,
-                   choices=("coulomb", "coulomb-linear", "bag",
-                            "antiparticle-linear"))
+    p.add_argument("--family", required=True, choices=tuple(_SOLVE_FAMILIES))
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--mu", type=float, default=0.0)
     p.add_argument("--n", type=int, default=1)
@@ -410,6 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flags whose destination is not the flag name with '-' for '_'
+_FLAG_NAMES = {"lam": "lambda"}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -420,6 +371,10 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_DOMAIN
     try:
+        for dest, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                flag = _FLAG_NAMES.get(dest, dest.replace("_", "-"))
+                raise DomainError(f"--{flag} must be finite, got {value!r}")
         return args.func(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quantum_numbers import AngularState
+from .quantum_numbers import AngularState, check_state
 
 __all__ = [
     "CouplingSet",
@@ -58,33 +58,20 @@ class HydrogenicState:
     angular: AngularState
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"n must be >= 1, got {self.n}")
-        k = self.angular.kappa
-        if not (-self.n <= k <= self.n - 1):
-            raise DomainError(f"kappa={k} not in [-n, n-1] for n={self.n}")
+        check_state(self.n, self.angular.kappa)
 
     @property
     def kappa(self) -> int:
         return self.angular.kappa
 
 
-def _check_nk(n: int, kappa: int):
-    if kappa == 0:
-        raise DomainError("kappa must be nonzero")
-    if n < 1 or abs(kappa) > n:
-        raise DomainError(f"need 1 <= |kappa| <= n, got n={n}, kappa={kappa}")
-
-
 def dirac_coulomb_energy(n: int, kappa: int, lam: float, m: float = 1.0) -> float:
     """Sommerfeld energy E(n, kappa, lam); reduces to m sqrt(1 - lam^2/kappa^2)
     for the nodeless n = -kappa states."""
-    _check_nk(n, kappa)
-    if lam < 0:
-        raise DomainError(f"lam must be >= 0, got {lam}")
-    if lam >= abs(kappa):
-        raise DomainError(
-            f"lam={lam} >= |kappa|={abs(kappa)}: the effective exponent turns complex"
+    check_state(n, kappa)
+    if not 0 <= lam < abs(kappa):
+        raise DomainError(  # at lam >= |kappa| the exponent turns complex
+            f"need 0 <= lam < |kappa|={abs(kappa)}, got lam={lam}"
         )
     s = math.sqrt(kappa * kappa - lam * lam)
     return m / math.sqrt(1.0 + (lam / (n - abs(kappa) + s)) ** 2)
@@ -99,7 +86,7 @@ def schrodinger_energy(n: int, lam: float, m: float = 1.0) -> float:
 
 def expectation_r(n: int, kappa: int, lam: float, m: float = 1.0) -> float:
     """<r> on the Schroedinger-Coulomb state: (3n^2 - kappa(kappa+1)) / (2 lam m)."""
-    _check_nk(n, kappa)
+    check_state(n, kappa)
     if not lam > 0:
         raise DomainError("lam must be positive (no bound state otherwise)")
     return (3.0 * n * n - kappa * (kappa + 1)) / (2.0 * lam * m)
@@ -121,7 +108,7 @@ def expectation_anticomm_p2_r(n: int, kappa: int, lam: float, m: float = 1.0) ->
     E_b = -lam^2 m/(2n^2); hermiticity of p^2 then gives
     <{p^2, r}> = 4m (E_b <r> + lam).
     """
-    _check_nk(n, kappa)
+    check_state(n, kappa)
     if not lam > 0:
         raise DomainError("lam must be positive")
     e_b = -lam * lam * m / (2.0 * n * n)

@@ -35,7 +35,7 @@ from .coulomb import (
     expectation_r,
 )
 from .errors import DomainError
-from .quantum_numbers import sigma_dot_L_plus_one_eigenvalue
+from .quantum_numbers import check_state, sigma_dot_L_plus_one_eigenvalue
 from .special_functions import airy_negative_zeros
 
 __all__ = [
@@ -62,10 +62,9 @@ class EffectiveShift:
 
 
 def _check_shift_args(n: int, kappa: int, kappa0: int, lam: float):
-    if kappa == 0 or kappa0 == 0:
-        raise DomainError("kappa and kappa0 must be nonzero")
-    if n < 1 or abs(kappa) > n:
-        raise DomainError(f"need 1 <= |kappa| <= n, got n={n}, kappa={kappa}")
+    check_state(n, kappa)
+    if kappa0 == 0:
+        raise DomainError("kappa0 must be nonzero")
     if not lam > 0:
         raise DomainError("lam must be positive")
 

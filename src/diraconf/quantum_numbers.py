@@ -30,6 +30,8 @@ __all__ = [
     "decompose_kappa",
     "sigma_dot_L_plus_one_eigenvalue",
     "enumerate_kappa",
+    "check_state",
+    "radial_nodes",
 ]
 
 
@@ -89,8 +91,22 @@ def sigma_dot_L_plus_one_eigenvalue(kappa: int, upper: bool = True) -> int:
     return -kappa if upper else kappa
 
 
-def enumerate_kappa(n: int) -> list[int]:
-    """All kappa values available at principal quantum number n: -n..n-1 without 0."""
+def check_state(n: int, kappa: int):
+    """Raise DomainError unless |n, kappa> is a bound state: n >= 1 and
+    kappa in -n..n-1 without 0."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    if kappa == 0 or not -n <= kappa <= n - 1:
+        raise DomainError(f"kappa={kappa} not in [-n, n-1] without 0 for n={n}")
+
+
+def enumerate_kappa(n: int) -> list[int]:
+    """All kappa values available at principal quantum number n: -n..n-1 without 0."""
+    check_state(n, -n)
     return [k for k in range(-n, n) if k != 0]
+
+
+def radial_nodes(n: int, kappa: int) -> int:
+    """Nodes of the upper radial component f of |n, kappa>: n - l - 1."""
+    check_state(n, kappa)
+    return n - decompose_kappa(kappa)[0] - 1

@@ -17,7 +17,12 @@ fourth-order Runge-Kutta kernel does the stepping; see
 
 A radial Schroedinger solver built on the same machinery handles the
 nonrelativistic confining problems (single component u(r), with
--u''/2m + [v + l(l+1)/(2 m r^2)] u = (E - m) u).
+-u''/2m + [v + l(l+1)/(2 m r^2)] u = (E - m) u).  Each equation system
+(``_DiracSystem``, ``_SchrodingerSystem``) supplies only its coefficient
+tables, seeds, norm density and equation terms; one pipeline (``_shoot``)
+searches, merges, normalizes, fixes the sign, checks the node count and
+measures the finite-difference residual for both.  One tail walk
+(``_tail_radius``) places r_max for both from their WKB decay rates.
 """
 from __future__ import annotations
 
@@ -30,7 +35,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._kernels import rk4_linear2x2
+from .coulomb import dirac_coulomb_energy
 from .errors import BracketError, ConvergenceError, DomainError, WrongStateError
+from .quantum_numbers import radial_nodes
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -49,6 +56,7 @@ __all__ = [
     "shift_convergence_study",
     "suggest_rmax",
     "suggest_rmax_schrodinger",
+    "coulomb_grid",
 ]
 
 
@@ -177,11 +185,16 @@ def radial_equation_defects(f, df, g, dg, r, E, kappa, m, v0, v1, v2):
     differentiation or finite differences), not from the equations
     themselves.
     """
+    return tuple(sum(terms) for terms in
+                 _dirac_terms(f, df, g, dg, r, E, kappa, m, v0, v1, v2))
+
+
+def _dirac_terms(f, df, g, dg, r, E, kappa, m, v0, v1, v2):
+    """The terms each of the two radial equations sums to zero."""
     p = E + m + v1 - v0 - v2
     q = E - m - v1 - v0 - v2
-    res1 = df + (kappa + 1.0) / r * f - p * g
-    res2 = -dg + (kappa - 1.0) / r * g - q * f
-    return res1, res2
+    return ([df, (kappa + 1.0) / r * f, -(p * g)],
+            [-dg, (kappa - 1.0) / r * g, -(q * f)])
 
 
 class _DiracSystem:
@@ -265,6 +278,18 @@ class _DiracSystem:
             self.kappa + 1.0
         ) / rn**2 > 0
 
+    def density(self, f, g):
+        return (f * f + g * g) * self.grid.r**2
+
+    def residual_terms(self, E: float, f, g):
+        """Terms of the two radial equations (derivatives by finite
+        differences), and the live-mask scale."""
+        equations = _dirac_terms(f, _fd_dr(self.grid, f), g, _fd_dr(self.grid, g),
+                                 self.grid.r, E, self.kappa, self.m,
+                                 self.v0_all[::2], self.v1_all[::2],
+                                 self.v2_all[::2])
+        return equations, np.maximum(np.abs(f), np.abs(g))
+
 
 class _SchrodingerSystem:
     """Same machinery for the single-component radial equation."""
@@ -310,6 +335,16 @@ class _SchrodingerSystem:
         return 2.0 * self.m * (E - self.m - self.v_all[::2]) - self.ell * (
             self.ell + 1.0
         ) / rn**2 > 0
+
+    def density(self, u, du):
+        return u * u
+
+    def residual_terms(self, E: float, u, du):
+        """Terms of -u''/2m + (v_eff - (E-m)) u = 0 (u'' from the sampled
+        du), and the live-mask scale."""
+        ddu = _fd_dr(self.grid, du)
+        v_eff = self.v_eff[::2]
+        return ([-ddu / (2.0 * self.m), (v_eff - (E - self.m)) * u],), np.abs(u)
 
 
 def _propagate(system, E: float, reverse: bool):
@@ -407,45 +442,26 @@ def _count_nodes(values: np.ndarray, threshold_rel: float = 1e-10) -> int:
     return int(np.sum(live[1:] * live[:-1] < 0))
 
 
-def _fd_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order central differences on a uniform grid (interior only)."""
+def _fd_dr(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
+    """d/dr by fourth-order central differences in t (interior only)."""
     d = np.full_like(values, np.nan)
     d[2:-2] = (values[:-4] - 8 * values[1:-3] + 8 * values[3:-1] - values[4:]) / (
-        12.0 * h
+        12.0 * float(grid.steps[0])
     )
-    return d
+    return d / grid.r if grid.spacing == "log" else d
 
 
-def _dirac_fd_residual(system, E: float, f: np.ndarray, g: np.ndarray) -> float:
-    """Equation defect of the sampled solution, relative to the local
-    magnitude of the terms being balanced (finite-difference derivatives)."""
-    grid = system.grid
-    h = float(grid.steps[0])
-    rn = grid.r
-    df_dt = _fd_derivative(f, h)
-    dg_dt = _fd_derivative(g, h)
-    if grid.spacing == "log":
-        df, dg = df_dt / rn, dg_dt / rn
-    else:
-        df, dg = df_dt, dg_dt
-    kappa, m = system.kappa, system.m
-    v0 = system.v0_all[::2]
-    v1 = system.v1_all[::2]
-    v2 = system.v2_all[::2]
-    res1, res2 = radial_equation_defects(f, df, g, dg, rn, E, kappa, m,
-                                         v0, v1, v2)
-    p = E + m + v1 - v0 - v2
-    q = E - m - v1 - v0 - v2
-    mag1 = np.abs(df) + np.abs((kappa + 1.0) / rn * f) + np.abs(p * g)
-    mag2 = np.abs(dg) + np.abs((kappa - 1.0) / rn * g) + np.abs(q * f)
-    scale = np.maximum(np.abs(f), np.abs(g))
+def _fd_residual(equations, scale: np.ndarray) -> float:
+    """Equation defect of a sampled solution, relative to the local
+    magnitude of the terms being balanced: the maximum over live interior
+    nodes of |sum of terms| / sum of |terms|, over all equations."""
     live = scale > 1e-8 * float(np.max(scale))
     live[:2] = live[-2:] = False
     if not np.any(live):
         return math.inf
-    rel1 = np.abs(res1[live]) / (mag1[live] + 1e-300)
-    rel2 = np.abs(res2[live]) / (mag2[live] + 1e-300)
-    return float(np.max(np.maximum(rel1, rel2)))
+    rel = [np.abs(sum(terms)[live]) / (sum(np.abs(t) for t in terms)[live] + 1e-300)
+           for terms in equations]
+    return float(np.max(rel))
 
 
 _EPS = sys.float_info.epsilon
@@ -531,6 +547,33 @@ def _solve_eigenvalue(system, E_bracket, tol: float):
     )
 
 
+def _shoot(system, E_bracket, target_nodes: int, tol: float | None):
+    """One bound state of ``system``: (energy, y1, y2, nodes, residual).
+
+    The two components come out normalized to the system's density, with
+    y1 > 0 as it rises from the origin; a node count of y1 other than
+    ``target_nodes`` raises WrongStateError.
+    """
+    if tol is None:
+        tol = 1e-12 * system.m
+    energy, _ = _solve_eigenvalue(system, E_bracket, tol)
+    y1, y2, _ = _merge_and_scale(system, energy)
+    norm = math.sqrt(system.grid.integrate(system.density(y1, y2)))
+    y1 /= norm
+    y2 /= norm
+    if y1[np.argmax(np.abs(y1) > 1e-3 * np.max(np.abs(y1)))] < 0:
+        y1, y2 = -y1, -y2
+    nodes = _count_nodes(y1)
+    if nodes != target_nodes:
+        raise WrongStateError(
+            f"found a state with {nodes} nodes, wanted {target_nodes} "
+            f"(E = {energy!r}); widen or shift the bracket",
+            found_nodes=nodes, target_nodes=target_nodes,
+        )
+    residual = _fd_residual(*system.residual_terms(energy, y1, y2))
+    return energy, y1, y2, nodes, residual
+
+
 def integrate_radial(potential: PotentialSpec, kappa: int, E: float, m: float,
                      grid: RadialGrid, direction: str = "outward"):
     """Raw (f, g) trajectory for one energy, peak magnitude scaled to 1."""
@@ -578,23 +621,7 @@ def find_bound_state(potential: PotentialSpec, kappa: int, m: float,
     ``residual``.
     """
     system = _DiracSystem(potential, kappa, m, grid)
-    if tol is None:
-        tol = 1e-12 * m
-    energy, _ = _solve_eigenvalue(system, E_bracket, tol)
-    f, g, _ = _merge_and_scale(system, energy)
-    norm2 = grid.integrate((f * f + g * g) * grid.r**2)
-    f /= math.sqrt(norm2)
-    g /= math.sqrt(norm2)
-    if f[np.argmax(np.abs(f) > 1e-3 * np.max(np.abs(f)))] < 0:
-        f, g = -f, -g  # fix overall sign: f > 0 as it rises from the origin
-    nodes = _count_nodes(f)
-    if nodes != target_nodes:
-        raise WrongStateError(
-            f"found a state with {nodes} nodes, wanted {target_nodes} "
-            f"(E = {energy!r}); widen or shift the bracket",
-            found_nodes=nodes, target_nodes=target_nodes,
-        )
-    residual = _dirac_fd_residual(system, energy, f, g)
+    energy, f, g, nodes, residual = _shoot(system, E_bracket, target_nodes, tol)
     return BoundState(energy=energy, kappa=kappa, grid=grid, f=f, g=g,
                       nodes_f=nodes, converged=True, residual=residual)
 
@@ -610,102 +637,92 @@ def solve_schrodinger_radial(v: Callable, ell: int, m: float, grid: RadialGrid,
     ``coulomb_coeff`` declares a c/r component of v for the series start.
     """
     system = _SchrodingerSystem(v, ell, m, grid, coulomb_coeff)
-    if tol is None:
-        tol = 1e-12 * m
-    energy, _ = _solve_eigenvalue(system, E_bracket, tol)
-    u, du, _ = _merge_and_scale(system, energy)
-    norm2 = grid.integrate(u * u)
-    u /= math.sqrt(norm2)
-    du /= math.sqrt(norm2)
-    if u[np.argmax(np.abs(u) > 1e-3 * np.max(np.abs(u)))] < 0:
-        u, du = -u, -du
-    nodes = _count_nodes(u)
-    if nodes != target_nodes:
-        raise WrongStateError(
-            f"found a state with {nodes} nodes, wanted {target_nodes} "
-            f"(E = {energy!r})",
-            found_nodes=nodes, target_nodes=target_nodes,
-        )
-    # defect of -u''/2m + (v_eff - (E-m)) u relative to the local term
-    # magnitudes, via 4th-order differences of the sampled du
-    h = float(grid.steps[0])
-    ddu_dt = _fd_derivative(du, h)
-    ddu = ddu_dt / grid.r if grid.spacing == "log" else ddu_dt
-    v_eff = system.v_eff[::2]
-    res = -ddu / (2.0 * m) + (v_eff - (energy - m)) * u
-    mag = np.abs(ddu) / (2.0 * m) + np.abs((v_eff - (energy - m)) * u)
-    scale = np.abs(u)
-    live = scale > 1e-8 * float(np.max(scale))
-    live[:2] = live[-2:] = False
-    residual = float(np.max(np.abs(res[live]) / (mag[live] + 1e-300)))
+    energy, u, du, nodes, residual = _shoot(system, E_bracket, target_nodes, tol)
     return ScalarBoundState(energy=energy, ell=ell, grid=grid, u=u, du=du,
                             nodes=nodes, converged=True, residual=residual)
 
 
-def _check_r_start(r_start: float) -> float:
+def _diff_of_squares(a, b):
+    """(a^2 - b^2, sqrt(max(a^2 - b^2, 0))) elementwise.
+
+    Where a square leaves the float range (deep inside a steep wall) the
+    difference is not finite and the root is taken in factored form,
+    sqrt(|a| - |b|) sqrt(|a| + |b|).
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = a * a - b * b
+        root = np.sqrt(np.maximum(d2, 0.0))
+        big = ~np.isfinite(d2)
+        if np.any(big):
+            a, b = np.abs(a[big]), np.abs(b[big])
+            root[big] = np.sqrt(np.maximum(a - b, 0.0)) * np.sqrt(a + b)
+    return d2, root
+
+
+_TAIL_GROWTH = 1.005  # fine enough that even M ~ 1000 power-law walls are resolved
+_TAIL_CHUNK = 256  # steps per vectorized chunk (a factor 3.6 in r)
+
+
+def _tail_radius(rate: Callable, r_start: float, decay_target: float) -> float:
+    """First radius of the geometric walk r_start * 1.005^k at which the
+    accumulated WKB exponent sum rate(r_mid) dr reaches ``decay_target``.
+
+    ``rate`` maps interval midpoints (an array) to local decay rates; only
+    positive rates accumulate.  The walk is taken in chunks; both running
+    products and running sums are sequential accumulations, so the result
+    is the same float a step-by-step loop gives.
+    """
     r = float(r_start)
     if not (math.isfinite(r) and r > 0):
         raise DomainError(f"r_start must be finite and positive, got {r!r}")
+    acc = 0.0
+    growth = np.full(_TAIL_CHUNK, _TAIL_GROWTH)
+    while acc < decay_target:
+        radii = np.multiply.accumulate(np.concatenate(([r], growth)))
+        w = np.asarray(rate(0.5 * (radii[:-1] + radii[1:])), dtype=float)
+        steps = np.where(w > 0, w * (radii[1:] - radii[:-1]), 0.0)
+        sums = np.add.accumulate(np.concatenate(([acc], steps)))[1:]
+        stop = np.nonzero(~(sums < decay_target) | (radii[1:] > 1e9))[0]
+        k = stop[0] if stop.size else _TAIL_CHUNK - 1
+        r, acc = float(radii[k + 1]), float(sums[k])
+        if r > 1e9:
+            raise ConvergenceError(
+                "could not find a classically forbidden tail below r = 1e9"
+            )
     return r
-
-
-def _dirac_decay_rate(mass_term: float, energy_term: float) -> float:
-    """sqrt(mass_term^2 - energy_term^2) where positive, else 0."""
-    try:
-        w2 = mass_term ** 2 - energy_term ** 2
-    except OverflowError:
-        # a square beyond the float range, e.g. deep inside a steep wall:
-        # the same difference in ratio form
-        a, b = abs(mass_term), abs(energy_term)
-        if a <= b:
-            return 0.0
-        x = b / a
-        return a * math.sqrt((1.0 - x) * (1.0 + x))
-    return math.sqrt(w2) if w2 > 0 else 0.0
 
 
 def suggest_rmax(potential: PotentialSpec, kappa: int, E_guess: float,
                  m: float, r_start: float, decay_target: float = 34.0) -> float:
     """Extend r_max until the WKB tail suppression reaches exp(-decay_target)."""
-    r = _check_r_start(r_start)
-    acc = 0.0
-    growth = 1.005  # fine enough that even M ~ 1000 power-law walls are resolved
-    while acc < decay_target:
-        r_next = r * growth
-        rm = 0.5 * (r + r_next)
-        v0 = float(np.asarray(potential.v0(np.array([rm])))[0])
-        v1 = float(np.asarray(potential.v1(np.array([rm])))[0])
-        v2 = float(np.asarray(potential.v2(np.array([rm])))[0])
-        w = _dirac_decay_rate(m + v1, E_guess - v0 - v2)
-        if w > 0:
-            acc += w * (r_next - r)
-        r = r_next
-        if r > 1e9:
-            raise ConvergenceError(
-                "could not find a classically forbidden tail below r = 1e9"
-            )
-    return r
+    def rate(r):
+        return _diff_of_squares(m + np.asarray(potential.v1(r), dtype=float),
+                                E_guess - np.asarray(potential.v0(r), dtype=float)
+                                - np.asarray(potential.v2(r), dtype=float))[1]
+
+    return _tail_radius(rate, r_start, decay_target)
 
 
 def suggest_rmax_schrodinger(v: Callable, E_guess: float, m: float,
                              r_start: float, decay_target: float = 34.0) -> float:
     """Schroedinger analogue of ``suggest_rmax`` (decay rate sqrt(2m(v - E~)))."""
-    r = _check_r_start(r_start)
-    acc = 0.0
-    growth = 1.005
-    while acc < decay_target:
-        r_next = r * growth
-        rm = 0.5 * (r + r_next)
-        vm = float(np.asarray(v(np.array([rm])))[0])
-        k2 = 2.0 * m * (vm - (E_guess - m))
-        if k2 > 0:
-            acc += math.sqrt(k2) * (r_next - r)
-        r = r_next
-        if r > 1e9:
-            raise ConvergenceError(
-                "could not find a classically forbidden tail below r = 1e9"
-            )
-    return r
+    def rate(r):
+        k2 = 2.0 * m * (np.asarray(v(r), dtype=float) - (E_guess - m))
+        return np.sqrt(np.maximum(k2, 0.0))
+
+    return _tail_radius(rate, r_start, decay_target)
+
+
+def coulomb_grid(lam: float, n: int, kappa: int, m: float = 1.0,
+                 points: int = 20000) -> RadialGrid:
+    """Log grid for the Coulomb level |n, kappa>: from 1e-6 Bohr radii to
+    deep in the tail of the Sommerfeld energy's decay."""
+    e_ref = dirac_coulomb_energy(n, kappa, lam, m)
+    r_max = suggest_rmax(coulomb_potential(lam), kappa, e_ref, m,
+                         r_start=4.0 * n * n / (lam * m))
+    return RadialGrid(1e-6 / (lam * m), r_max, points)
 
 
 @dataclass
@@ -762,14 +779,8 @@ def shift_convergence_study(n: int, kappa: int, kappa0: int, lam: float,
         if n - 1 >= abs(kappa):
             min_gap = min(min_gap, e_ref - sommerfeld(n - 1))
         bracket_halfwidth = min(max(20.0 * scale, 1e-9 * m), 0.25 * min_gap)
-    target_nodes = n - (abs(kappa) if kappa < 0 else kappa + 1)
-
-    grid = RadialGrid(
-        r_min=1e-6 / (lam * m),
-        r_max=suggest_rmax(coulomb_potential(lam), kappa, e_ref, m,
-                           r_start=4.0 * n * n / (lam * m)),
-        count=points,
-    )
+    target_nodes = radial_nodes(n, kappa)
+    grid = coulomb_grid(lam, n, kappa, m, points)
 
     def solve_at(mu):
         if mu == 0.0:

@@ -34,6 +34,7 @@ from .errors import ConditionViolationError, DomainError, NormalizationError
 from .radial_solver import (
     PotentialSpec,
     RadialGrid,
+    _diff_of_squares,
     radial_equation_defects,
     suggest_rmax,
 )
@@ -52,25 +53,6 @@ __all__ = [
 ]
 
 _GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
-
-
-def _diff_of_squares(a, b):
-    """(a^2 - b^2, sqrt(max(a^2 - b^2, 0))) elementwise.
-
-    Where a square leaves the float range (deep inside a steep wall) the
-    difference is not finite and the root is taken in factored form,
-    sqrt(|a| - |b|) sqrt(|a| + |b|).
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        d2 = a * a - b * b
-        root = np.sqrt(np.maximum(d2, 0.0))
-        big = ~np.isfinite(d2)
-        if np.any(big):
-            a, b = np.abs(a[big]), np.abs(b[big])
-            root[big] = np.sqrt(np.maximum(a - b, 0.0)) * np.sqrt(a + b)
-    return d2, root
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from diraconf import cli
-from diraconf.ansatz import build_ansatz, evaluate_spinor, radial_residual
+from diraconf.ansatz import (
+    build_ansatz,
+    evaluate_spinor,
+    radial_residual,
+    residual_grid,
+)
 from diraconf.coulomb import dirac_coulomb_energy, dirac_coulomb_ground_state
 from diraconf.fw_effective import (
     antiparticle_spectrum_airy,
@@ -22,6 +27,7 @@ from diraconf.fw_effective import (
 from diraconf.quantum_numbers import enumerate_kappa
 from diraconf.radial_solver import (
     RadialGrid,
+    coulomb_grid,
     coulomb_plus_linear,
     coulomb_potential,
     find_bound_state,
@@ -56,22 +62,8 @@ def criterion(number, description):
 
 def _preserved_grid(lam, kappa0, m=1.0, points=20000):
     n0 = -kappa0
-    e_ref = dirac_coulomb_energy(n0, kappa0, lam, m)
-    pot0 = coulomb_potential(lam)
-    r_max = suggest_rmax(pot0, kappa0, e_ref, m,
-                         r_start=4.0 * n0 * n0 / (lam * m))
-    return RadialGrid(1e-6 / (lam * m), r_max, points), e_ref
-
-
-def _residual_grid(params, n=2001):
-    lam = params.couplings.lam
-    m = params.couplings.mass
-    r_peak = max(params.b / params.a, 1.0 / params.a)
-    f_peak, _ = evaluate_spinor(params, r_peak)
-    r_hi = r_peak
-    while evaluate_spinor(params, r_hi)[0] > 1e-13 * f_peak:
-        r_hi *= 1.05
-    return np.geomspace(1e-4 / (lam * m), r_hi, n)
+    return (coulomb_grid(lam, n0, kappa0, m, points),
+            dirac_coulomb_energy(n0, kappa0, lam, m))
 
 
 def test_criterion_01_exact_preservation_closed_form():
@@ -80,7 +72,7 @@ def test_criterion_01_exact_preservation_closed_form():
         for lam in LAMBDAS:
             for kappa0 in KAPPA0S:
                 p = build_ansatz(lam, 1e-4, kappa0, 1.0)
-                assert radial_residual(p, _residual_grid(p)) <= 1e-10
+                assert radial_residual(p, residual_grid(p)) <= 1e-10
                 exact = math.sqrt(1.0 - lam * lam / (kappa0 * kappa0))
                 assert abs(p.energy - exact) <= 5e-16
                 assert abs(p.energy

@@ -11,6 +11,7 @@ from diraconf.ansatz import (
     nu_expanded,
     nu_fine_tuned,
     radial_residual,
+    residual_grid,
 )
 from diraconf.coulomb import CouplingSet, dirac_coulomb_energy
 from diraconf.errors import DomainError
@@ -20,18 +21,6 @@ SWEEP = [(lam, kappa0, mu)
          for lam in (0.1, 0.3, 0.5)
          for kappa0 in (-1, -2, -3)
          for mu in (1e-6, 1e-4)]
-
-
-def _residual_grid(params, n=2001):
-    # from inside the power-law region to where f has decayed by ~1e13
-    lam = params.couplings.lam
-    m = params.couplings.mass
-    r_peak = max(params.b / params.a, 1.0 / params.a)
-    f_peak, _ = evaluate_spinor(params, r_peak)
-    r_hi = r_peak
-    while evaluate_spinor(params, r_hi)[0] > 1e-13 * f_peak:
-        r_hi *= 1.05
-    return np.geomspace(1e-4 / (lam * m), r_hi, n)
 
 
 class TestNuFineTuning:
@@ -133,11 +122,11 @@ class TestResidual:
     @pytest.mark.parametrize("lam,kappa0,mu", SWEEP)
     def test_exact_preservation(self, lam, kappa0, mu):
         p = build_ansatz(lam, mu, kappa0)
-        assert radial_residual(p, _residual_grid(p)) <= 1e-10
+        assert radial_residual(p, residual_grid(p)) <= 1e-10
 
     def test_detuned_nu_breaks_it(self):
         p = build_ansatz(0.5, 1e-4, -1)
-        grid = _residual_grid(p)
+        grid = residual_grid(p)
         base = radial_residual(p, grid)
         c = p.couplings
         detuned = dataclasses.replace(

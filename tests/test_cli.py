@@ -1,10 +1,15 @@
+import hashlib
 import json
+import shlex
 import subprocess
 import sys
 import time
 
 import pytest
 
+import diraconf.radial_solver
+from diraconf import cli
+from diraconf._kernels import fallback
 from diraconf.cli import main
 
 
@@ -53,6 +58,23 @@ class TestEnergy:
         assert "domain error" in err
 
 
+    @pytest.mark.parametrize("argv", [
+        ("--n", "1", "--kappa", "1"),     # kappa = +n: no such state
+        ("--n", "2", "--kappa", "0"),
+        ("--n", "0", "--kappa", "-1"),
+        ("--n", "1", "--kappa", "-1", "--lambda", "nan"),
+        ("--n", "1", "--kappa", "-1", "--lambda=-inf"),
+        ("--n", "1", "--kappa", "-1", "--mass", "inf"),
+    ])
+    def test_invalid_input_exit_2(self, capsys, argv):
+        if not any(a.startswith("--lambda") for a in argv):
+            argv += ("--lambda", "0.5")
+        code, out, err = run_cli(capsys, "energy", *argv)
+        assert code == 2
+        assert out == ""
+        assert "domain error" in err
+
+
 class TestShift:
     def test_table(self, capsys):
         code, out, _ = run_cli(capsys, "shift", "--lambda", "0.3",
@@ -68,6 +90,20 @@ class TestShift:
             parts = (float(row["term_linear"]) + float(row["term_spin_orbit"])
                      + float(row["term_kinetic"]))
             assert parts == pytest.approx(float(row["total"]), abs=1e-18)
+
+
+    @pytest.mark.parametrize("argv", [
+        ("--mu", "nan"), ("--mu", "inf"), ("--lambda", "nan"),
+        ("--n-max", "0"),
+    ])
+    def test_invalid_input_exit_2(self, capsys, argv):
+        flags = {"--lambda": "0.3", "--mu": "1e-4", "--kappa0": "-1"}
+        flags.update(zip(argv[::2], argv[1::2]))
+        code, out, err = run_cli(capsys, "shift",
+                                 *(x for kv in flags.items() for x in kv))
+        assert code == 2
+        assert out == ""
+        assert argv[0] in err
 
 
 class TestScan:
@@ -173,6 +209,23 @@ class TestSolve:
         assert float(row["energy"]) == pytest.approx(float(row["energy_ref"]),
                                                      rel=1e-12)
 
+    def test_nonexistent_state_is_a_domain_error(self, capsys):
+        code, _, err = run_cli(capsys, "solve", "--family", "coulomb",
+                               "--lambda", "0.5", "--n", "1", "--kappa", "1",
+                               "--points", "500")
+        assert code == 2
+        assert "domain error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--family", "antiparticle-linear", "--mu", "0.5", "--states", "0"),
+        ("--family", "bag", "--lambda", "0.5", "--r0", "nan"),
+        ("--family", "bag", "--lambda", "0.5", "--A", "inf"),
+    ])
+    def test_invalid_input_exit_2(self, capsys, argv):
+        code, _, err = run_cli(capsys, "solve", *argv, "--points", "200")
+        assert code == 2
+        assert "domain error" in err
+
     def test_negative_mu_rejected(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--family",
                                "antiparticle-linear", "--mu", "-0.5")
@@ -267,3 +320,75 @@ class TestDeterminism:
         _, out1, _ = run_cli(capsys, *argv)
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
+
+
+# sha256 of the stdout of each --seed-defaults scenario (csv, json) and of
+# the --dump-wavefunction file of each solve family, recorded from the
+# output before the solve families shared one code path
+GOLDEN = {
+    "energy --lambda 0.5 --n 1 --kappa -1":
+        ("479e547d12329227eb6388957eebe6af743dfb301922f36a80e48a5d7de0a976",
+         "c2b30cbff5aa8367da620e529a7bda31d20bc3242b3f536133e97b7bd884bbe7",
+         None),
+    "energy --lambda 0.5 --n 2 --kappa -1":
+        ("6cdd9657a9c0708d39485c9a5ea8e9644c64daa2301611e616b492a81baf3843",
+         "e122970e90cbeaa10905589373e5b5c0807e03a6ad25e02560dd6bb2ad7aba80",
+         None),
+    "shift --lambda 0.3 --mu 1e-4 --kappa0 -1 --n-max 3":
+        ("4b67b2a92215915a2f197c868398a34c644eecda8408332d5fb4e638610f91a3",
+         "ceb0d292f20ce8abaa0cbc2f943052fe834283a2a382f27c25c0f23471e6d31b",
+         None),
+    "scan --n-max 50 --N-max 10":
+        ("a1efa93bbd915bbf752e5914b2606f1b33d1654f57724e581ff48f31aae9261d",
+         "f389f7ff77329aab6c403d2aa27494c0702c2de04d8970ccb5dc29169291cc45",
+         None),
+    "ansatz --lambda 0.5 --mu 1e-4 --kappa0 -1":
+        ("eb750c4dabb4ae3c4d58e0587e3ba7fe067347034dccb49008da99a755f2c386",
+         "705730f75c3495e4e0287f158b2f43d88ffe65b5419393be64182042c96ecafe",
+         None),
+    "solve --family coulomb --lambda 0.5 --n 1 --kappa -1":
+        ("27fd2b1b2d50faa0d4a3d847a1f13dab5a159d5547d59eedc25bfe40d9e46e9d",
+         "e4dbf86b10c7f75fd4efdd1fba527b7a21000cc3435030c86df18ddbcbabaee0",
+         "6cc3cfcea5ecdd3ade600c77f4eb368dc6f02f8c9e58f376e8a8133c92497613"),
+    "solve --family coulomb-linear --lambda 0.5 --kappa0 -1 --n 1 --kappa -1"
+    " --mu 1e-4":
+        ("79aac2558f0b37c45e2ccc5501adbccdf0346f9f5a24958aeb26eca7e458b938",
+         "f8c931152cb6a4d678bed6ad597f87df91d4e0f8017e5e1768846c0b05967a22",
+         "4f4f23066a52f774725593400308e75d21fb812418171ebfca84322aa6f27ee2"),
+    "solve --family antiparticle-linear --mu 0.5 --states 3":
+        ("fb69afd8eb715b2e9204337e1664d6b8724d3854373242895cf36b11503f3572",
+         "ddded5b023e89a58f1bbb0a00c2e463dd4b223dc6ae70042cf4232301d805dd1",
+         "74e8e28a5ea8d4de9f3b9262f0a055ad3fb9fe88c5cefd6e49aeb93766d85a83"),
+    "solve --family bag --lambda 0.5 --kappa0 -1 --A 1.0 --r0 10.0 --M 20":
+        ("e232a65c2efbfffb1c298a41b2c77f30d50dff848fb82e13ed81e15913a1333d",
+         "301828fa518189d555a640eed6d0a70b96cffb4963ab04eecb8c6843596b194e",
+         "5212c47609875dd6f67cf9ef5248c41b84c40aa678cfc8f966ceb46e1aac0b0c"),
+}
+
+
+def _sha256(data):
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data
+                          ).hexdigest()
+
+
+class TestGoldenOutput:
+    def test_every_scenario_is_pinned(self):
+        assert list(GOLDEN) == cli._SEED_DEFAULTS
+
+    @pytest.mark.parametrize("scenario", list(GOLDEN))
+    def test_byte_identical(self, capsys, monkeypatch, tmp_path, scenario):
+        # the pure-Python kernel, so the bytes do not depend on the backend
+        monkeypatch.setattr(diraconf.radial_solver, "rk4_linear2x2",
+                            fallback.rk4_linear2x2)
+        csv_hash, json_hash, dump_hash = GOLDEN[scenario]
+        argv = shlex.split(scenario)
+        dump = tmp_path / "wf.csv"
+        extra = ("--dump-wavefunction", str(dump)) if dump_hash else ()
+        code, out, _ = run_cli(capsys, *argv, *extra)
+        assert code == 0
+        assert _sha256(out) == csv_hash
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert _sha256(out) == json_hash
+        if dump_hash:
+            assert _sha256(dump.read_bytes()) == dump_hash

@@ -47,6 +47,16 @@ class TestEnergies:
         with pytest.raises(DomainError):
             dirac_coulomb_energy(1, 0, 0.5, 1.0)
 
+    @pytest.mark.parametrize("n,kappa,lam", [
+        (1, 1, 0.5),            # kappa = +n: no such state
+        (3, 3, 0.5),
+        (1, -1, math.nan),
+        (1, -1, -0.1),
+    ])
+    def test_invalid_input_rejected(self, n, kappa, lam):
+        with pytest.raises(DomainError):
+            dirac_coulomb_energy(n, kappa, lam, 1.0)
+
     def test_schrodinger_examples(self):
         assert schrodinger_energy(1, 0.2, 1.0) == pytest.approx(0.98, rel=1e-14)
         assert schrodinger_energy(3, 0.0, 1.0) == pytest.approx(1.0)

@@ -64,6 +64,12 @@ class TestFirstOrderShift:
         with pytest.raises(DomainError):
             first_order_shift(2, 0, -1, 0.3, 1e-4)
 
+    @pytest.mark.parametrize("n, kappa", [(1, 1), (2, 2), (3, 3)])
+    def test_kappa_plus_n_rejected(self, n, kappa):
+        # kappa = +n names no state; the scan alone keeps that algebraic case
+        with pytest.raises(DomainError):
+            first_order_shift(n, kappa, -1, 0.3, 1e-4)
+
 
 class TestReferenceCancellation:
     @pytest.mark.parametrize("n0", [1, 2, 3, 5, 9])

@@ -3,9 +3,11 @@ import pytest
 from diraconf.errors import DomainError
 from diraconf.quantum_numbers import (
     AngularState,
+    check_state,
     decompose_kappa,
     enumerate_kappa,
     kappa_from_lj,
+    radial_nodes,
     sigma_dot_L_plus_one_eigenvalue,
 )
 
@@ -88,6 +90,34 @@ def test_enumerate_kappa_count():
         assert n not in values
     with pytest.raises(DomainError):
         enumerate_kappa(0)
+
+
+def test_check_state_agrees_with_enumerate_kappa():
+    for n in range(1, 8):
+        for kappa in range(-n - 2, n + 3):
+            if kappa in enumerate_kappa(n):
+                check_state(n, kappa)
+            else:
+                with pytest.raises(DomainError):
+                    check_state(n, kappa)
+    for n in (0, -1):
+        with pytest.raises(DomainError):
+            check_state(n, -1)
+
+
+@pytest.mark.parametrize("n,kappa,nodes", [
+    (1, -1, 0), (2, -1, 1), (2, -2, 0), (2, 1, 0),
+    (3, -1, 2), (3, 1, 1), (3, 2, 0), (4, -3, 1),
+])
+def test_radial_nodes(n, kappa, nodes):
+    assert radial_nodes(n, kappa) == nodes  # n - l - 1
+
+
+def test_radial_nodes_rejects_missing_states():
+    with pytest.raises(DomainError):
+        radial_nodes(1, 1)   # kappa = +n
+    with pytest.raises(DomainError):
+        radial_nodes(2, 0)
 
 
 def test_angular_state_properties():

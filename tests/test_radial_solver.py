@@ -13,8 +13,10 @@ from diraconf.errors import (
     WrongStateError,
 )
 from diraconf.fw_effective import antiparticle_spectrum_airy, first_order_shift
+from diraconf.quantum_numbers import radial_nodes
 from diraconf.radial_solver import (
     RadialGrid,
+    coulomb_grid,
     coulomb_plus_linear,
     coulomb_potential,
     find_bound_state,
@@ -26,27 +28,11 @@ from diraconf.radial_solver import (
 )
 
 
-def _coulomb_grid(lam, n, kappa, m=1.0, points=20000):
-    pot = coulomb_potential(lam)
-    e_ref = dirac_coulomb_energy(n, kappa, lam, m)
-    r_max = suggest_rmax(pot, kappa, e_ref, m,
-                         r_start=4.0 * n * n / (lam * m))
-    return RadialGrid(1e-6 / (lam * m), r_max, points)
-
-
-def _nodes(n, kappa):
-    return n - (abs(kappa) if kappa < 0 else kappa + 1)
-
-
 def _preserved_case(lam=0.3, kappa0=-2, mu=1e-5, m=1.0, points=1000):
     """Preserved-level problem: potential, grid and reference energy."""
     n0 = -kappa0
     e_ref = dirac_coulomb_energy(n0, kappa0, lam, m)
-    grid = RadialGrid(
-        1e-6 / (lam * m),
-        suggest_rmax(coulomb_potential(lam), kappa0, e_ref, m,
-                     r_start=4.0 * n0 * n0 / (lam * m)),
-        points)
+    grid = coulomb_grid(lam, n0, kappa0, m, points)
     pot = coulomb_plus_linear(lam, mu, nu_fine_tuned(mu, lam, kappa0))
     return pot, grid, e_ref
 
@@ -135,7 +121,7 @@ class TestIntegrateRadial:
     def test_log_derivative_match_at_eigenvalue(self):
         lam, kappa, m = 0.5, -1, 1.0
         e = dirac_coulomb_energy(1, kappa, lam, m)
-        grid = _coulomb_grid(lam, 1, kappa)
+        grid = coulomb_grid(lam, 1, kappa)
         pot = coulomb_potential(lam)
         f_out, g_out = integrate_radial(pot, kappa, e, m, grid, "outward")
         f_in, g_in = integrate_radial(pot, kappa, e, m, grid, "inward")
@@ -146,7 +132,7 @@ class TestIntegrateRadial:
     def test_detuned_energy_changes_defect_sign(self):
         lam, kappa, m = 0.5, -1, 1.0
         e = dirac_coulomb_energy(1, kappa, lam, m)
-        grid = _coulomb_grid(lam, 1, kappa, points=6000)
+        grid = coulomb_grid(lam, 1, kappa, points=6000)
         pot = coulomb_potential(lam)
 
         i_match = int(np.searchsorted(grid.r, 3.0))
@@ -187,17 +173,17 @@ class TestFindBoundState:
     def test_sommerfeld_regression(self, lam, n, kappa):
         m = 1.0
         e_ref = dirac_coulomb_energy(n, kappa, lam, m)
-        grid = _coulomb_grid(lam, n, kappa)
+        grid = coulomb_grid(lam, n, kappa)
         gap = lam * lam * m * (1.0 / n**2 - 1.0 / (n + 1) ** 2) / 2.0
         half = 0.25 * gap
         state = find_bound_state(coulomb_potential(lam), kappa, m, grid,
-                                 (e_ref - half, e_ref + half), _nodes(n, kappa))
+                                 (e_ref - half, e_ref + half), radial_nodes(n, kappa))
         assert state.energy == pytest.approx(e_ref, rel=1e-8)
         assert state.converged
 
     def test_normalization_and_tail(self):
         lam, n, kappa, m = 0.5, 2, -1, 1.0
-        grid = _coulomb_grid(lam, n, kappa)
+        grid = coulomb_grid(lam, n, kappa)
         e_ref = dirac_coulomb_energy(n, kappa, lam, m)
         state = find_bound_state(coulomb_potential(lam), kappa, m, grid,
                                  (e_ref - 0.005, e_ref + 0.005), 1)
@@ -211,7 +197,7 @@ class TestFindBoundState:
         lam, kappa0, mu, m = 0.5, -1, 1e-4, 1.0
         params = build_ansatz(lam, mu, kappa0, m)
         pot = coulomb_plus_linear(lam, mu, params.couplings.nu)
-        grid = _coulomb_grid(lam, 1, kappa0)
+        grid = coulomb_grid(lam, 1, kappa0)
         e = params.energy
         state = find_bound_state(pot, kappa0, m, grid, (e - 0.01, e + 0.01), 0)
         f_ref, g_ref = evaluate_spinor(params, grid.r)
@@ -228,7 +214,7 @@ class TestFindBoundState:
         energies = []
         for n in (1, 2, 3):
             e_ref = dirac_coulomb_energy(n, kappa, lam, m)
-            grid = _coulomb_grid(lam, n, kappa, points=12000)
+            grid = coulomb_grid(lam, n, kappa, points=12000)
             gap = lam * lam * m * (1.0 / n**2 - 1.0 / (n + 1) ** 2) / 2.0
             state = find_bound_state(coulomb_potential(lam), kappa, m, grid,
                                      (e_ref - 0.25 * gap, e_ref + 0.25 * gap),
@@ -273,21 +259,21 @@ class TestFindBoundState:
     def test_energy_accurate_even_on_coarse_grids(self):
         lam, n, kappa, m = 0.5, 1, -1, 1.0
         e_ref = dirac_coulomb_energy(n, kappa, lam, m)
-        grid = _coulomb_grid(lam, n, kappa, points=900)
+        grid = coulomb_grid(lam, n, kappa, points=900)
         state = find_bound_state(coulomb_potential(lam), kappa, m, grid,
                                  (e_ref - 0.01, e_ref + 0.01), 0)
         assert abs(state.energy - e_ref) < 1e-10
 
     def test_bracket_error(self):
         lam, m = 0.5, 1.0
-        grid = _coulomb_grid(lam, 1, -1, points=4000)
+        grid = coulomb_grid(lam, 1, -1, points=4000)
         with pytest.raises(BracketError):
             find_bound_state(coulomb_potential(lam), -1, m, grid,
                              (0.99, 0.999), 0)
 
     def test_wrong_state_error(self):
         lam, m = 0.5, 1.0
-        grid = _coulomb_grid(lam, 1, -1, points=6000)
+        grid = coulomb_grid(lam, 1, -1, points=6000)
         e1 = dirac_coulomb_energy(1, -1, lam, m)
         with pytest.raises(WrongStateError) as err:
             find_bound_state(coulomb_potential(lam), -1, m, grid,
@@ -317,7 +303,7 @@ class TestEigenvalueSearch:
         if level == "coulomb-n2":
             lam, kappa = 0.5, -1
             e_ref = dirac_coulomb_energy(2, kappa, lam, m)
-            grid = _coulomb_grid(lam, 2, kappa, points=1000)
+            grid = coulomb_grid(lam, 2, kappa, points=1000)
             pot = coulomb_potential(lam)
             bracket = (e_ref - 0.004, e_ref + 0.005)
             energy = find_bound_state(pot, kappa, m, grid, bracket, 1).energy
@@ -411,6 +397,72 @@ class TestSuggestRmax:
         pot = PotentialSpec(v0=lambda r: -0.5 / r, v1=wall,
                             v2=lambda r: -0.5 * wall(r), coulomb_strength=0.5)
         assert suggest_rmax(pot, -1, 0.86, 1.0, r_start=4.0) == 4.0 * 1.005
+
+
+    # float.hex of r_max as the step-by-step r *= 1.005 walk gave it
+    @pytest.mark.parametrize("lam, n, kappa, expected", [
+        (0.5, 1, -1, "0x1.42224e20931c3p+6"),
+        (0.1, 3, 2, "0x1.7c65054ddf020p+10"),
+        (0.3, 2, -2, "0x1.3193a781f29a3p+8"),
+        (0.9, 4, -1, "0x1.bda6d828acf68p+7"),
+    ])
+    def test_coulomb_rmax_pinned(self, lam, n, kappa, expected):
+        e_ref = dirac_coulomb_energy(n, kappa, lam)
+        r_max = suggest_rmax(coulomb_potential(lam), kappa, e_ref, 1.0,
+                             r_start=4.0 * n * n / lam)
+        assert r_max.hex() == expected
+        assert coulomb_grid(lam, n, kappa, points=16).r_max == r_max
+
+    @pytest.mark.parametrize("A, r0, M, lam, kappa0, expected", [
+        (1.0, 10.0, 20, 0.5, -1, "0x1.949535a84fe39p+3"),
+        (1.0, 8.0, 100, 0.3, -2, "0x1.15e1b8fd35fb6p+3"),
+        (1.0, 10.0, 1000, 0.5, -1, "0x1.433f44880b3d9p+3"),
+        (1.0, 2.0, 1000, 0.5, -1, "0x1.0147ae147ae14p+2"),   # (m + v1)^2 overflows
+        (2.0, 5.0, 1000, 0.2, -3, "0x1.4199999999999p+3"),
+    ])
+    def test_bag_rmax_pinned(self, A, r0, M, lam, kappa0, expected):
+        from diraconf.rescale import bag_model_case
+        case = bag_model_case(A, r0, M, lam, kappa0, points=64)
+        assert case.grid.r_max.hex() == expected
+
+    @pytest.mark.parametrize("mu, count, core, expected", [
+        (0.5, 3, 0.0, "0x1.118da88d780dfp+4"),
+        (0.1, 6, 0.0, "0x1.286766b7d5d17p+5"),
+        (0.5, 2, 0.05, "0x1.ec1eab7642554p+3"),
+    ])
+    def test_airy_rmax_pinned(self, mu, count, core, expected):
+        slope = 2.0 * mu
+        refs = antiparticle_spectrum_airy(mu, 1.0, count=count)
+
+        def v(r):
+            r = np.asarray(r, dtype=float)
+            return slope * r + core / r
+
+        r_max = suggest_rmax_schrodinger(v, refs[-1], 1.0,
+                                         r_start=2.0 * (refs[-1] - 1.0) / slope)
+        assert r_max.hex() == expected
+
+    @pytest.mark.parametrize("rate, r_start, target", [
+        (lambda r: np.full_like(r, 0.5), 1.0, 34.0),        # several chunks
+        (lambda r: np.sqrt(np.maximum(r - 5.0, 0.0)), 0.1, 34.0),
+        (lambda r: np.where(r > 300.0, 1e3, 0.0), 0.2, 34.0),
+        (lambda r: (r / 2.0) ** 200, 1.0, 34.0),             # steep wall
+        (lambda r: np.full_like(r, np.nan), 1.0, 0.0),      # target met at once
+        (lambda r: np.full_like(r, 0.1), 3.0, 1e-3),        # first step
+    ])
+    def test_chunked_walk_matches_step_by_step_loop(self, rate, r_start, target):
+        r, acc = r_start, 0.0
+        while acc < target:
+            r_next = r * 1.005
+            w = float(rate(np.array([0.5 * (r + r_next)]))[0])
+            if w > 0:
+                acc += w * (r_next - r)
+            r = r_next
+        assert rs._tail_radius(rate, r_start, target) == r
+
+    def test_no_tail_below_1e9_raises(self):
+        with pytest.raises(ConvergenceError):
+            suggest_rmax_schrodinger(lambda r: np.zeros_like(r), 1.5, 1.0, 1.0)
 
 
 class TestSchrodinger:
