@@ -62,6 +62,7 @@ from .radial_solver import (
     RadialGrid,
     ScalarBoundState,
     ShiftStudy,
+    airy_grid,
     coulomb_grid,
     coulomb_plus_linear,
     coulomb_potential,

@@ -178,8 +178,8 @@ def radial_residual(params: AnsatzParams, grid) -> float:
     return float(np.max(np.maximum(np.abs(res1), np.abs(res2)) / scale))
 
 
-def residual_grid(params: AnsatzParams, n: int = 2001) -> np.ndarray:
-    """Geometric radii for ``radial_residual``: from well inside the
+def residual_grid(params: AnsatzParams) -> np.ndarray:
+    """2001 geometric radii for ``radial_residual``: from well inside the
     power-law region (1e-4 Bohr radii) out to where f has fallen below
     1e-13 of its value at max(b, 1)/a."""
     r_peak = max(params.b / params.a, 1.0 / params.a)
@@ -188,4 +188,4 @@ def residual_grid(params: AnsatzParams, n: int = 2001) -> np.ndarray:
     while evaluate_spinor(params, r_hi)[0] > 1e-13 * f_peak:
         r_hi *= 1.05
     c = params.couplings
-    return np.geomspace(1e-4 / (c.lam * c.mass), r_hi, n)
+    return np.geomspace(1e-4 / (c.lam * c.mass), r_hi, 2001)

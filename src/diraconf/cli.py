@@ -8,9 +8,11 @@ report).  Output is CSV (default) or JSON with every float printed as
 byte-identical.
 
 Exit codes: 0 success, 2 domain error (including bad flags, a NaN or
-infinite number, and an (n, kappa) pair that names no state), 3 physics
-claim violation (``scan`` found an unexpected solution), 4 numerical
-non-convergence.
+infinite number, a mass that is not positive, and an (n, kappa) pair that
+names no state), 3 physics claim violation (``scan`` found an unexpected
+solution), 4 numerical failure (non-convergence, overflow or division by
+zero, or a result with a NaN or infinite field, in which case nothing is
+written).
 """
 from __future__ import annotations
 
@@ -44,13 +46,12 @@ from .fw_effective import (
 )
 from .quantum_numbers import enumerate_kappa, radial_nodes
 from .radial_solver import (
-    RadialGrid,
+    airy_grid,
     coulomb_grid,
     coulomb_plus_linear,
     coulomb_potential,
     find_bound_state,
     solve_schrodinger_radial,
-    suggest_rmax_schrodinger,
 )
 from .rescale import bag_model_case
 from .special_functions import integrate_adaptive
@@ -87,8 +88,13 @@ def _fmt(value, fmt: str = "csv") -> str:
 
 def _emit(rows, fmt: str, path: str | None):
     """Write rows (dicts keyed alike; columns in the first row's key order)
-    as CSV or as a JSON list of objects."""
+    as CSV or as a JSON list of objects.  A NaN or infinite field is a
+    numerical failure: it raises ConvergenceError and nothing is written."""
     columns = list(rows[0])
+    for row in rows:
+        for c in columns:
+            if isinstance(row[c], float) and not math.isfinite(row[c]):
+                raise ConvergenceError(f"non-finite {c} = {row[c]!r}")
     if fmt == "csv":
         lines = [",".join(columns)]
         lines += [",".join(_fmt(row[c]) for c in columns) for row in rows]
@@ -237,14 +243,8 @@ def _solve_antiparticle(args):
         return base + args.lam / r if args.lam else base
 
     refs = antiparticle_spectrum_airy(args.mu, m, count=args.states + 1)
+    grid = airy_grid(v, slope, refs[args.states - 1], m, args.points)
     r_char = (2.0 * m * slope) ** (-1.0 / 3.0)
-    grid = RadialGrid(
-        1e-6 * r_char,
-        suggest_rmax_schrodinger(v, refs[args.states - 1], m,
-                                 r_start=2.0 * (refs[args.states - 1] - m)
-                                 / slope),
-        args.points,
-    )
     shift_room = 2.0 * args.lam / r_char if args.lam else 0.0
     rows = []
     for k in range(1, args.states + 1):
@@ -271,8 +271,6 @@ _SOLVE_FAMILIES = {
 
 
 def cmd_solve(args) -> int:
-    if not args.mass > 0:
-        raise DomainError(f"--mass must be positive, got {args.mass!r}")
     if args.family != "antiparticle-linear" and not args.lam > 0:
         raise DomainError(f"--lambda must be positive for family {args.family}")
     if args.lam < 0:
@@ -375,11 +373,13 @@ def main(argv=None) -> int:
             if isinstance(value, float) and not math.isfinite(value):
                 flag = _FLAG_NAMES.get(dest, dest.replace("_", "-"))
                 raise DomainError(f"--{flag} must be finite, got {value!r}")
+        if not args.mass > 0:
+            raise DomainError(f"--mass must be positive, got {args.mass!r}")
         return args.func(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (BracketError, ConvergenceError, WrongStateError,
+    except (ArithmeticError, BracketError, ConvergenceError, WrongStateError,
             NormalizationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -12,8 +12,9 @@ shifts the mass, m + V1.  Eigenvalues are located by integrating outward
 from a power-series start at r_min and inward from a WKB-seeded tail at
 r_max, and driving the mismatch of g/f at an interior matching radius to
 zero (a bracketed Brent iteration, run to the rounding floor).  A
-fourth-order Runge-Kutta kernel does the stepping; see
-``diraconf._kernels`` for backend selection.
+fourth-order Runge-Kutta kernel does the stepping in t = ln r, on a
+logarithmic ``RadialGrid`` that resolves the power-law start at the origin
+from the first step; see ``diraconf._kernels`` for backend selection.
 
 A radial Schroedinger solver built on the same machinery handles the
 nonrelativistic confining problems (single component u(r), with
@@ -22,7 +23,9 @@ nonrelativistic confining problems (single component u(r), with
 tables, seeds, norm density and equation terms; one pipeline (``_shoot``)
 searches, merges, normalizes, fixes the sign, checks the node count and
 measures the finite-difference residual for both.  One tail walk
-(``_tail_radius``) places r_max for both from their WKB decay rates.
+(``_tail_radius``) places r_max for both from their WKB decay rates;
+``coulomb_grid`` and ``airy_grid`` build the grids of the Coulomb levels and
+of the linear-slope ladders.
 """
 from __future__ import annotations
 
@@ -57,12 +60,13 @@ __all__ = [
     "suggest_rmax",
     "suggest_rmax_schrodinger",
     "coulomb_grid",
+    "airy_grid",
 ]
 
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing radial grid, logarithmic or linear.
+    """Logarithmic radial grid: ``count`` nodes equally spaced in t = ln r.
 
     Production eigenvalue solves want count >= 10_000 or so; small counts
     are fine for kernel cross-checks.
@@ -71,7 +75,6 @@ class RadialGrid:
     r_min: float
     r_max: float
     count: int
-    spacing: str = "log"
 
     def __post_init__(self):
         if not 0 < self.r_min < self.r_max:
@@ -80,28 +83,21 @@ class RadialGrid:
             )
         if self.count < 16:
             raise DomainError(f"count must be >= 16, got {self.count}")
-        if self.spacing not in ("log", "linear"):
-            raise DomainError(f"spacing must be 'log' or 'linear', got {self.spacing!r}")
 
     @cached_property
     def t(self) -> np.ndarray:
-        """Integration variable at the nodes (ln r for log spacing, r otherwise)."""
-        if self.spacing == "log":
-            return np.linspace(math.log(self.r_min), math.log(self.r_max), self.count)
-        return np.linspace(self.r_min, self.r_max, self.count)
+        """Integration variable ln r at the nodes."""
+        return np.linspace(math.log(self.r_min), math.log(self.r_max), self.count)
 
     @cached_property
     def r(self) -> np.ndarray:
-        return np.exp(self.t) if self.spacing == "log" else self.t
+        return np.exp(self.t)
 
     @cached_property
     def r_all(self) -> np.ndarray:
         """Radii at nodes and interval midpoints (2*count - 1 points)."""
-        if self.spacing == "log":
-            tt = np.linspace(math.log(self.r_min), math.log(self.r_max),
-                             2 * self.count - 1)
-            return np.exp(tt)
-        return np.linspace(self.r_min, self.r_max, 2 * self.count - 1)
+        return np.exp(np.linspace(math.log(self.r_min), math.log(self.r_max),
+                                  2 * self.count - 1))
 
     @cached_property
     def steps(self) -> np.ndarray:
@@ -110,13 +106,11 @@ class RadialGrid:
     def integrate(self, values: np.ndarray) -> float:
         """Trapezoid quadrature of sampled values against dr.
 
-        On the log grid this is the trapezoid rule in ln r with the exact
-        Jacobian; for integrands decaying at both ends it is accurate far
-        beyond second order (Euler-Maclaurin boundary terms vanish).
+        This is the trapezoid rule in ln r with the exact Jacobian; for
+        integrands decaying at both ends it is accurate far beyond second
+        order (Euler-Maclaurin boundary terms vanish).
         """
-        if self.spacing == "log":
-            return float(_trapezoid(values * self.r, self.t))
-        return float(_trapezoid(values, self.r))
+        return float(_trapezoid(values * self.r, self.t))
 
 
 def _zero(r):
@@ -161,7 +155,6 @@ class BoundState:
     f: np.ndarray
     g: np.ndarray
     nodes_f: int
-    converged: bool
     residual: float
 
 
@@ -173,7 +166,6 @@ class ScalarBoundState:
     u: np.ndarray
     du: np.ndarray
     nodes: int
-    converged: bool
     residual: float
 
 
@@ -219,18 +211,15 @@ class _DiracSystem:
         self.v2_all = np.asarray(potential.v2(ra), dtype=float)
         self.p_tilde = m + self.v1_all - self.v0_all - self.v2_all
         self.q_tilde = -m - self.v1_all - self.v0_all - self.v2_all
-        if grid.spacing == "log":
-            self.a11 = np.full_like(ra, -(kappa + 1.0))
-            self.a22 = np.full_like(ra, kappa - 1.0)
-            self._r_factor = ra
-        else:
-            self.a11 = -(kappa + 1.0) / ra
-            self.a22 = (kappa - 1.0) / ra
-            self._r_factor = np.ones_like(ra)
+        # in t = ln r the equations are r times their r-form: constant
+        # diagonal, off-diagonal entries scaled by r
+        self.a11 = np.full_like(ra, -(kappa + 1.0))
+        self.a22 = np.full_like(ra, kappa - 1.0)
 
     def coefficients(self, E: float):
-        a12 = self._r_factor * (E + self.p_tilde)
-        a21 = -self._r_factor * (E + self.q_tilde)
+        ra = self.grid.r_all
+        a12 = ra * (E + self.p_tilde)
+        a21 = -ra * (E + self.q_tilde)
         return self.a11, a12, a21, self.a22
 
     def outward_seed(self, E: float):
@@ -305,16 +294,12 @@ class _SchrodingerSystem:
         ra = grid.r_all
         self.v_all = np.asarray(v(ra), dtype=float)
         self.v_eff = self.v_all + ell * (ell + 1.0) / (2.0 * m * ra**2)
-        if grid.spacing == "log":
-            self._r_factor = ra
-        else:
-            self._r_factor = np.ones_like(ra)
         self.a11 = np.zeros_like(ra)
-        self.a12 = self._r_factor.copy()
+        self.a12 = ra.copy()
         self.a22 = np.zeros_like(ra)
 
     def coefficients(self, E: float):
-        a21 = self._r_factor * 2.0 * self.m * (self.v_eff - (E - self.m))
+        a21 = self.grid.r_all * 2.0 * self.m * (self.v_eff - (E - self.m))
         return self.a11, self.a12, a21, self.a22
 
     def outward_seed(self, E: float):
@@ -433,10 +418,9 @@ def _merge_and_scale(system, E: float):
     return f, g, im
 
 
-def _count_nodes(values: np.ndarray, threshold_rel: float = 1e-10) -> int:
-    peak = float(np.max(np.abs(values)))
-    thr = threshold_rel * peak
-    live = values[np.abs(values) > thr]
+def _count_nodes(values: np.ndarray) -> int:
+    """Sign changes among the samples above 1e-10 of the peak magnitude."""
+    live = values[np.abs(values) > 1e-10 * float(np.max(np.abs(values)))]
     if live.size < 2:
         return 0
     return int(np.sum(live[1:] * live[:-1] < 0))
@@ -448,7 +432,7 @@ def _fd_dr(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
     d[2:-2] = (values[:-4] - 8 * values[1:-3] + 8 * values[3:-1] - values[4:]) / (
         12.0 * float(grid.steps[0])
     )
-    return d / grid.r if grid.spacing == "log" else d
+    return d / grid.r
 
 
 def _fd_residual(equations, scale: np.ndarray) -> float:
@@ -477,25 +461,22 @@ def _finite_defect(system, E: float, i_match: int) -> float:
     return d
 
 
-def _solve_eigenvalue(system, E_bracket, tol: float):
+def _solve_eigenvalue(system, E_bracket) -> float:
     """Root of the matching defect by a bracketed Brent iteration.
 
     Inverse-quadratic or secant steps, with bisection whenever they would
     not shrink the sign-change bracket fast enough.  The iteration runs to
     the rounding floor (a final bracket of about 4 ulp of E, or adjacent
-    floats), never wider than ``tol``; the returned energy is the bracket
-    end with the smaller defect.
+    floats); the returned energy is the bracket end with the smaller defect.
     """
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
     e_lo, e_hi = sorted(float(e) for e in E_bracket)
     i_match = _match_index(system, 0.5 * (e_lo + e_hi))
     d_lo = _finite_defect(system, e_lo, i_match)
     d_hi = _finite_defect(system, e_hi, i_match)
     if d_lo == 0.0:
-        return e_lo, i_match
+        return e_lo
     if d_hi == 0.0:
-        return e_hi, i_match
+        return e_hi
     if d_lo * d_hi > 0:
         raise BracketError(
             f"matching defect does not change sign on [{e_lo}, {e_hi}] "
@@ -512,10 +493,10 @@ def _solve_eigenvalue(system, E_bracket, tol: float):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol1 = min(0.5 * tol, 2.0 * _EPS * abs(b))
+        tol1 = 2.0 * _EPS * abs(b)
         half = 0.5 * (c - b)
         if fb == 0.0 or abs(half) <= tol1 or math.nextafter(b, c) == c:
-            return b, i_match
+            return b
         if abs(last_step) >= tol1 and abs(fa) > abs(fb):
             s = fb / fa
             if a == c:  # secant
@@ -547,16 +528,14 @@ def _solve_eigenvalue(system, E_bracket, tol: float):
     )
 
 
-def _shoot(system, E_bracket, target_nodes: int, tol: float | None):
+def _shoot(system, E_bracket, target_nodes: int):
     """One bound state of ``system``: (energy, y1, y2, nodes, residual).
 
     The two components come out normalized to the system's density, with
     y1 > 0 as it rises from the origin; a node count of y1 other than
     ``target_nodes`` raises WrongStateError.
     """
-    if tol is None:
-        tol = 1e-12 * system.m
-    energy, _ = _solve_eigenvalue(system, E_bracket, tol)
+    energy = _solve_eigenvalue(system, E_bracket)
     y1, y2, _ = _merge_and_scale(system, energy)
     norm = math.sqrt(system.grid.integrate(system.density(y1, y2)))
     y1 /= norm
@@ -590,8 +569,7 @@ def integrate_radial(potential: PotentialSpec, kappa: int, E: float, m: float,
 
 
 def find_bound_state(potential: PotentialSpec, kappa: int, m: float,
-                     grid: RadialGrid, E_bracket, target_nodes: int,
-                     tol: float | None = None) -> BoundState:
+                     grid: RadialGrid, E_bracket, target_nodes: int) -> BoundState:
     """Locate one bound state of the coupled radial Dirac equations.
 
     Parameters
@@ -609,27 +587,23 @@ def find_bound_state(potential: PotentialSpec, kappa: int, m: float,
     target_nodes : int
         Required node count of f (n - l - 1 for Coulomb-like numbering);
         a mismatch raises WrongStateError so the caller can widen the scan.
-    tol : float, optional
-        Ceiling on the width of the final energy bracket; defaults to
-        1e-12 * m.  The search always continues to the rounding floor
-        (about 4 ulp of E), so tol only matters when it is tighter.
 
     Returns
     -------
-    BoundState with f, g normalized to int (f^2 + g^2) r^2 dr = 1 and the
-    maximum pointwise equation defect (finite-difference check) in
-    ``residual``.
+    BoundState with the energy searched to the rounding floor (a final
+    bracket of about 4 ulp of E), f, g normalized to
+    int (f^2 + g^2) r^2 dr = 1 and the maximum pointwise equation defect
+    (finite-difference check) in ``residual``.
     """
     system = _DiracSystem(potential, kappa, m, grid)
-    energy, f, g, nodes, residual = _shoot(system, E_bracket, target_nodes, tol)
+    energy, f, g, nodes, residual = _shoot(system, E_bracket, target_nodes)
     return BoundState(energy=energy, kappa=kappa, grid=grid, f=f, g=g,
-                      nodes_f=nodes, converged=True, residual=residual)
+                      nodes_f=nodes, residual=residual)
 
 
 def solve_schrodinger_radial(v: Callable, ell: int, m: float, grid: RadialGrid,
                              E_bracket, target_nodes: int,
-                             coulomb_coeff: float = 0.0,
-                             tol: float | None = None) -> ScalarBoundState:
+                             coulomb_coeff: float = 0.0) -> ScalarBoundState:
     """Radial Schroedinger bound state via the same shoot-and-match kernel.
 
     ``v`` is the potential without the centrifugal term; energies include
@@ -637,9 +611,9 @@ def solve_schrodinger_radial(v: Callable, ell: int, m: float, grid: RadialGrid,
     ``coulomb_coeff`` declares a c/r component of v for the series start.
     """
     system = _SchrodingerSystem(v, ell, m, grid, coulomb_coeff)
-    energy, u, du, nodes, residual = _shoot(system, E_bracket, target_nodes, tol)
+    energy, u, du, nodes, residual = _shoot(system, E_bracket, target_nodes)
     return ScalarBoundState(energy=energy, ell=ell, grid=grid, u=u, du=du,
-                            nodes=nodes, converged=True, residual=residual)
+                            nodes=nodes, residual=residual)
 
 
 def _diff_of_squares(a, b):
@@ -663,11 +637,14 @@ def _diff_of_squares(a, b):
 
 _TAIL_GROWTH = 1.005  # fine enough that even M ~ 1000 power-law walls are resolved
 _TAIL_CHUNK = 256  # steps per vectorized chunk (a factor 3.6 in r)
+# WKB suppression exp(-34) ~ 1.7e-15 at r_max: the rounding level of a
+# wavefunction scaled to peak 1
+_DECAY_TARGET = 34.0
 
 
-def _tail_radius(rate: Callable, r_start: float, decay_target: float) -> float:
+def _tail_radius(rate: Callable, r_start: float) -> float:
     """First radius of the geometric walk r_start * 1.005^k at which the
-    accumulated WKB exponent sum rate(r_mid) dr reaches ``decay_target``.
+    accumulated WKB exponent sum rate(r_mid) dr reaches ``_DECAY_TARGET``.
 
     ``rate`` maps interval midpoints (an array) to local decay rates; only
     positive rates accumulate.  The walk is taken in chunks; both running
@@ -679,12 +656,12 @@ def _tail_radius(rate: Callable, r_start: float, decay_target: float) -> float:
         raise DomainError(f"r_start must be finite and positive, got {r!r}")
     acc = 0.0
     growth = np.full(_TAIL_CHUNK, _TAIL_GROWTH)
-    while acc < decay_target:
+    while acc < _DECAY_TARGET:
         radii = np.multiply.accumulate(np.concatenate(([r], growth)))
         w = np.asarray(rate(0.5 * (radii[:-1] + radii[1:])), dtype=float)
         steps = np.where(w > 0, w * (radii[1:] - radii[:-1]), 0.0)
         sums = np.add.accumulate(np.concatenate(([acc], steps)))[1:]
-        stop = np.nonzero(~(sums < decay_target) | (radii[1:] > 1e9))[0]
+        stop = np.nonzero(~(sums < _DECAY_TARGET) | (radii[1:] > 1e9))[0]
         k = stop[0] if stop.size else _TAIL_CHUNK - 1
         r, acc = float(radii[k + 1]), float(sums[k])
         if r > 1e9:
@@ -695,24 +672,24 @@ def _tail_radius(rate: Callable, r_start: float, decay_target: float) -> float:
 
 
 def suggest_rmax(potential: PotentialSpec, kappa: int, E_guess: float,
-                 m: float, r_start: float, decay_target: float = 34.0) -> float:
-    """Extend r_max until the WKB tail suppression reaches exp(-decay_target)."""
+                 m: float, r_start: float) -> float:
+    """Extend r_max until the WKB tail suppression reaches exp(-34)."""
     def rate(r):
         return _diff_of_squares(m + np.asarray(potential.v1(r), dtype=float),
                                 E_guess - np.asarray(potential.v0(r), dtype=float)
                                 - np.asarray(potential.v2(r), dtype=float))[1]
 
-    return _tail_radius(rate, r_start, decay_target)
+    return _tail_radius(rate, r_start)
 
 
 def suggest_rmax_schrodinger(v: Callable, E_guess: float, m: float,
-                             r_start: float, decay_target: float = 34.0) -> float:
+                             r_start: float) -> float:
     """Schroedinger analogue of ``suggest_rmax`` (decay rate sqrt(2m(v - E~)))."""
     def rate(r):
         k2 = 2.0 * m * (np.asarray(v(r), dtype=float) - (E_guess - m))
         return np.sqrt(np.maximum(k2, 0.0))
 
-    return _tail_radius(rate, r_start, decay_target)
+    return _tail_radius(rate, r_start)
 
 
 def coulomb_grid(lam: float, n: int, kappa: int, m: float = 1.0,
@@ -723,6 +700,18 @@ def coulomb_grid(lam: float, n: int, kappa: int, m: float = 1.0,
     r_max = suggest_rmax(coulomb_potential(lam), kappa, e_ref, m,
                          r_start=4.0 * n * n / (lam * m))
     return RadialGrid(1e-6 / (lam * m), r_max, points)
+
+
+def airy_grid(v: Callable, slope: float, e_top: float, m: float = 1.0,
+              points: int = 20000) -> RadialGrid:
+    """Log grid for the s-wave levels up to ``e_top`` of a linear slope
+    (potential ``v``, the slope plus any core): from 1e-6 Airy lengths
+    (2 m slope)^(-1/3) to deep in the tail of the ``e_top`` level, with the
+    walk started at twice its classical turning radius."""
+    r_char = (2.0 * m * slope) ** (-1.0 / 3.0)
+    r_max = suggest_rmax_schrodinger(v, e_top, m,
+                                     r_start=2.0 * (e_top - m) / slope)
+    return RadialGrid(1e-6 * r_char, r_max, points)
 
 
 @dataclass
@@ -765,20 +754,15 @@ def shift_convergence_study(n: int, kappa: int, kappa0: int, lam: float,
         q = 1.0 / q
 
     root = math.sqrt(1.0 - lam * lam / (kappa0 * kappa0))
-    s_kap = math.sqrt(kappa * kappa - lam * lam)
-
-    def sommerfeld(n_level):
-        return m / math.sqrt(1.0 + (lam / (n_level - abs(kappa) + s_kap)) ** 2)
-
-    e_ref = sommerfeld(n)
+    e_ref = dirac_coulomb_energy(n, kappa, lam, m)
     if bracket_halfwidth is None:
         # wide enough for every shifted level, narrower than the distance
-        # to the neighboring unperturbed levels of the same kappa
+        # to the neighboring unperturbed levels of the same kappa; the level
+        # above is the nearer one, since E = m x / sqrt(x^2 + lam^2) with
+        # x = n - |kappa| + sqrt(kappa^2 - lam^2) is concave in n
         scale = abs(mu_values[0] * lam) * (3.0 * n * n + abs(kappa) * (abs(kappa) + 1))
-        min_gap = sommerfeld(n + 1) - e_ref
-        if n - 1 >= abs(kappa):
-            min_gap = min(min_gap, e_ref - sommerfeld(n - 1))
-        bracket_halfwidth = min(max(20.0 * scale, 1e-9 * m), 0.25 * min_gap)
+        gap = dirac_coulomb_energy(n + 1, kappa, lam, m) - e_ref
+        bracket_halfwidth = min(max(20.0 * scale, 1e-9 * m), 0.25 * gap)
     target_nodes = radial_nodes(n, kappa)
     grid = coulomb_grid(lam, n, kappa, m, points)
 

@@ -120,19 +120,17 @@ class RatioConditionReport:
 
 
 def check_ratio_condition(f0: np.ndarray, g0: np.ndarray, v1: Callable,
-                          v2: Callable, grid: RadialGrid,
-                          mask_rel: float = 1e-6) -> RatioConditionReport:
+                          v2: Callable, grid: RadialGrid) -> RatioConditionReport:
     """Measure how well (f0, g0) satisfy the preservation ratio condition.
 
     The ratio g0/f0 is negative for the states of interest while the square
-    root is positive, so magnitudes are compared.  Nodes where f0 is within
-    ``mask_rel`` of zero (relative to its peak) are masked; the mask count
-    is reported.
+    root is positive, so magnitudes are compared.  Nodes where |f0| is at
+    most 1e-6 of its peak are masked; the mask count is reported.
     """
     rn = grid.r
     f0 = np.asarray(f0, dtype=float)
     g0 = np.asarray(g0, dtype=float)
-    usable = np.abs(f0) > mask_rel * float(np.max(np.abs(f0)))
+    usable = np.abs(f0) > 1e-6 * float(np.max(np.abs(f0)))
     v1v = np.asarray(v1(rn), dtype=float)
     v2v = np.asarray(v2(rn), dtype=float)
     denom_ok = (v1v - v2v) != 0.0

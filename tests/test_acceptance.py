@@ -27,6 +27,7 @@ from diraconf.fw_effective import (
 from diraconf.quantum_numbers import enumerate_kappa
 from diraconf.radial_solver import (
     RadialGrid,
+    airy_grid,
     coulomb_grid,
     coulomb_plus_linear,
     coulomb_potential,
@@ -34,7 +35,6 @@ from diraconf.radial_solver import (
     shift_convergence_study,
     solve_schrodinger_radial,
     suggest_rmax,
-    suggest_rmax_schrodinger,
 )
 from diraconf.rescale import (
     bag_model_case,
@@ -174,13 +174,7 @@ def test_criterion_07_antiparticle_spectrum():
             slope = 2.0 * mu
             refs = antiparticle_spectrum_airy(mu, m, count=6)
             v = lambda r: slope * np.asarray(r, dtype=float)
-            r_char = (2.0 * m * slope) ** (-1.0 / 3.0)
-            grid = RadialGrid(
-                1e-6 * r_char,
-                suggest_rmax_schrodinger(v, refs[5], m,
-                                         r_start=2.0 * (refs[5] - m) / slope),
-                20000,
-            )
+            grid = airy_grid(v, slope, refs[5], m, 20000)
             for k in range(1, 6):
                 lo = (refs[k - 1] - 0.45 * (refs[k - 1] - refs[k - 2])
                       if k > 1 else m + 0.3 * (refs[0] - m))
@@ -196,13 +190,7 @@ def test_criterion_07_antiparticle_spectrum():
         v0 = lambda r: slope * np.asarray(r, dtype=float)
         v1 = lambda r: slope * np.asarray(r, dtype=float) + lam / np.asarray(
             r, dtype=float)
-        r_char = (2.0 * m * slope) ** (-1.0 / 3.0)
-        grid = RadialGrid(
-            1e-6 * r_char,
-            suggest_rmax_schrodinger(v0, refs[1], m,
-                                     r_start=2.0 * (refs[1] - m) / slope),
-            20000,
-        )
+        grid = airy_grid(v0, slope, refs[1], m, 20000)
         lo = m + 0.3 * (refs[0] - m)
         hi = refs[0] + 0.45 * (refs[1] - refs[0])
         base = solve_schrodinger_radial(v0, 0, m, grid, (lo, hi), 0)

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import math
 import shlex
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diraconf.radial_solver
 from diraconf import cli
@@ -26,6 +29,17 @@ def csv_rows(out):
     for line in lines[1:]:
         rows.append(dict(zip(header, line.split(","))))
     return rows
+
+
+# a valid flag set for each subcommand
+VALID_ARGV = {
+    "energy": ("--lambda", "0.5", "--n", "1", "--kappa", "-1"),
+    "shift": ("--lambda", "0.3", "--mu", "1e-4", "--kappa0", "-1"),
+    "scan": ("--n-max", "5", "--N-max", "3"),
+    "ansatz": ("--lambda", "0.5", "--mu", "1e-4", "--kappa0", "-1"),
+    "solve": ("--family", "coulomb", "--lambda", "0.5", "--n", "1",
+              "--kappa", "-1"),
+}
 
 
 class TestEnergy:
@@ -231,14 +245,20 @@ class TestSolve:
                                "antiparticle-linear", "--mu", "-0.5")
         assert code == 2
 
-    @pytest.mark.parametrize("mass", ["inf", "nan", "0", "-1"])
-    def test_bad_mass_rejected(self, capsys, mass):
-        # --mass inf used to hang in the r_max search (r_start = 0)
+    # in this class the solve cases are named by the mass alone
+    @pytest.mark.parametrize("command, mass", [
+        pytest.param(command, mass,
+                     id=mass if command == "solve" else f"{command}-{mass}")
+        for command in VALID_ARGV for mass in ("inf", "nan", "0", "-1")
+    ])
+    def test_bad_mass_rejected(self, capsys, command, mass):
+        # --mass inf used to hang in the r_max search (r_start = 0), and
+        # shift --mass 0 divided by zero
         start = time.perf_counter()
-        code, _, err = run_cli(capsys, "solve", "--family", "coulomb",
-                               "--mass", mass, "--lambda", "0.5", "--n", "1",
-                               "--kappa", "-1")
+        code, out, err = run_cli(capsys, command, *VALID_ARGV[command],
+                                 f"--mass={mass}")
         assert code == 2
+        assert out == ""
         assert "mass" in err
         assert time.perf_counter() - start < 5.0
 
@@ -265,6 +285,94 @@ class TestSolve:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "r,f,g"
         assert len(lines) == 6001
+
+
+class TestNumericalFailure:
+    @pytest.mark.parametrize("argv", [
+        # residual NaN
+        ("ansatz", "--lambda", "1e-4", "--mu", "1.5", "--kappa0", "-1"),
+        # term_linear and term_kinetic overflow to inf
+        ("shift", "--lambda", "1e300", "--mu", "0.1", "--kappa0", "-3",
+         "--n-max", "1"),
+        # OverflowError in the norm
+        ("ansatz", "--lambda", "1e-300", "--mu", "1", "--kappa0", "-3"),
+        # ZeroDivisionError: gamma underflows to 0
+        ("ansatz", "--lambda", "1e-12", "--mu", "1e-12", "--kappa0", "-3"),
+    ])
+    def test_exit_4_and_no_output(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4
+        assert out == ""
+        assert "numerical failure" in err
+
+    def test_non_finite_field_writes_no_file(self, tmp_path):
+        path = tmp_path / "table.csv"
+        with pytest.raises(cli.ConvergenceError):
+            cli._emit([{"n": 1, "value": 0.5}, {"n": 2, "value": math.inf}],
+                      "csv", str(path))
+        assert not path.exists()
+
+
+# every kind of float a flag can carry: zero, both signs, subnormal, tiny,
+# huge, NaN and infinities; ordinary values often enough that many calls
+# get past validation
+_ANY_FLOAT = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0, 3.0,
+                     1e300, -1e-12, -0.5, -1e300]),
+    st.floats(min_value=0.0, max_value=2.0),
+    st.floats(),
+)
+_MASS = st.one_of(st.floats(min_value=0.01, max_value=100.0), _ANY_FLOAT)
+
+
+def _argv(command, flags):
+    """Calls of ``command`` with the flags drawn from their strategies, in
+    the '=' form so that negative values are not taken for flags."""
+    return st.fixed_dictionaries(flags).map(
+        lambda drawn: [command] + [f"--{k}={v!r}" for k, v in drawn.items()])
+
+
+_COMMANDS = {
+    "energy": _argv("energy", {"lambda": _ANY_FLOAT, "n": st.integers(0, 4),
+                               "kappa": st.integers(-5, 4), "mass": _MASS}),
+    "shift": _argv("shift", {"lambda": _ANY_FLOAT, "mu": _ANY_FLOAT,
+                             "kappa0": st.integers(-5, 3),
+                             "n-max": st.integers(-1, 6), "mass": _MASS}),
+    "scan": _argv("scan", {"n-max": st.integers(-2, 60),
+                           "N-max": st.integers(-2, 12), "mass": _MASS}),
+    "ansatz": _argv("ansatz", {"lambda": _ANY_FLOAT, "mu": _ANY_FLOAT,
+                               "kappa0": st.integers(-5, 2),
+                               "detune-nu": st.one_of(st.just(0.0), _ANY_FLOAT),
+                               "mass": _MASS}),
+}
+
+
+class TestFlagSpace:
+    """Any flag values: exit 0 with every number finite, or a clean
+    domain (2) or numerical (4) failure; 3 only from the scan's claim."""
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_exit_code_and_finite_output(self, capsys, command):
+        @settings(derandomize=True, max_examples=150, deadline=None,
+                  database=None)
+        @given(_COMMANDS[command])
+        def check(argv):
+            start = time.perf_counter()
+            code, out, _ = run_cli(capsys, *argv)
+            assert time.perf_counter() - start < 10.0, argv
+            allowed = (0, 2, 3, 4) if command == "scan" else (0, 2, 4)
+            assert code in allowed, argv
+            if code != 0:
+                return
+            for row in csv_rows(out):
+                for field in row.values():
+                    try:
+                        value = float(field)
+                    except ValueError:  # a quantity name, or an empty field
+                        continue
+                    assert math.isfinite(value), (argv, row)
+
+        check()
 
 
 class TestFormats:

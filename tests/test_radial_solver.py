@@ -16,6 +16,7 @@ from diraconf.fw_effective import antiparticle_spectrum_airy, first_order_shift
 from diraconf.quantum_numbers import radial_nodes
 from diraconf.radial_solver import (
     RadialGrid,
+    airy_grid,
     coulomb_grid,
     coulomb_plus_linear,
     coulomb_potential,
@@ -40,17 +41,11 @@ def _preserved_case(lam=0.3, kappa0=-2, mu=1e-5, m=1.0, points=1000):
 def _airy_case(mu=0.3, m=1.0, count=3, points=1000):
     slope = 2.0 * mu
     refs = antiparticle_spectrum_airy(mu, m, count=count)
-    r_char = (2.0 * m * slope) ** (-1.0 / 3.0)
 
     def v(r):
         return slope * np.asarray(r, dtype=float)
 
-    grid = RadialGrid(
-        1e-6 * r_char,
-        suggest_rmax_schrodinger(v, refs[-1], m,
-                                 r_start=2.0 * (refs[-1] - m) / slope),
-        points)
-    return v, grid, refs
+    return v, airy_grid(v, slope, refs[-1], m, points), refs
 
 
 @pytest.fixture
@@ -94,11 +89,9 @@ class TestGrid:
             RadialGrid(2.0, 1.0, 100)
         with pytest.raises(DomainError):
             RadialGrid(1e-6, 1.0, 4)
-        with pytest.raises(DomainError):
-            RadialGrid(1e-6, 1.0, 100, spacing="cubic")
 
     def test_arrays(self):
-        g = RadialGrid(1e-3, 10.0, 101, spacing="log")
+        g = RadialGrid(1e-3, 10.0, 101)
         assert g.r[0] == pytest.approx(1e-3, rel=1e-12)
         assert g.r[-1] == pytest.approx(10.0, rel=1e-12)
         assert len(g.r_all) == 201
@@ -107,14 +100,9 @@ class TestGrid:
         assert g.r_all[1] == pytest.approx(math.sqrt(g.r[0] * g.r[1]), rel=1e-12)
 
     def test_integrate_log(self):
-        g = RadialGrid(1e-7, 60.0, 4000, spacing="log")
+        g = RadialGrid(1e-7, 60.0, 4000)
         vals = np.exp(-g.r) * g.r**2
         assert g.integrate(vals) == pytest.approx(2.0, rel=1e-10)
-
-    def test_integrate_linear(self):
-        g = RadialGrid(1e-4, 40.0, 8000, spacing="linear")
-        vals = np.exp(-g.r) * g.r
-        assert g.integrate(vals) == pytest.approx(1.0, rel=1e-5)
 
 
 class TestIntegrateRadial:
@@ -152,7 +140,7 @@ class TestIntegrateRadial:
         # Hankel profile e^{-qr}/r, so r*f decays at exactly q
         from diraconf.radial_solver import PotentialSpec
         m, e, kappa = 1.0, 0.8, -1
-        grid = RadialGrid(0.1, 40.0, 4000, spacing="linear")
+        grid = RadialGrid(0.1, 40.0, 4000)
         f_in, _ = integrate_radial(PotentialSpec(), kappa, e, m, grid, "inward")
         rate = math.sqrt(m * m - e * e)
         sel = (grid.r > 20.0) & (grid.r < 30.0) & (f_in > 0)
@@ -179,7 +167,6 @@ class TestFindBoundState:
         state = find_bound_state(coulomb_potential(lam), kappa, m, grid,
                                  (e_ref - half, e_ref + half), radial_nodes(n, kappa))
         assert state.energy == pytest.approx(e_ref, rel=1e-8)
-        assert state.converged
 
     def test_normalization_and_tail(self):
         lam, n, kappa, m = 0.5, 2, -1, 1.0
@@ -321,21 +308,6 @@ class TestEigenvalueSearch:
             system = rs._SchrodingerSystem(v, 0, m, grid)
         assert abs(energy - _bisect_to_floor(system, bracket)) <= 2e-15 * m
 
-    def test_runs_to_the_floor_whatever_the_tol(self):
-        pot, grid, e_ref = _preserved_case()
-        bracket = (e_ref - 0.4e-4, e_ref + 0.6e-4)
-        default = find_bound_state(pot, -2, 1.0, grid, bracket, 0).energy
-        loose = find_bound_state(pot, -2, 1.0, grid, bracket, 0,
-                                 tol=1e-6).energy
-        assert loose == default
-
-    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
-    def test_rejects_bad_tol(self, tol):
-        pot, grid, e_ref = _preserved_case()
-        with pytest.raises(DomainError):
-            find_bound_state(pot, -2, 1.0, grid, (e_ref - 1e-4, e_ref + 1e-4),
-                             0, tol=tol)
-
     def test_iteration_cap_raises(self, monkeypatch):
         pot, grid, e_ref = _preserved_case()
         monkeypatch.setattr(rs, "_MAX_DEFECT_EVALS", 3)
@@ -450,7 +422,9 @@ class TestSuggestRmax:
         (lambda r: np.full_like(r, np.nan), 1.0, 0.0),      # target met at once
         (lambda r: np.full_like(r, 0.1), 3.0, 1e-3),        # first step
     ])
-    def test_chunked_walk_matches_step_by_step_loop(self, rate, r_start, target):
+    def test_chunked_walk_matches_step_by_step_loop(self, monkeypatch, rate,
+                                                    r_start, target):
+        monkeypatch.setattr(rs, "_DECAY_TARGET", target)
         r, acc = r_start, 0.0
         while acc < target:
             r_next = r * 1.005
@@ -458,7 +432,7 @@ class TestSuggestRmax:
             if w > 0:
                 acc += w * (r_next - r)
             r = r_next
-        assert rs._tail_radius(rate, r_start, target) == r
+        assert rs._tail_radius(rate, r_start) == r
 
     def test_no_tail_below_1e9_raises(self):
         with pytest.raises(ConvergenceError):
@@ -481,14 +455,8 @@ class TestSchrodinger:
         m = 1.0
         slope = 2.0 * mu
         refs = antiparticle_spectrum_airy(mu, m, count=2)
-        r_char = (2.0 * m * slope) ** (-1.0 / 3.0)
         v = lambda r: slope * r
-        grid = RadialGrid(
-            1e-6 * r_char,
-            suggest_rmax_schrodinger(v, refs[1], m,
-                                     r_start=2.0 * (refs[1] - m) / slope),
-            16000,
-        )
+        grid = airy_grid(v, slope, refs[1], m, 16000)
         lo = m + 0.3 * (refs[0] - m)
         hi = refs[0] + 0.45 * (refs[1] - refs[0])
         state = solve_schrodinger_radial(v, 0, m, grid, (lo, hi), 0)
@@ -498,15 +466,9 @@ class TestSchrodinger:
         mu, lam, m = 0.5, 0.05, 1.0
         slope = 2.0 * mu
         refs = antiparticle_spectrum_airy(mu, m, count=2)
-        r_char = (2.0 * m * slope) ** (-1.0 / 3.0)
         v0 = lambda r: slope * r
         v1 = lambda r: slope * r + lam / r
-        grid = RadialGrid(
-            1e-6 * r_char,
-            suggest_rmax_schrodinger(v0, refs[1], m,
-                                     r_start=2.0 * (refs[1] - m) / slope),
-            16000,
-        )
+        grid = airy_grid(v0, slope, refs[1], m, 16000)
         lo = m + 0.3 * (refs[0] - m)
         hi = refs[0] + 0.45 * (refs[1] - refs[0])
         base = solve_schrodinger_radial(v0, 0, m, grid, (lo, hi), 0)
@@ -542,6 +504,26 @@ class TestShiftStudy:
                                         [4e-6, 2e-6, 1e-6], points=12000)
         assert study.slopes[-1] / study.slopes[-2] == pytest.approx(1.0,
                                                                     abs=0.01)
+
+    # float.hex of (base_energy, energies, richardson) with the default
+    # bracket half-width on 1000 points, as recorded before the study's
+    # bracket took the Sommerfeld energies from dirac_coulomb_energy
+    @pytest.mark.parametrize("n, kappa, expected", [
+        (2, 1, ("0x1.ff5ba531f825dp-1",
+                ["0x1.ff5bc353dd4c6p-1", "0x1.ff5bb4438aaafp-1",
+                 "0x1.ff5bacbae96d2p-1"], "0x1.cbeed9037c900p-3")),
+        (2, -1, ("0x1.ff5ba531f8587p-1",
+                 ["0x1.ff5bc85edf57ep-1", "0x1.ff5bb6c928970p-1",
+                  "0x1.ff5badfdbfb12p-1"], "0x1.0c74763d6d6c0p-2")),
+        (3, -2, ("0x1.ffb71f17ed657p-1",
+                 ["0x1.ffb76d665d295p-1", "0x1.ffb74645e1ec7p-1",
+                  "0x1.ffb732b0984aep-1"], "0x1.2b1e0f1e68980p-1")),
+    ])
+    def test_default_bracket_pinned(self, n, kappa, expected):
+        study = shift_convergence_study(n, kappa, -1, 0.1, 1.0,
+                                        [4e-6, 2e-6, 1e-6], points=1000)
+        assert (study.base_energy.hex(), [e.hex() for e in study.energies],
+                study.richardson.hex()) == expected
 
     def test_rejects_bad_sequences(self):
         with pytest.raises(DomainError):
