@@ -1,18 +1,31 @@
-"""Pure-Python twin of the compiled RK4 kernel.
+"""RK4 propagation kernel for coupled linear 2x2 radial systems.
 
-Kept in lockstep with ``_shoot.pyx``: same stepping order, same rescale
-threshold, so the two backends agree to rounding.  The input arrays are
-converted with ``ndarray.tolist()`` up front, which yields Python floats;
-``list(arr)`` would yield ``numpy.float64`` scalars, whose arithmetic costs
-about twice as much per operation.  The IEEE operations are the same either
-way, so the outputs are bit-identical.
+The coefficient matrix is sampled at the grid nodes and at the interval
+midpoints (index 2*i for node i, 2*i+1 for the midpoint of step i), so a
+classic fourth-order Runge-Kutta step only reads tables.  Trajectories are
+rescaled whenever they exceed 1e250 in magnitude; the accumulated log-scale
+is recorded per node so callers can reconstruct relative amplitudes exactly.
+
+The input arrays are converted with ``ndarray.tolist()`` up front, which
+yields Python floats; ``list(arr)`` would yield ``numpy.float64`` scalars,
+whose arithmetic costs about twice as much per operation.  The IEEE
+operations are the same either way, so the outputs are bit-identical.
 """
 import math
+
+BACKEND = "python"  # reported as ``diraconf.kernel_backend``
 
 
 def rk4_linear2x2(step, a11, a12, a21, a22,
                   y1_init, y2_init, reverse,
                   y1_out, y2_out, logscale_out):
+    """Propagate y' = A(t) y across all grid nodes.
+
+    step: length N-1 positive step sizes in the integration variable.
+    a11..a22: length 2N-1 coefficient samples (nodes and midpoints).
+    reverse: start from (y1_init, y2_init) at the last node and step inward.
+    Returns 0 on success, 1 if a non-finite value was produced.
+    """
     n = len(step) + 1
     s = step.tolist()
     b11 = a11.tolist()

@@ -12,9 +12,9 @@ shifts the mass, m + V1.  Eigenvalues are located by integrating outward
 from a power-series start at r_min and inward from a WKB-seeded tail at
 r_max, and driving the mismatch of g/f at an interior matching radius to
 zero (a bracketed Brent iteration, run to the rounding floor).  A
-fourth-order Runge-Kutta kernel does the stepping in t = ln r, on a
-logarithmic ``RadialGrid`` that resolves the power-law start at the origin
-from the first step; see ``diraconf._kernels`` for backend selection.
+fourth-order Runge-Kutta kernel (``diraconf._kernels``) does the stepping in
+t = ln r, on a logarithmic ``RadialGrid`` that resolves the power-law start
+at the origin from the first step.
 
 A radial Schroedinger solver built on the same machinery handles the
 nonrelativistic confining problems (single component u(r), with
@@ -341,10 +341,8 @@ def _propagate(system, E: float, reverse: bool):
     logscale = np.empty(n)
     seed = system.inward_seed(E) if reverse else system.outward_seed(E)
     status = rk4_linear2x2(
-        np.ascontiguousarray(grid.steps),
-        np.ascontiguousarray(a11), np.ascontiguousarray(a12),
-        np.ascontiguousarray(a21), np.ascontiguousarray(a22),
-        float(seed[0]), float(seed[1]), bool(reverse),
+        grid.steps, a11, a12, a21, a22,
+        float(seed[0]), float(seed[1]), reverse,
         y1, y2, logscale,
     )
     if status != 0:
@@ -381,7 +379,7 @@ def _matching_defect(system, E: float, i_match: int):
     i = i_match
     a = g_out[i] * f_in[i]
     b = g_in[i] * f_out[i]
-    return (a - b) / (abs(a) + abs(b) + 1e-300)
+    return float((a - b) / (abs(a) + abs(b) + 1e-300))
 
 
 def _merge_and_scale(system, E: float):

@@ -10,9 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import diraconf.radial_solver
 from diraconf import cli
-from diraconf._kernels import fallback
 from diraconf.cli import main
 
 
@@ -305,6 +303,16 @@ class TestNumericalFailure:
         assert out == ""
         assert "numerical failure" in err
 
+    def test_wrong_state_message_prints_a_plain_float(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--family",
+                                 "antiparticle-linear", "--mu", "0.5",
+                                 "--lambda", "1", "--states", "1",
+                                 "--points", "2000")
+        assert code == 4
+        assert out == ""
+        assert "found a state with 2 nodes, wanted 0 (E = 5.9" in err
+        assert "np.float64" not in err
+
     def test_non_finite_field_writes_no_file(self, tmp_path):
         path = tmp_path / "table.csv"
         with pytest.raises(cli.ConvergenceError):
@@ -326,10 +334,17 @@ _MASS = st.one_of(st.floats(min_value=0.01, max_value=100.0), _ANY_FLOAT)
 
 
 def _argv(command, flags):
-    """Calls of ``command`` with the flags drawn from their strategies, in
-    the '=' form so that negative values are not taken for flags."""
+    """Calls of ``command`` (its leading words) with the flags drawn from
+    their strategies, in the '=' form so that negative values are not taken
+    for flags."""
     return st.fixed_dictionaries(flags).map(
-        lambda drawn: [command] + [f"--{k}={v!r}" for k, v in drawn.items()])
+        lambda drawn: command.split()
+        + [f"--{k}={v!r}" for k, v in drawn.items()])
+
+
+def _solve(family, flags):
+    return _argv(f"solve --family={family}",
+                 {**flags, "points": st.integers(16, 2000), "mass": _MASS})
 
 
 _COMMANDS = {
@@ -344,6 +359,17 @@ _COMMANDS = {
                                "kappa0": st.integers(-5, 2),
                                "detune-nu": st.one_of(st.just(0.0), _ANY_FLOAT),
                                "mass": _MASS}),
+    "solve-coulomb": _solve("coulomb", {
+        "lambda": _ANY_FLOAT, "n": st.integers(0, 4),
+        "kappa": st.integers(-5, 4)}),
+    "solve-coulomb-linear": _solve("coulomb-linear", {
+        "lambda": _ANY_FLOAT, "mu": _ANY_FLOAT, "kappa0": st.integers(-5, 2),
+        "n": st.integers(0, 4), "kappa": st.integers(-5, 4)}),
+    "solve-bag": _solve("bag", {
+        "lambda": _ANY_FLOAT, "kappa0": st.integers(-5, 2),
+        "A": _ANY_FLOAT, "r0": _ANY_FLOAT, "M": st.integers(-2, 1000)}),
+    "solve-antiparticle-linear": _solve("antiparticle-linear", {
+        "mu": _ANY_FLOAT, "lambda": _ANY_FLOAT, "states": st.integers(-1, 4)}),
 }
 
 
@@ -484,10 +510,7 @@ class TestGoldenOutput:
         assert list(GOLDEN) == cli._SEED_DEFAULTS
 
     @pytest.mark.parametrize("scenario", list(GOLDEN))
-    def test_byte_identical(self, capsys, monkeypatch, tmp_path, scenario):
-        # the pure-Python kernel, so the bytes do not depend on the backend
-        monkeypatch.setattr(diraconf.radial_solver, "rk4_linear2x2",
-                            fallback.rk4_linear2x2)
+    def test_byte_identical(self, capsys, tmp_path, scenario):
         csv_hash, json_hash, dump_hash = GOLDEN[scenario]
         argv = shlex.split(scenario)
         dump = tmp_path / "wf.csv"

@@ -267,6 +267,7 @@ class TestFindBoundState:
                              (e1 - 0.01, e1 + 0.01), 3)
         assert err.value.found_nodes == 0
         assert err.value.target_nodes == 3
+        assert "np.float64" not in str(err.value)
 
 
 class TestEigenvalueSearch:
@@ -283,6 +284,16 @@ class TestEigenvalueSearch:
                                          (refs[0] - 0.08, refs[0] + 0.12), 0)
         assert state.energy == pytest.approx(refs[0], rel=1e-6)
         assert defect_calls[0] <= 12
+
+    def test_energies_are_python_floats(self):
+        pot, grid, e_ref = _preserved_case()
+        dirac = find_bound_state(pot, -2, 1.0, grid,
+                                 (e_ref - 0.4e-4, e_ref + 0.6e-4), 0)
+        v, grid, refs = _airy_case()
+        scalar = solve_schrodinger_radial(v, 0, 1.0, grid,
+                                          (refs[0] - 0.08, refs[0] + 0.12), 0)
+        assert type(dirac.energy) is float
+        assert type(scalar.energy) is float
 
     @pytest.mark.parametrize("level", ["coulomb-n2", "preserved", "airy-k2"])
     def test_matches_bisection_to_the_floor(self, level):
@@ -522,6 +533,7 @@ class TestShiftStudy:
     def test_default_bracket_pinned(self, n, kappa, expected):
         study = shift_convergence_study(n, kappa, -1, 0.1, 1.0,
                                         [4e-6, 2e-6, 1e-6], points=1000)
+        assert all(type(e) is float for e in study.energies)
         assert (study.base_energy.hex(), [e.hex() for e in study.energies],
                 study.richardson.hex()) == expected
 
