@@ -34,7 +34,7 @@ import numpy as np
 
 from .coulomb import CouplingSet
 from .errors import DomainError
-from .radial_solver import RadialGrid, radial_equation_defects
+from .radial_solver import RadialGrid, dirac_residual
 from .special_functions import gamma_fn, kummer_U
 
 __all__ = [
@@ -161,7 +161,8 @@ def _spinor_with_derivatives(params: AnsatzParams, r: np.ndarray):
 
 
 def radial_residual(params: AnsatzParams, grid) -> float:
-    """Max defect of the two radial equations over the grid, all-analytic.
+    """Relative defect of the two radial equations over the grid
+    (``dirac_residual``), all-analytic.
 
     Derivatives come from differentiating the closed form, so the result is
     limited only by rounding; detuning nu by even a fraction of a percent
@@ -170,12 +171,8 @@ def radial_residual(params: AnsatzParams, grid) -> float:
     r = grid.r if isinstance(grid, RadialGrid) else np.asarray(grid, dtype=float)
     f, df, g, dg = _spinor_with_derivatives(params, r)
     c = params.couplings
-    res1, res2 = radial_equation_defects(
-        f, df, g, dg, r, params.energy, params.kappa0, c.mass,
-        -c.lam / r, c.mu * r, c.nu * r,
-    )
-    scale = np.maximum(np.abs(f), np.abs(g))
-    return float(np.max(np.maximum(np.abs(res1), np.abs(res2)) / scale))
+    return dirac_residual(f, df, g, dg, r, params.energy, params.kappa0, c.mass,
+                          -c.lam / r, c.mu * r, c.nu * r)
 
 
 def residual_grid(params: AnsatzParams) -> np.ndarray:

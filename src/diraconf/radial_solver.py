@@ -20,9 +20,9 @@ A radial Schroedinger solver built on the same machinery handles the
 nonrelativistic confining problems (single component u(r), with
 -u''/2m + [v + l(l+1)/(2 m r^2)] u = (E - m) u).  Each equation system
 (``_DiracSystem``, ``_SchrodingerSystem``) supplies only its coefficient
-tables, seeds, norm density and equation terms; one pipeline (``_shoot``)
-searches, merges, normalizes, fixes the sign, checks the node count and
-measures the finite-difference residual for both.  One tail walk
+tables, seeds, norm density and equation residual; one pipeline
+(``_shoot``) searches, merges, normalizes, fixes the sign, checks the node
+count and measures the residual for both.  One tail walk
 (``_tail_radius``) places r_max for both from their WKB decay rates;
 ``coulomb_grid`` and ``airy_grid`` build the grids of the Coulomb levels and
 of the linear-slope ladders.
@@ -52,7 +52,7 @@ __all__ = [
     "ShiftStudy",
     "coulomb_potential",
     "coulomb_plus_linear",
-    "radial_equation_defects",
+    "dirac_residual",
     "integrate_radial",
     "find_bound_state",
     "solve_schrodinger_radial",
@@ -169,16 +169,16 @@ class ScalarBoundState:
     residual: float
 
 
-def radial_equation_defects(f, df, g, dg, r, E, kappa, m, v0, v1, v2):
-    """Pointwise defects of the two coupled radial equations.
+def dirac_residual(f, df, g, dg, r, E, kappa, m, v0, v1, v2) -> float:
+    """Relative defect of the two coupled radial equations (see
+    ``_fd_residual``) for (f, g) and their derivatives sampled on radii r.
 
-    All arguments are arrays sampled on the same radii (or scalars); the
-    derivative arrays must come from an independent route (analytic
-    differentiation or finite differences), not from the equations
-    themselves.
+    The potentials v0, v1, v2 are sampled on the same radii.  The derivative
+    arrays must come from an independent route (analytic differentiation or
+    finite differences), not from the equations themselves.
     """
-    return tuple(sum(terms) for terms in
-                 _dirac_terms(f, df, g, dg, r, E, kappa, m, v0, v1, v2))
+    return _fd_residual(_dirac_terms(f, df, g, dg, r, E, kappa, m, v0, v1, v2),
+                        np.maximum(np.abs(f), np.abs(g)))
 
 
 def _dirac_terms(f, df, g, dg, r, E, kappa, m, v0, v1, v2):
@@ -270,14 +270,13 @@ class _DiracSystem:
     def density(self, f, g):
         return (f * f + g * g) * self.grid.r**2
 
-    def residual_terms(self, E: float, f, g):
-        """Terms of the two radial equations (derivatives by finite
-        differences), and the live-mask scale."""
-        equations = _dirac_terms(f, _fd_dr(self.grid, f), g, _fd_dr(self.grid, g),
-                                 self.grid.r, E, self.kappa, self.m,
-                                 self.v0_all[::2], self.v1_all[::2],
-                                 self.v2_all[::2])
-        return equations, np.maximum(np.abs(f), np.abs(g))
+    def residual(self, E: float, f, g) -> float:
+        """Relative defect of the two radial equations, derivatives by
+        finite differences."""
+        return dirac_residual(f, _fd_dr(self.grid, f), g, _fd_dr(self.grid, g),
+                              self.grid.r, E, self.kappa, self.m,
+                              self.v0_all[::2], self.v1_all[::2],
+                              self.v2_all[::2])
 
 
 class _SchrodingerSystem:
@@ -324,12 +323,13 @@ class _SchrodingerSystem:
     def density(self, u, du):
         return u * u
 
-    def residual_terms(self, E: float, u, du):
-        """Terms of -u''/2m + (v_eff - (E-m)) u = 0 (u'' from the sampled
-        du), and the live-mask scale."""
+    def residual(self, E: float, u, du) -> float:
+        """Relative defect of -u''/2m + (v_eff - (E-m)) u = 0 (u'' from the
+        sampled du)."""
         ddu = _fd_dr(self.grid, du)
         v_eff = self.v_eff[::2]
-        return ([-ddu / (2.0 * self.m), (v_eff - (E - self.m)) * u],), np.abs(u)
+        return _fd_residual(([-ddu / (2.0 * self.m), (v_eff - (E - self.m)) * u],),
+                            np.abs(u))
 
 
 def _propagate(system, E: float, reverse: bool):
@@ -436,7 +436,13 @@ def _fd_dr(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
 def _fd_residual(equations, scale: np.ndarray) -> float:
     """Equation defect of a sampled solution, relative to the local
     magnitude of the terms being balanced: the maximum over live interior
-    nodes of |sum of terms| / sum of |terms|, over all equations."""
+    nodes of |sum of terms| / sum of |terms|, over all equations.
+
+    A node is live where ``scale`` (the solution's magnitude) is above 1e-8
+    of its peak; the two nodes at each end are never used.  Every residual
+    the package reports is this one, so it is dimensionless, at most 1, and
+    inf when no node is live.
+    """
     live = scale > 1e-8 * float(np.max(scale))
     live[:2] = live[-2:] = False
     if not np.any(live):
@@ -547,7 +553,7 @@ def _shoot(system, E_bracket, target_nodes: int):
             f"(E = {energy!r}); widen or shift the bracket",
             found_nodes=nodes, target_nodes=target_nodes,
         )
-    residual = _fd_residual(*system.residual_terms(energy, y1, y2))
+    residual = system.residual(energy, y1, y2)
     return energy, y1, y2, nodes, residual
 
 
@@ -590,8 +596,9 @@ def find_bound_state(potential: PotentialSpec, kappa: int, m: float,
     -------
     BoundState with the energy searched to the rounding floor (a final
     bracket of about 4 ulp of E), f, g normalized to
-    int (f^2 + g^2) r^2 dr = 1 and the maximum pointwise equation defect
-    (finite-difference check) in ``residual``.
+    int (f^2 + g^2) r^2 dr = 1 and, in ``residual``, the relative equation
+    defect of ``_fd_residual`` (derivatives by finite differences): a
+    consistency check, not an error bar on the energy.
     """
     system = _DiracSystem(potential, kappa, m, grid)
     energy, f, g, nodes, residual = _shoot(system, E_bracket, target_nodes)

@@ -35,7 +35,7 @@ from .radial_solver import (
     PotentialSpec,
     RadialGrid,
     _diff_of_squares,
-    radial_equation_defects,
+    dirac_residual,
     suggest_rmax,
 )
 
@@ -192,30 +192,24 @@ def build_rescaled_state(f0: np.ndarray, g0: np.ndarray,
 
 def rescaled_residual(f0, df0, g0, dg0, profile: RescaleProfile, v0: Callable,
                       E: float, kappa: int, m: float) -> float:
-    """Defect of the perturbed equations for the rescaled state (arrays).
+    """Relative defect (``dirac_residual``) of the perturbed equations for
+    the rescaled state (arrays).
 
     Derivatives of the unrescaled state are supplied by the caller
     (analytic, or from the unperturbed equations for solver output); the
     e^h factor and its derivative are applied here.
     """
-    grid = profile.grid
-    rn = grid.r
+    rn = profile.grid.r
     eh = np.exp(profile.h - np.max(profile.h))
     hp = profile.h_prime(rn)
     f = eh * np.asarray(f0, dtype=float)
     g = eh * np.asarray(g0, dtype=float)
     df = eh * (np.asarray(df0, dtype=float) + hp * f0)
     dg = eh * (np.asarray(dg0, dtype=float) + hp * g0)
-    res1, res2 = radial_equation_defects(
-        f, df, g, dg, rn, E, kappa, m,
-        np.asarray(v0(rn), dtype=float),
-        np.asarray(profile.v1(rn), dtype=float),
-        np.asarray(profile.v2(rn), dtype=float),
-    )
-    scale = np.maximum(np.abs(f), np.abs(g))
-    live = scale > 1e-10 * float(np.max(scale))
-    return float(np.max(np.maximum(np.abs(res1[live]), np.abs(res2[live]))
-                        / scale[live]))
+    return dirac_residual(f, df, g, dg, rn, E, kappa, m,
+                          np.asarray(v0(rn), dtype=float),
+                          np.asarray(profile.v1(rn), dtype=float),
+                          np.asarray(profile.v2(rn), dtype=float))
 
 
 @dataclass(frozen=True)
@@ -237,7 +231,7 @@ def bag_model_case(A: float, r0: float, M: int, lam: float, kappa0: int,
 
     Large M approximates a hard wall at r0 (the MIT-bag-style step).  The
     power is evaluated in the log domain, exp(M log(r/r0)), and the
-    equation defect is computed in ratio form (divided through by f), so
+    relative equation defect (``dirac_residual``) is taken per unit f, so
     M = 1000 works without overflow.  Requires A > 0, the decaying branch.
     """
     if A <= 0:
@@ -253,7 +247,6 @@ def bag_model_case(A: float, r0: float, M: int, lam: float, kappa0: int,
         return A * np.exp(np.minimum(M * np.log(r / r0), 700.0))
 
     v2 = fine_tune_v2(v1, ground.gamma)
-    ak = abs(kappa0)
     r_min = 1e-6 / (lam * m)
     pot = PotentialSpec(v0=lambda r: -lam / r, v1=v1, v2=v2,
                         coulomb_strength=lam)
@@ -262,25 +255,15 @@ def bag_model_case(A: float, r0: float, M: int, lam: float, kappa0: int,
     grid = RadialGrid(r_min=r_min, r_max=r_max, count=points)
     profile = h_profile(v1, v2, grid, branch="-")
 
-    # defect per unit f: no e^h needed, so arbitrarily steep walls are fine;
-    # only where e^h has underflowed to zero (no state left, and wall terms
-    # near the float range) is the defect not measured
-    with np.errstate(under="ignore"):
-        live = np.exp(profile.h - np.max(profile.h)) > 0.0
-    rn = grid.r[live]
-    log_deriv = (ground.b - 1.0) / rn - ground.a   # f0'/f0
-    hp = profile.h_prime(rn)
+    # defect per unit f: 1/f is a common factor of every term, so the
+    # relative defect needs no e^h and arbitrarily steep walls cannot
+    # overflow; measured where f = e^h f0 is above 1e-8 of its peak
+    log_f = profile.h + (ground.b - 1.0) * np.log(grid.r) - ground.a * grid.r
+    rn = grid.r[log_f >= np.max(log_f) + math.log(1e-8)]
+    one = np.ones_like(rn)
+    dlog_f = profile.h_prime(rn) + (ground.b - 1.0) / rn - ground.a
     gam = ground.gamma
-    E = ground.energy
-    v0v = -lam / rn
-    v1v = np.asarray(v1(rn), dtype=float)
-    v2v = np.asarray(v2(rn), dtype=float)
-    p = E + m + v1v - v0v - v2v
-    q = E - m - v1v - v0v - v2v
-    res1_over_f = (hp + log_deriv) + (kappa0 + 1.0) / rn + p * gam
-    res2_over_f = gam * (hp + log_deriv) - gam * (kappa0 - 1.0) / rn - q
-    scale = max(1.0, gam)
-    residual = float(np.max(np.maximum(np.abs(res1_over_f), np.abs(res2_over_f)))
-                     / scale)
+    residual = dirac_residual(one, dlog_f, -gam * one, -gam * dlog_f, rn,
+                              ground.energy, kappa0, m, -lam / rn, v1(rn), v2(rn))
     return BagCase(v1=v1, v2=v2, energy=ground.energy, residual=residual,
                    grid=grid, profile=profile, ground=ground)

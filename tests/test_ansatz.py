@@ -118,6 +118,7 @@ class TestSpinor:
         assert res.value == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestResidual:
     @pytest.mark.parametrize("lam,kappa0,mu", SWEEP)
     def test_exact_preservation(self, lam, kappa0, mu):

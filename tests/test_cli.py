@@ -174,6 +174,16 @@ class TestAnsatzCmd:
         names = [r["quantity"] for r in rows]
         assert "energy" in names and "max_radial_residual" in names
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_residual_is_relative(self, capsys):
+        # the exact state stays at rounding level whatever the mass
+        code, out, _ = run_cli(capsys, "ansatz", "--lambda", "0.5",
+                               "--mu", "1e-4", "--kappa0", "-1",
+                               "--mass", "1e6")
+        assert code == 0
+        vals = {r["quantity"]: float(r["value"]) for r in csv_rows(out)}
+        assert vals["max_radial_residual"] <= 1e-10
+
     def test_detuned_nu_blows_up_residual(self, capsys):
         code, out, _ = run_cli(capsys, "ansatz", "--lambda", "0.5",
                                "--mu", "1e-4", "--kappa0", "-1",
@@ -220,6 +230,16 @@ class TestSolve:
         assert float(row["residual"]) < 1e-8
         assert float(row["energy"]) == pytest.approx(float(row["energy_ref"]),
                                                      rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bag_residual_is_relative(self, capsys):
+        # a steep wall makes the equation terms huge, not the defect
+        code, out, _ = run_cli(capsys, "solve", "--family", "bag",
+                               "--lambda", "0.5", "--kappa0", "-1",
+                               "--A", "1", "--r0", "10", "--M", "100000",
+                               "--points", "200")
+        assert code == 0
+        assert float(csv_rows(out)[0]["residual"]) <= 1e-12
 
     def test_nonexistent_state_is_a_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--family", "coulomb",
@@ -287,8 +307,9 @@ class TestSolve:
 
 class TestNumericalFailure:
     @pytest.mark.parametrize("argv", [
-        # residual NaN
-        ("ansatz", "--lambda", "1e-4", "--mu", "1.5", "--kappa0", "-1"),
+        # the wall leaves no live node to measure the residual on
+        ("solve", "--family", "bag", "--lambda", "0.5", "--kappa0", "-1",
+         "--A", "1e300", "--r0", "1e-300", "--M", "0", "--points", "200"),
         # term_linear and term_kinetic overflow to inf
         ("shift", "--lambda", "1e300", "--mu", "0.1", "--kappa0", "-3",
          "--n-max", "1"),
@@ -302,6 +323,16 @@ class TestNumericalFailure:
         assert code == 4
         assert out == ""
         assert "numerical failure" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflowed_tail_is_not_a_failure(self, capsys):
+        # f underflows to 0 on part of the residual grid; those nodes are
+        # not live, so the residual is finite
+        code, out, _ = run_cli(capsys, "ansatz", "--lambda", "1e-4",
+                               "--mu", "1.5", "--kappa0", "-1")
+        assert code == 0
+        vals = {r["quantity"]: float(r["value"]) for r in csv_rows(out)}
+        assert all(math.isfinite(v) for v in vals.values())
 
     def test_wrong_state_message_prints_a_plain_float(self, capsys):
         code, out, err = run_cli(capsys, "solve", "--family",
@@ -458,7 +489,9 @@ class TestDeterminism:
 
 # sha256 of the stdout of each --seed-defaults scenario (csv, json) and of
 # the --dump-wavefunction file of each solve family, recorded from the
-# output before the solve families shared one code path
+# output before the solve families shared one code path; the ansatz and bag
+# stdout were re-pinned when their residual became the solver's relative
+# defect (only the residual field changed)
 GOLDEN = {
     "energy --lambda 0.5 --n 1 --kappa -1":
         ("479e547d12329227eb6388957eebe6af743dfb301922f36a80e48a5d7de0a976",
@@ -477,8 +510,8 @@ GOLDEN = {
          "f389f7ff77329aab6c403d2aa27494c0702c2de04d8970ccb5dc29169291cc45",
          None),
     "ansatz --lambda 0.5 --mu 1e-4 --kappa0 -1":
-        ("eb750c4dabb4ae3c4d58e0587e3ba7fe067347034dccb49008da99a755f2c386",
-         "705730f75c3495e4e0287f158b2f43d88ffe65b5419393be64182042c96ecafe",
+        ("f148b3e116380f87957d1739f7519ff08d3ff431a063108986eee755a762465b",
+         "283a25e7ee724d2c3c9293b0a6e570e8b219d73d49654b5bee643cad6f90becc",
          None),
     "solve --family coulomb --lambda 0.5 --n 1 --kappa -1":
         ("27fd2b1b2d50faa0d4a3d847a1f13dab5a159d5547d59eedc25bfe40d9e46e9d",
@@ -494,8 +527,8 @@ GOLDEN = {
          "ddded5b023e89a58f1bbb0a00c2e463dd4b223dc6ae70042cf4232301d805dd1",
          "74e8e28a5ea8d4de9f3b9262f0a055ad3fb9fe88c5cefd6e49aeb93766d85a83"),
     "solve --family bag --lambda 0.5 --kappa0 -1 --A 1.0 --r0 10.0 --M 20":
-        ("e232a65c2efbfffb1c298a41b2c77f30d50dff848fb82e13ed81e15913a1333d",
-         "301828fa518189d555a640eed6d0a70b96cffb4963ab04eecb8c6843596b194e",
+        ("9b1381aaadfde51975ef564c771b76f8df70505525372446fe4f8410ba9b97aa",
+         "884b21ed5d0260a2e35bbd89c410d72a2757eb6c8505c80cdc3d40a116a15e7a",
          "5212c47609875dd6f67cf9ef5248c41b84c40aa678cfc8f966ceb46e1aac0b0c"),
 }
 

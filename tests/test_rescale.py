@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from diraconf.ansatz import build_ansatz, evaluate_spinor
+from diraconf.ansatz import build_ansatz, evaluate_spinor, radial_residual
 from diraconf.coulomb import dirac_coulomb_energy, dirac_coulomb_ground_state
 from diraconf.errors import (
     ConditionViolationError,
@@ -152,6 +152,21 @@ class TestRescaledState:
                                   prof, lambda r: -lam / r, gs.energy,
                                   kappa0, m)
         assert resid < 1e-8
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_closed_form_and_rescaled_coulomb_agree(self):
+        # criterion 08(b)'s state, by the ansatz and by e^h times the
+        # Coulomb ground state: one relative defect, rounding level for both
+        lam, kappa0, mu, m = 0.5, -1, 1e-4, 1.0
+        gs, v1, v2 = _linear_pair(lam, kappa0, mu, m)
+        grid = RadialGrid(1e-5, 60.0, 8001)
+        prof = h_profile(v1, v2, grid, branch="-")
+        rn = grid.r
+        assert radial_residual(build_ansatz(lam, mu, kappa0, m), grid) <= 1e-13
+        resid = rescaled_residual(gs.f(rn), gs.df(rn), gs.g(rn), gs.dg(rn),
+                                  prof, lambda r: -lam / r, gs.energy,
+                                  kappa0, m)
+        assert resid <= 1e-13
 
 
 class TestRatioCondition:
