@@ -7,7 +7,6 @@ Natural units hbar = c = 1 throughout; masses default to 1.
 
 __version__ = "0.1.0"
 
-from ._kernels import BACKEND as kernel_backend
 from .ansatz import (
     AnsatzParams,
     build_ansatz,
@@ -88,3 +87,12 @@ from .special_functions import (
     integrate_adaptive,
     kummer_U,
 )
+
+
+def __getattr__(name):
+    # ``kernel_backend`` is looked up, not bound at import: the kernel
+    # backend is selected on the first kernel call, which this triggers
+    if name == "kernel_backend":
+        from ._kernels import backend
+        return backend()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,19 +6,44 @@ classic fourth-order Runge-Kutta step only reads tables.  Trajectories are
 rescaled whenever they exceed 1e250 in magnitude; the accumulated log-scale
 is recorded per node so callers can reconstruct relative amplitudes exactly.
 
-The input arrays are converted with ``ndarray.tolist()`` up front, which
-yields Python floats; ``list(arr)`` would yield ``numpy.float64`` scalars,
-whose arithmetic costs about twice as much per operation.  The IEEE
-operations are the same either way, so the outputs are bit-identical.
+Two backends compute the same bits.  ``_rk4_python`` is the reference loop.
+``_rk4.c`` is its C99 twin, built on the first kernel call (never at
+import) with the system ``cc`` and ``-O2 -ffp-contract=off -fPIC -shared
+-lm``, into ``${XDG_CACHE_HOME:-~/.cache}/diraconf/<key>.so``, and loaded
+through ``ctypes``; the key is the sha256 of the source, the flags, the
+compiler's real path and the machine, so a cache hit starts no process.
+``rk4_linear2x2`` runs the C kernel only if it builds, loads and matches the
+Python loop bit for bit on a pinned self-check; otherwise the Python loop.
+``backend()`` (``diraconf.kernel_backend``) names the one selected.
+
+The Python loop converts its inputs with ``ndarray.tolist()`` up front,
+which yields Python floats; ``list(arr)`` would yield ``numpy.float64``
+scalars, whose arithmetic costs about twice as much per operation.  The
+IEEE operations are the same either way, so the outputs are bit-identical.
 """
+import ctypes
+import functools
+import importlib
 import math
+import os
+import platform
+import shutil
+import tempfile
 
-BACKEND = "python"  # reported as ``diraconf.kernel_backend``
+import numpy as np
+
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_rk4.c")
+_CC = "cc"
+# no -ffast-math: contracting a*b + c into a fused multiply-add moves bits
+_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_CACHE_DIR = os.path.join(os.environ.get("XDG_CACHE_HOME")
+                          or os.path.join(os.path.expanduser("~"), ".cache"),
+                          "diraconf")
 
 
-def rk4_linear2x2(step, a11, a12, a21, a22,
-                  y1_init, y2_init, reverse,
-                  y1_out, y2_out, logscale_out):
+def _rk4_python(step, a11, a12, a21, a22,
+                y1_init, y2_init, reverse,
+                y1_out, y2_out, logscale_out):
     """Propagate y' = A(t) y across all grid nodes.
 
     step: length N-1 positive step sizes in the integration variable.
@@ -89,3 +114,149 @@ def rk4_linear2x2(step, a11, a12, a21, a22,
         logscale_out[iw] = acc
 
     return 0
+
+
+def _sha256(data):
+    """Hex sha256 of ``data``, from CPython's built-in module where there is
+    one: importing hashlib loads OpenSSL, about 3.5 MB of resident memory."""
+    for name in ("_sha2", "_sha256"):
+        try:
+            return importlib.import_module(name).sha256(data).hexdigest()
+        except ImportError:
+            pass
+    import hashlib
+    return hashlib.sha256(data).hexdigest()
+
+
+def _build(cc, path):
+    """Compile ``_rk4.c`` into ``path``; False if the compiler fails.
+
+    The library is written under a unique name and renamed, so a
+    concurrent first use sees either no library or a whole one.
+    """
+    import subprocess  # on a cache miss only
+
+    os.makedirs(_CACHE_DIR, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so.tmp", dir=_CACHE_DIR)
+    os.close(fd)
+    try:
+        built = subprocess.run([cc, *_FLAGS, "-o", tmp, _SOURCE, "-lm"],
+                               capture_output=True).returncode == 0
+        if built:
+            os.replace(tmp, path)
+        return built
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _build_and_load():
+    """The compiled kernel's ctypes function, built into the cache on a miss.
+
+    Returns None when there is no compiler, the build fails or the cache
+    directory cannot be written.
+    """
+    cc = shutil.which(_CC)
+    if cc is None:
+        return None
+    try:
+        with open(_SOURCE, "rb") as fh:
+            source = fh.read()
+        key = _sha256(b"\0".join(
+            [source, " ".join(_FLAGS).encode(), os.path.realpath(cc).encode(),
+             platform.machine().encode()]))
+        path = os.path.join(_CACHE_DIR, key + ".so")
+        if not os.path.exists(path) and not _build(cc, path):
+            return None
+        fn = ctypes.CDLL(path).diraconf_rk4_linear2x2
+    except OSError:
+        return None
+    pointer = ctypes.c_void_p
+    fn.argtypes = ([ctypes.c_long] + [pointer] * 5
+                   + [ctypes.c_double, ctypes.c_double, ctypes.c_int]
+                   + [pointer] * 3)
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def _wrap_compiled(fn):
+    """The ctypes function behind the kernel's Python signature."""
+
+    def _rk4_c(step, a11, a12, a21, a22,
+               y1_init, y2_init, reverse,
+               y1_out, y2_out, logscale_out):
+        n = len(step) + 1
+        arrays = (step, a11, a12, a21, a22, y1_out, y2_out, logscale_out)
+        sizes = (n - 1,) + (2 * n - 1,) * 4 + (n,) * 3
+        # the C loop trusts these lengths: check them before passing pointers
+        for a, size in zip(arrays, sizes):
+            if (a.dtype != np.float64 or a.shape != (size,)
+                    or not a.flags.c_contiguous):
+                raise ValueError(
+                    f"kernel arrays must be C-contiguous float64 of length "
+                    f"{size}, got {a.dtype} {a.shape}")
+        for a in arrays[5:]:
+            if not a.flags.writeable:
+                raise ValueError("kernel output arrays must be writeable")
+        return fn(n, step.ctypes.data, a11.ctypes.data, a12.ctypes.data,
+                  a21.ctypes.data, a22.ctypes.data, y1_init, y2_init,
+                  1 if reverse else 0, y1_out.ctypes.data,
+                  y2_out.ctypes.data, logscale_out.ctypes.data)
+
+    return _rk4_c
+
+
+def _self_check_input():
+    """A pinned 64-step problem whose solution crosses the 1e250 rescale
+    threshold in both directions."""
+    n = 65
+    t = np.linspace(0.0, 1.0, 2 * n - 1)
+    step = np.diff(np.linspace(0.0, 1.0, n) ** 1.5)
+    return (step, 0.25 * np.cos(7.0 * t), 3.0 + np.sin(5.0 * t),
+            2.5 + np.cos(3.0 * t), -0.5 * t, 3e249, -1e249)
+
+
+def _same_bits(kernel, reference):
+    """True when both kernels return the same status and output bytes."""
+    args = _self_check_input()
+    n = len(args[0]) + 1
+    for reverse in (False, True):
+        outs = []
+        for k in (kernel, reference):
+            out = (np.empty(n), np.empty(n), np.empty(n))
+            status = k(*args, reverse, *out)
+            outs.append((status, b"".join(a.tobytes() for a in out)))
+        if outs[0] != outs[1]:
+            return False
+    return True
+
+
+def _select():
+    """("c", compiled kernel) if it builds, loads and reproduces the Python
+    loop bit for bit; otherwise ("python", the Python loop)."""
+    fn = _build_and_load()
+    if fn is not None:
+        compiled = _wrap_compiled(fn)
+        if _same_bits(compiled, _rk4_python):
+            return "c", compiled
+    return "python", _rk4_python
+
+
+_selected = functools.cache(_select)
+
+
+def backend() -> str:
+    """The kernel backend in use, "c" or "python" (selects it on first use)."""
+    return _selected()[0]
+
+
+def rk4_linear2x2(step, a11, a12, a21, a22,
+                  y1_init, y2_init, reverse,
+                  y1_out, y2_out, logscale_out):
+    """Propagate y' = A(t) y across all grid nodes with the selected backend.
+
+    Same contract as ``_rk4_python``; the compiled backend also requires
+    C-contiguous float64 arrays of the stated lengths (ValueError otherwise).
+    """
+    return _selected()[1](step, a11, a12, a21, a22, y1_init, y2_init,
+                          reverse, y1_out, y2_out, logscale_out)

@@ -12,9 +12,13 @@ shifts the mass, m + V1.  Eigenvalues are located by integrating outward
 from a power-series start at r_min and inward from a WKB-seeded tail at
 r_max, and driving the mismatch of g/f at an interior matching radius to
 zero (a bracketed Brent iteration, run to the rounding floor).  A
-fourth-order Runge-Kutta kernel (``diraconf._kernels``) does the stepping in
-t = ln r, on a logarithmic ``RadialGrid`` that resolves the power-law start
-at the origin from the first step.
+fourth-order Runge-Kutta kernel (``diraconf._kernels``: compiled C when it
+builds and reproduces the Python loop bit for bit, the Python loop
+otherwise) does the stepping in t = ln r, on a logarithmic ``RadialGrid``
+that resolves the power-law start at the origin from the first step.  The
+potential tables are sampled once per system and must be finite there
+(``DomainError`` otherwise), so the kernel's own non-finite check only
+guards the sweep itself.
 
 A radial Schroedinger solver built on the same machinery handles the
 nonrelativistic confining problems (single component u(r), with
@@ -189,6 +193,32 @@ def _dirac_terms(f, df, g, dg, r, E, kappa, m, v0, v1, v2):
             [-dg, (kappa - 1.0) / r * g, -(q * f)])
 
 
+def _sampled(name: str, r: np.ndarray, sample: Callable) -> np.ndarray:
+    """``sample()``, a table over the radii ``r``, as a finite float array.
+
+    Evaluated once with floating-point overflow, division by zero and
+    invalid operations raising, so no NaN or inf reaches the kernel (whose
+    non-finite check would otherwise be the only guard) and no warning is
+    printed.  Either failure raises DomainError naming the first bad radius.
+    """
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            values = np.asarray(sample(), dtype=float)
+        detail = ""
+    except FloatingPointError as exc:
+        # sample again without raising to find where it fails
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            values = np.asarray(sample(), dtype=float)
+        detail = f" ({exc})"
+    bad = ~np.isfinite(np.broadcast_to(values, r.shape))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"{name} is not finite at r={float(r[i])!r}{detail}")
+    if detail:
+        raise DomainError(f"sampling {name} failed{detail}")
+    return values
+
+
 class _DiracSystem:
     """Precomputed coefficient tables for one (potential, kappa, m, grid)."""
 
@@ -206,11 +236,15 @@ class _DiracSystem:
         self.m = m
         self.grid = grid
         ra = grid.r_all
-        self.v0_all = np.asarray(potential.v0(ra), dtype=float)
-        self.v1_all = np.asarray(potential.v1(ra), dtype=float)
-        self.v2_all = np.asarray(potential.v2(ra), dtype=float)
-        self.p_tilde = m + self.v1_all - self.v0_all - self.v2_all
-        self.q_tilde = -m - self.v1_all - self.v0_all - self.v2_all
+        self.v0_all = _sampled("v0", ra, lambda: potential.v0(ra))
+        self.v1_all = _sampled("v1", ra, lambda: potential.v1(ra))
+        self.v2_all = _sampled("v2", ra, lambda: potential.v2(ra))
+        self.p_tilde = _sampled(
+            "m + v1 - v0 - v2", ra,
+            lambda: m + self.v1_all - self.v0_all - self.v2_all)
+        self.q_tilde = _sampled(
+            "-m - v1 - v0 - v2", ra,
+            lambda: -m - self.v1_all - self.v0_all - self.v2_all)
         # in t = ln r the equations are r times their r-form: constant
         # diagonal, off-diagonal entries scaled by r
         self.a11 = np.full_like(ra, -(kappa + 1.0))
@@ -291,8 +325,10 @@ class _SchrodingerSystem:
         self.grid = grid
         self.coulomb_coeff = coulomb_coeff
         ra = grid.r_all
-        self.v_all = np.asarray(v(ra), dtype=float)
-        self.v_eff = self.v_all + ell * (ell + 1.0) / (2.0 * m * ra**2)
+        self.v_all = _sampled("v", ra, lambda: v(ra))
+        self.v_eff = _sampled(
+            "v + l(l+1)/(2 m r^2)", ra,
+            lambda: self.v_all + ell * (ell + 1.0) / (2.0 * m * ra**2))
         self.a11 = np.zeros_like(ra)
         self.a12 = ra.copy()
         self.a22 = np.zeros_like(ra)

@@ -305,6 +305,20 @@ class TestSolve:
         assert len(lines) == 6001
 
 
+class TestNonFiniteTables:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_potential_is_a_domain_error(self, capsys):
+        # lam / r overflows at the innermost radii: the sampled table is
+        # rejected before any solver runs, with no warning and exit 2
+        code, out, err = run_cli(capsys, "solve", "--family",
+                                 "antiparticle-linear", "--mu", "0.5",
+                                 "--lambda", "1e308", "--states", "1")
+        assert code == 2
+        assert out == ""
+        assert "domain error: v is not finite at r=7.93" in err
+        assert "overflow" in err
+
+
 class TestNumericalFailure:
     @pytest.mark.parametrize("argv", [
         # the wall leaves no live node to measure the residual on

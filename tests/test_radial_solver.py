@@ -270,6 +270,31 @@ class TestFindBoundState:
         assert "np.float64" not in str(err.value)
 
 
+class TestFiniteTables:
+    """The sampled potential is checked once, before any sweep."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_names_the_first_bad_radius(self):
+        grid = RadialGrid(1e-3, 10.0, 101)
+
+        def v1(r):
+            return np.where(r < 2.0, 0.0, np.nan)
+
+        with pytest.raises(DomainError, match="v1 is not finite at r=") as exc:
+            find_bound_state(rs.PotentialSpec(v1=v1), -1, 1.0, grid,
+                             (0.5, 0.9), 0)
+        r_bad = float(str(exc.value).rsplit("r=", 1)[1])
+        assert r_bad == grid.r_all[np.argmax(grid.r_all >= 2.0)]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_while_sampling_is_a_domain_error(self):
+        grid = RadialGrid(1e-3, 10.0, 101)
+        with pytest.raises(DomainError, match=r"v is not finite at "
+                                              r"r=0\.0010+2 \(overflow"):
+            rs.solve_schrodinger_radial(lambda r: 1e308 / r, 0, 1.0, grid,
+                                        (1.5, 2.0), 0)
+
+
 class TestEigenvalueSearch:
     def test_preserved_level_evaluation_budget(self, defect_calls):
         pot, grid, e_ref = _preserved_case()
@@ -327,8 +352,9 @@ class TestEigenvalueSearch:
                              (e_ref - 0.4e-4, e_ref + 0.6e-4), 0)
 
     def test_nan_potential_raises(self):
+        # rejected when the table is sampled, before the kernel sees it
         _, grid, refs = _airy_case()
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(DomainError, match="v is not finite at r="):
             solve_schrodinger_radial(lambda r: np.full_like(r, np.nan), 0,
                                      1.0, grid, (refs[0] - 0.1, refs[0] + 0.1),
                                      0)
