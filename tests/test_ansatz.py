@@ -125,6 +125,13 @@ class TestResidual:
         p = build_ansatz(lam, mu, kappa0)
         assert radial_residual(p, residual_grid(p)) <= 1e-10
 
+    def test_grid_ends_before_f_underflows(self):
+        # a weak Coulomb tail: max(b, 1)/a = 1e4 lies far beyond the
+        # Gaussian width 1/sqrt(alpha2) = 82, where f has underflowed
+        p = build_ansatz(1e-4, 1.5, -1)
+        f, _ = evaluate_spinor(p, residual_grid(p))
+        assert np.all(f != 0.0)
+
     def test_detuned_nu_breaks_it(self):
         p = build_ansatz(0.5, 1e-4, -1)
         grid = residual_grid(p)

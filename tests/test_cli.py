@@ -339,9 +339,35 @@ class TestNumericalFailure:
         assert "numerical failure" in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_sweeps_give_a_clean_bracket_error(self, capsys):
+        # the sweeps reach 1e172 to 1e248 at the match point, so the
+        # unscaled cross products of the matching defect overflow to inf
+        code, out, err = run_cli(capsys, "solve", "--family",
+                                 "antiparticle-linear",
+                                 "--mu", "0.29532806707274967",
+                                 "--lambda", "3.612752391398813e+16",
+                                 "--states", "1", "--points", "513",
+                                 "--mass", "61.610403210359365")
+        assert code == 4
+        assert out == ""
+        assert "matching defect does not change sign" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bag_wall_height_stays_finite(self, capsys):
+        # A e^700 would overflow; the state's radius (~1e38) is beyond the
+        # 1e9 limit of the tail walk, whose steps there overflow to inf
+        code, out, err = run_cli(capsys, "solve", "--family", "bag",
+                                 "--A", "6.38540964788881e+16",
+                                 "--mass", "1.1754943508222875e-38",
+                                 "--lambda", "0.99999", "--kappa0", "-2",
+                                 "--points", "702", "--r0", "10", "--M", "266")
+        assert code == 4
+        assert out == ""
+        assert "forbidden tail below r = 1e9" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_underflowed_tail_is_not_a_failure(self, capsys):
-        # f underflows to 0 on part of the residual grid; those nodes are
-        # not live, so the residual is finite
+        # a weak Coulomb tail under a strong Gaussian: every field is finite
         code, out, _ = run_cli(capsys, "ansatz", "--lambda", "1e-4",
                                "--mu", "1.5", "--kappa0", "-1")
         assert code == 0

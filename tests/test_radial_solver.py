@@ -62,17 +62,41 @@ def defect_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    """Counts RK4 kernel calls and coefficient-table builds."""
+    calls = {"kernel": 0, "coefficients": 0}
+    kernel = rs.rk4_linear2x2
+
+    def counted_kernel(*args):
+        calls["kernel"] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(rs, "rk4_linear2x2", counted_kernel)
+    for cls in (rs._DiracSystem, rs._SchrodingerSystem):
+        def counted_build(self, E, build=cls.coefficients):
+            calls["coefficients"] += 1
+            return build(self, E)
+
+        monkeypatch.setattr(cls, "coefficients", counted_build)
+    return calls
+
+
 def _bisect_to_floor(system, E_bracket):
     """Plain bisection of the matching defect down to adjacent floats."""
     lo, hi = E_bracket
     i_match = rs._match_index(system, 0.5 * (lo + hi))
-    d_lo = rs._matching_defect(system, lo, i_match)
-    d_hi = rs._matching_defect(system, hi, i_match)
+
+    def defect(E):
+        return rs._sweep_pair(system, E, i_match)[0]
+
+    d_lo = defect(lo)
+    d_hi = defect(hi)
     while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             return lo if abs(d_lo) < abs(d_hi) else hi
-        d_mid = rs._matching_defect(system, mid, i_match)
+        d_mid = defect(mid)
         if d_mid == 0.0:
             return mid
         if d_lo * d_mid < 0:
@@ -310,6 +334,34 @@ class TestEigenvalueSearch:
         assert state.energy == pytest.approx(refs[0], rel=1e-6)
         assert defect_calls[0] <= 12
 
+    @pytest.mark.parametrize("equation", ["dirac", "schrodinger"])
+    def test_each_energy_swept_once(self, defect_calls, sweep_calls,
+                                    equation):
+        # one coefficient build and one outward/inward pair per evaluated
+        # energy; the merge reuses the pair of the returned energy
+        if equation == "dirac":
+            pot, grid, e_ref = _preserved_case()
+            find_bound_state(pot, -2, 1.0, grid,
+                             (e_ref - 0.4e-4, e_ref + 0.6e-4), 0)
+        else:
+            v, grid, refs = _airy_case()
+            solve_schrodinger_radial(v, 0, 1.0, grid,
+                                     (refs[0] - 0.08, refs[0] + 0.12), 0)
+        assert defect_calls[0] > 2
+        assert sweep_calls["kernel"] == 2 * defect_calls[0]
+        assert sweep_calls["coefficients"] == defect_calls[0]
+
+    def test_match_point_with_no_allowed_node(self):
+        # the bracket's midpoint lies below the potential minimum, so no
+        # node is classically allowed there: the match point falls back to
+        # the node nearest to being allowed
+        v, grid, refs = _airy_case(mu=0.1, count=2, points=4001)
+        bracket = (-1.2, refs[0] + 0.45 * (refs[1] - refs[0]))
+        system = rs._SchrodingerSystem(v, 0, 1.0, grid)
+        assert not np.any(system.allowed_region(0.5 * sum(bracket)) > 0)
+        state = solve_schrodinger_radial(v, 0, 1.0, grid, bracket, 0)
+        assert state.energy == pytest.approx(refs[0], rel=1e-10)
+
     def test_energies_are_python_floats(self):
         pot, grid, e_ref = _preserved_case()
         dirac = find_bound_state(pot, -2, 1.0, grid,
@@ -379,11 +431,10 @@ class TestEigenvalueSearch:
         pot, grid, e_ref = _preserved_case()
         system = rs._DiracSystem(pot, -2, 1.0, grid)
         zeros = np.zeros(grid.count)
-        monkeypatch.setattr(rs, "_propagate",
-                            lambda *args, **kwargs: (zeros, zeros, zeros))
+        pair = ((zeros, zeros, zeros), (zeros, zeros, zeros))
         monkeypatch.setattr(rs, "_match_index", lambda *args: 8)
         with pytest.raises(ConvergenceError):
-            rs._merge_and_scale(system, e_ref)
+            rs._merge_and_scale(system, e_ref, pair)
 
 
 class TestSuggestRmax:

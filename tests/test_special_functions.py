@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -121,9 +124,29 @@ class TestQuadrature:
         res = integrate_adaptive(lambda r: r**-0.5, 0.0, 1.0, tol=1e-10)
         assert res.value == pytest.approx(2.0, abs=1e-9)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_slow_tail_reaches_the_mapped_endpoint(self):
+        # the mapped integrand (1 - u)^-0.3 is refined until quadrature
+        # nodes round onto u = 1, the image of x = inf, where it is 0
+        res = integrate_adaptive(lambda x: (1.0 + x) ** -1.7, 0.0, math.inf)
+        assert res.value == pytest.approx(1.0 / 0.7, rel=1e-10)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             integrate_adaptive(lambda t: t, 1.0, 0.5)
+
+    def test_nodes_built_on_first_use(self):
+        # a program that only shoots never imports numpy.polynomial
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        code = ("import sys, diraconf.cli; "
+                "from diraconf.radial_solver import *; "
+                "find_bound_state(coulomb_potential(0.5), -1, 1.0, "
+                "coulomb_grid(0.5, 1, -1, points=200), (0.85, 0.88), 0); "
+                "print('numpy.polynomial' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_nonconvergence_carries_partial_result(self):
         from diraconf.errors import ConvergenceError
