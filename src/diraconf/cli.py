@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 
@@ -290,7 +291,11 @@ def _add_common(p):
     p.add_argument("--mass", type=float, default=1.0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call (the first ``main``,
+    never at import) and shared by every later call in the process: parsing
+    leaves it unchanged, and building it costs most of a quick command."""
     parser = argparse.ArgumentParser(
         prog="diraconf",
         description="Dirac-Coulomb bound states with linear confining "

@@ -21,6 +21,18 @@ potential tables are sampled once per system and must be finite there
 (``DomainError`` otherwise), so the kernel's own non-finite check only
 guards the sweep itself.
 
+Work is split by how often it is needed.  Per system (one
+``_DiracSystem``/``_SchrodingerSystem``): every potential table in one
+guarded sampling pass (``_sampled``), the constant kernel tables and -r,
+the potentials at the nodes, the residual's (kappa +- 1)/r, r^2 for the
+density, the centrifugal term of the match point, and the seeds' inputs as
+plain floats.  Per energy (``_sweep_pair``): the off-diagonal tables,
+written into two buffers the system reuses (no sweep keeps them), the two
+seeds in plain-float arithmetic, two kernel calls into new output arrays
+and the matching defect.  Per solve: the match point, the glue, the norm,
+the node count and the residual, each in as few array passes as keep the
+per-element order of operations, so every output bit is unchanged.
+
 A radial Schroedinger solver built on the same machinery handles the
 nonrelativistic confining problems (single component u(r), with
 -u''/2m + [v + l(l+1)/(2 m r^2)] u = (E - m) u).  Each equation system
@@ -46,8 +58,6 @@ from ._kernels import rk4_linear2x2
 from .coulomb import dirac_coulomb_energy
 from .errors import BracketError, ConvergenceError, DomainError, WrongStateError
 from .quantum_numbers import radial_nodes
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 __all__ = [
     "RadialGrid",
@@ -115,7 +125,9 @@ class RadialGrid:
         integrands decaying at both ends it is accurate far beyond second
         order (Euler-Maclaurin boundary terms vanish).
         """
-        return float(_trapezoid(values * self.r, self.t))
+        y = values * self.r
+        # numpy's trapezoid(y, t), with the grid's own steps for diff(t)
+        return float((self.steps * (y[1:] + y[:-1]) / 2.0).sum())
 
 
 def _zero(r):
@@ -182,46 +194,83 @@ def dirac_residual(f, df, g, dg, r, E, kappa, m, v0, v1, v2) -> float:
     arrays must come from an independent route (analytic differentiation or
     finite differences), not from the equations themselves.
     """
-    return _fd_residual(_dirac_terms(f, df, g, dg, r, E, kappa, m, v0, v1, v2),
-                        np.maximum(np.abs(f), np.abs(g)))
+    i = _INTERIOR
+    return _fd_residual(
+        _dirac_sums(f[i], df[i], g[i], dg[i], (kappa + 1.0) / r[i],
+                    (kappa - 1.0) / r[i], E + m + v1[i] - v0[i] - v2[i],
+                    E - m - v1[i] - v0[i] - v2[i]),
+        np.maximum(np.abs(f), np.abs(g)))
 
 
-def _dirac_terms(f, df, g, dg, r, E, kappa, m, v0, v1, v2):
-    """The terms each of the two radial equations sums to zero."""
-    p = E + m + v1 - v0 - v2
-    q = E - m - v1 - v0 - v2
-    return ([df, (kappa + 1.0) / r * f, -(p * g)],
-            [-dg, (kappa - 1.0) / r * g, -(q * f)])
+def _dirac_sums(f, df, g, dg, kf, kg, p, q):
+    """(sum of terms, sum of |terms|) of each radial equation
 
+        df + (kappa+1)/r f - p g = 0,   -dg + (kappa-1)/r g - q f = 0
 
-def _sampled(name: str, r: np.ndarray, sample: Callable) -> np.ndarray:
-    """``sample()``, a table over the radii ``r``, as a finite float array.
-
-    Evaluated once with floating-point overflow, division by zero and
-    invalid operations raising, so no NaN or inf reaches the kernel (whose
-    non-finite check would otherwise be the only guard) and no warning is
-    printed.  Either failure raises DomainError naming the first bad radius.
+    with kf = (kappa+1)/r, kg = (kappa-1)/r, p = E + m + v1 - v0 - v2 and
+    q = E - m - v1 - v0 - v2.
     """
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            values = np.asarray(sample(), dtype=float)
-        detail = ""
-    except FloatingPointError as exc:
-        # sample again without raising to find where it fails
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            values = np.asarray(sample(), dtype=float)
-        detail = f" ({exc})"
-    bad = ~np.isfinite(np.broadcast_to(values, r.shape))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DomainError(f"{name} is not finite at r={float(r[i])!r}{detail}")
-    if detail:
-        raise DomainError(f"sampling {name} failed{detail}")
-    return values
+    return [_balance(df, kf * f, p * g), _balance(-dg, kg * g, q * f)]
+
+
+def _balance(lead, t, u):
+    """((lead + t) - u, (|lead| + |t|) + |u|) for new arrays t and u, which
+    it overwrites: the sum of an equation's terms lead, t and -u and of
+    their magnitudes, with two new arrays (a large solve touches fewer
+    fresh pages).  Subtracting u gives the same bits as adding -u."""
+    total = lead + t
+    total -= u
+    size = np.abs(lead)
+    size += np.abs(t, out=t)
+    size += np.abs(u, out=u)
+    return total, size
+
+
+def _sampled(r: np.ndarray, tables) -> list:
+    """The (name, sample) ``tables``, sampled over the radii ``r`` in one
+    pass, as finite float arrays of r's shape.
+
+    ``sample(done)`` returns one table from the list ``done`` of the tables
+    before it.  All are evaluated under one ``np.errstate`` with
+    floating-point overflow, division by zero and invalid operations
+    raising, so no NaN or inf reaches the kernel (whose non-finite check
+    would otherwise be the only guard) and no warning is printed.  Either
+    failure raises DomainError naming the first bad table and radius.
+    """
+    done = []
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for name, sample in tables:
+            try:
+                values = np.asarray(sample(done), dtype=float)
+                detail = ""
+            except FloatingPointError as exc:
+                # sample again without raising to find where it fails
+                with np.errstate(over="ignore", divide="ignore",
+                                 invalid="ignore"):
+                    values = np.asarray(sample(done), dtype=float)
+                detail = f" ({exc})"
+            if values.shape != r.shape:
+                values = np.broadcast_to(values, r.shape)
+            if detail or not np.isfinite(values).all():
+                bad = ~np.isfinite(values)
+                if bad.any():
+                    i = int(np.argmax(bad))
+                    raise DomainError(
+                        f"{name} is not finite at r={float(r[i])!r}{detail}")
+                raise DomainError(f"sampling {name} failed{detail}")
+            done.append(values)
+    return done
 
 
 class _DiracSystem:
-    """Precomputed coefficient tables for one (potential, kappa, m, grid)."""
+    """Coefficient tables for one (potential, kappa, m, grid).
+
+    Everything that does not depend on the trial energy is built here, once
+    per system: the potential tables, the constant diagonal of the kernel's
+    matrix and -r_all, the potentials at the nodes, (kappa +- 1)/r and r^2,
+    and the seeds' inputs as plain floats.  Per energy, ``coefficients``
+    fills two reused buffers and the seeds are plain-float arithmetic.
+    """
 
     def __init__(self, potential: PotentialSpec, kappa: int, m: float,
                  grid: RadialGrid):
@@ -237,30 +286,50 @@ class _DiracSystem:
         self.m = m
         self.grid = grid
         ra = grid.r_all
-        self.v0_all = _sampled("v0", ra, lambda: potential.v0(ra))
-        self.v1_all = _sampled("v1", ra, lambda: potential.v1(ra))
-        self.v2_all = _sampled("v2", ra, lambda: potential.v2(ra))
-        self.p_tilde = _sampled(
-            "m + v1 - v0 - v2", ra,
-            lambda: m + self.v1_all - self.v0_all - self.v2_all)
-        self.q_tilde = _sampled(
-            "-m - v1 - v0 - v2", ra,
-            lambda: -m - self.v1_all - self.v0_all - self.v2_all)
+        rn = grid.r
+        v0, v1, v2, self.p_tilde, self.q_tilde = _sampled(ra, [
+            ("v0", lambda t: potential.v0(ra)),
+            ("v1", lambda t: potential.v1(ra)),
+            ("v2", lambda t: potential.v2(ra)),
+            ("m + v1 - v0 - v2", lambda t: m + t[1] - t[0] - t[2]),
+            ("-m - v1 - v0 - v2", lambda t: -m - t[1] - t[0] - t[2]),
+        ])
         # in t = ln r the equations are r times their r-form: constant
         # diagonal, off-diagonal entries scaled by r
         self.a11 = np.full_like(ra, -(kappa + 1.0))
         self.a22 = np.full_like(ra, kappa - 1.0)
+        self._minus_r_all = -ra
+        # off-diagonal tables of the last energy built; no sweep keeps them
+        self._a12 = np.empty_like(ra)
+        self._a21 = np.empty_like(ra)
+        self._v0, self._v1, self._v2 = (v[::2].copy() for v in (v0, v1, v2))
+        # tables of the residual, density and match point; on extreme grids
+        # they overflow to inf, which ends in a non-finite residual or sweep
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            self._kf = (kappa + 1.0) / rn[_INTERIOR]
+            self._kg = (kappa - 1.0) / rn[_INTERIOR]
+            self._mass = m + self._v1
+            self._centrifugal = kappa * (kappa + 1.0) / rn**2
+            self._r2 = rn**2
+        self._r0 = float(rn[0])
+        self._v_start = float(v0[0] + v1[0] + v2[0])
+        self._p_start = float(v1[0] - v0[0] - v2[0])
+        self._v0_end = float(v0[-1])
+        self._v2_end = float(v2[-1])
+        self._mass_end = float(m + v1[-1])
+        self._p_end = float(self.p_tilde[-1])
+        self._kf_end = (kappa + 1.0) / float(rn[-1])
 
     def coefficients(self, E: float):
-        ra = self.grid.r_all
-        a12 = ra * (E + self.p_tilde)
-        a21 = -ra * (E + self.q_tilde)
+        a12 = np.add(self.p_tilde, E, out=self._a12)
+        np.multiply(self.grid.r_all, a12, out=a12)
+        a21 = np.add(self.q_tilde, E, out=self._a21)
+        np.multiply(self._minus_r_all, a21, out=a21)
         return self.a11, a12, a21, self.a22
 
     def outward_seed(self, E: float):
-        kappa, m = self.kappa, self.m
+        kappa, m, r0 = self.kappa, self.m, self._r0
         lam = self.potential.coulomb_strength
-        r0 = self.grid.r[0]
         if lam != 0.0:
             s = math.sqrt(kappa * kappa - lam * lam)
             cf = r0 ** (s - 1.0)
@@ -274,8 +343,8 @@ class _DiracSystem:
                 cg1 = (lam * ep * cg + (s + kappa + 1.0) * em * cf) / det
                 return cf + cf1 * r0, cg + cg1 * r0
             return cf, cg
-        q0 = E - m - float(self.v0_all[0] + self.v1_all[0] + self.v2_all[0])
-        p0 = E + m + float(self.v1_all[0] - self.v0_all[0] - self.v2_all[0])
+        q0 = E - m - self._v_start
+        p0 = E + m + self._p_start
         if kappa < 0:
             cf = r0 ** (-kappa - 1.0)
             return cf, q0 * cf * r0 / (2.0 * kappa - 1.0)
@@ -283,39 +352,41 @@ class _DiracSystem:
         return p0 * cg * r0 / (2.0 * kappa + 1.0), cg
 
     def inward_seed(self, E: float):
-        w2 = (self.m + self.v1_all[-1]) ** 2 - (
-            E - self.v0_all[-1] - self.v2_all[-1]
-        ) ** 2
-        w = math.sqrt(max(float(w2), 1e-30))
-        r_last = self.grid.r[-1]
-        p_last = E + self.p_tilde[-1]
+        a = E - self._v0_end - self._v2_end
+        b = self._mass_end
+        try:
+            w = math.sqrt(max(b ** 2 - a ** 2, 1e-30))
+        except OverflowError:
+            # a square leaves the float range: the root in factored form,
+            # as in _diff_of_squares
+            a, b = abs(a), abs(b)
+            w = math.sqrt(b - a) * math.sqrt(b + a) if b > a else 1e-15
         f0 = 1.0
-        g0 = (-w + (self.kappa + 1.0) / r_last) * f0 / p_last
+        g0 = (-w + self._kf_end) * f0 / (E + self._p_end)
         return f0, g0
 
     def allowed_region(self, E: float) -> np.ndarray:
-        rn = self.grid.r
-        v0 = self.v0_all[::2]
-        v1 = self.v1_all[::2]
-        v2 = self.v2_all[::2]
-        return (E - v0 - v2) ** 2 - (self.m + v1) ** 2 - self.kappa * (
-            self.kappa + 1.0
-        ) / rn**2
+        return (_diff_of_squares(E - self._v0 - self._v2, self._mass)[0]
+                - self._centrifugal)
 
     def density(self, f, g):
-        return (f * f + g * g) * self.grid.r**2
+        return (f * f + g * g) * self._r2
 
     def residual(self, E: float, f, g) -> float:
         """Relative defect of the two radial equations, derivatives by
         finite differences."""
-        return dirac_residual(f, _fd_dr(self.grid, f), g, _fd_dr(self.grid, g),
-                              self.grid.r, E, self.kappa, self.m,
-                              self.v0_all[::2], self.v1_all[::2],
-                              self.v2_all[::2])
+        m, i = self.m, _INTERIOR
+        v0, v1, v2 = self._v0[i], self._v1[i], self._v2[i]
+        return _fd_residual(
+            _dirac_sums(f[i], _fd_dr(self.grid, f), g[i], _fd_dr(self.grid, g),
+                        self._kf, self._kg, E + m + v1 - v0 - v2,
+                        E - m - v1 - v0 - v2),
+            np.maximum(np.abs(f), np.abs(g)))
 
 
 class _SchrodingerSystem:
-    """Same machinery for the single-component radial equation."""
+    """Same machinery for the single-component radial equation, with the
+    same split between what is built per system and per energy."""
 
     def __init__(self, v: Callable, ell: int, m: float, grid: RadialGrid,
                  coulomb_coeff: float = 0.0):
@@ -326,20 +397,32 @@ class _SchrodingerSystem:
         self.grid = grid
         self.coulomb_coeff = coulomb_coeff
         ra = grid.r_all
-        self.v_all = _sampled("v", ra, lambda: v(ra))
-        self.v_eff = _sampled(
-            "v + l(l+1)/(2 m r^2)", ra,
-            lambda: self.v_all + ell * (ell + 1.0) / (2.0 * m * ra**2))
+        rn = grid.r
+        v_all, self.v_eff = _sampled(ra, [
+            ("v", lambda t: v(ra)),
+            ("v + l(l+1)/(2 m r^2)",
+             lambda t: t[0] + ell * (ell + 1.0) / (2.0 * m * ra**2)),
+        ])
         self.a11 = np.zeros_like(ra)
         self.a12 = ra.copy()
         self.a22 = np.zeros_like(ra)
+        # a21 of the last energy built; no sweep keeps it
+        self._a21 = np.empty_like(ra)
+        self._v = v_all[::2].copy()
+        self._v_eff = self.v_eff[::2].copy()
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            self._r_2m = ra * 2.0 * m
+            self._centrifugal = ell * (ell + 1.0) / rn**2
+        self._r0 = float(rn[0])
+        self._v_eff_end = float(self.v_eff[-1])
 
     def coefficients(self, E: float):
-        a21 = self.grid.r_all * 2.0 * self.m * (self.v_eff - (E - self.m))
+        a21 = np.subtract(self.v_eff, E - self.m, out=self._a21)
+        np.multiply(self._r_2m, a21, out=a21)
         return self.a11, self.a12, a21, self.a22
 
     def outward_seed(self, E: float):
-        r0 = self.grid.r[0]
+        r0 = self._r0
         ell = self.ell
         beta = self.m * self.coulomb_coeff / (ell + 1.0)
         u = r0 ** (ell + 1.0) * (1.0 + beta * r0)
@@ -347,15 +430,12 @@ class _SchrodingerSystem:
         return u, du
 
     def inward_seed(self, E: float):
-        k2 = 2.0 * self.m * (self.v_eff[-1] - (E - self.m))
-        k = math.sqrt(max(float(k2), 1e-30))
+        k2 = 2.0 * self.m * (self._v_eff_end - (E - self.m))
+        k = math.sqrt(max(k2, 1e-30))
         return 1.0, -k
 
     def allowed_region(self, E: float) -> np.ndarray:
-        rn = self.grid.r
-        return 2.0 * self.m * (E - self.m - self.v_all[::2]) - self.ell * (
-            self.ell + 1.0
-        ) / rn**2
+        return 2.0 * self.m * (E - self.m - self._v) - self._centrifugal
 
     def density(self, u, du):
         return u * u
@@ -363,22 +443,26 @@ class _SchrodingerSystem:
     def residual(self, E: float, u, du) -> float:
         """Relative defect of -u''/2m + (v_eff - (E-m)) u = 0 (u'' from the
         sampled du)."""
-        ddu = _fd_dr(self.grid, du)
-        v_eff = self.v_eff[::2]
-        return _fd_residual(([-ddu / (2.0 * self.m), (v_eff - (E - self.m)) * u],),
-                            np.abs(u))
+        t1 = _fd_dr(self.grid, du) / (2.0 * self.m)
+        t2 = (self._v_eff[_INTERIOR] - (E - self.m)) * u[_INTERIOR]
+        return _fd_residual([(t2 - t1, np.abs(t1) + np.abs(t2))], np.abs(u))
 
 
 def _propagate(system, E: float, tables, reverse: bool):
-    """(y1, y2, logscale) of one sweep over ``system.coefficients(E)``."""
-    grid = system.grid
-    n = grid.count
+    """(y1, y2, logscale) of one sweep over ``system.coefficients(E)``;
+    the three arrays are new."""
+    n = system.grid.count
     y1 = np.empty(n)
     y2 = np.empty(n)
     logscale = np.empty(n)
-    seed = system.inward_seed(E) if reverse else system.outward_seed(E)
+    try:
+        seed = system.inward_seed(E) if reverse else system.outward_seed(E)
+    except (OverflowError, ZeroDivisionError):
+        # plain floats raise where numpy scalars gave inf or NaN; the kernel
+        # reports a non-finite start like any other non-finite value
+        seed = (math.nan, math.nan)
     status = rk4_linear2x2(
-        grid.steps, *tables,
+        system.grid.steps, *tables,
         float(seed[0]), float(seed[1]), reverse,
         y1, y2, logscale,
     )
@@ -393,7 +477,7 @@ def _match_index(system, E: float) -> int:
     """Outer classical turning point: the last node where ``allowed_region``
     is positive, or else the node where it is largest."""
     allowed = system.allowed_region(E)
-    inside = np.nonzero(allowed > 0)[0]
+    inside = np.flatnonzero(allowed > 0)
     idx = int(inside[-1]) if inside.size else int(np.argmax(allowed))
     return min(max(idx, 8), system.grid.count - 9)
 
@@ -407,17 +491,18 @@ def _matching_defect(pair, i: int) -> float:
     an exact power of two, so the cross products cannot overflow.
     """
     (f_out, g_out, _), (f_in, g_in, _) = pair
-    k_out = math.frexp(max(abs(f_out[i]), abs(g_out[i])))[1]
-    k_in = math.frexp(max(abs(f_in[i]), abs(g_in[i])))[1]
-    a = math.ldexp(g_out[i], -k_out) * math.ldexp(f_in[i], -k_in)
-    b = math.ldexp(g_in[i], -k_in) * math.ldexp(f_out[i], -k_out)
+    fo, go, fi, gi = f_out.item(i), g_out.item(i), f_in.item(i), g_in.item(i)
+    k_out = math.frexp(max(abs(fo), abs(go)))[1]
+    k_in = math.frexp(max(abs(fi), abs(gi)))[1]
+    a = math.ldexp(go, -k_out) * math.ldexp(fi, -k_in)
+    b = math.ldexp(gi, -k_in) * math.ldexp(fo, -k_out)
     return (a - b) / (abs(a) + abs(b) + 1e-300)
 
 
 def _log_peak(y1, y2, logscale) -> float:
     """Natural log of the peak of max(|y1|, |y2|) along a sweep."""
     mag = np.maximum(np.abs(y1), np.abs(y2))
-    return float(np.max(np.log(np.where(mag > 0, mag, 1e-320)) + logscale))
+    return float((np.log(np.where(mag > 0, mag, 1e-320)) + logscale).max())
 
 
 def _merge_and_scale(system, E: float, pair):
@@ -432,56 +517,60 @@ def _merge_and_scale(system, E: float, pair):
                 f"no radius beyond the match point where both sweeps are "
                 f"nonzero (E={E!r})"
             )
-    ref = _log_peak(f_out[: im + 1], g_out[: im + 1], so[: im + 1])
+    k = im + 1
+    ref = _log_peak(f_out[:k], g_out[:k], so[:k])
     f = np.empty(n)
     g = np.empty(n)
-    scale_out = np.exp(so[: im + 1] - ref)
-    f[: im + 1] = f_out[: im + 1] * scale_out
-    g[: im + 1] = g_out[: im + 1] * scale_out
-    glue_log = (
-        math.log(abs(f_out[im])) + so[im] - ref
-        - math.log(abs(f_in[im])) - si[im]
-    )
-    sign_c = math.copysign(1.0, f_out[im]) * math.copysign(1.0, f_in[im])
-    scale_in = sign_c * np.exp(np.minimum(si[im:] + glue_log, 100.0))
-    f[im:] = f_in[im:] * scale_in
-    g[im:] = g_in[im:] * scale_in
+    scale = np.exp(so[:k] - ref)
+    np.multiply(f_out[:k], scale, out=f[:k])
+    np.multiply(g_out[:k], scale, out=g[:k])
+    fo, fi = f_out.item(im), f_in.item(im)
+    glue_log = (math.log(abs(fo)) + so.item(im) - ref
+                - math.log(abs(fi)) - si.item(im))
+    sign_c = math.copysign(1.0, fo) * math.copysign(1.0, fi)
+    scale = np.minimum(si[im:] + glue_log, 100.0)
+    np.exp(scale, out=scale)
+    scale *= sign_c
+    np.multiply(f_in[im:], scale, out=f[im:])
+    np.multiply(g_in[im:], scale, out=g[im:])
     return f, g
 
 
-def _count_nodes(values: np.ndarray) -> int:
-    """Sign changes among the samples above 1e-10 of the peak magnitude."""
-    live = values[np.abs(values) > 1e-10 * float(np.max(np.abs(values)))]
-    if live.size < 2:
+def _count_nodes(values: np.ndarray, live: np.ndarray) -> int:
+    """Sign changes of ``values`` among the ``live`` samples."""
+    values = values[live]
+    if values.size < 2:
         return 0
-    return int(np.sum(live[1:] * live[:-1] < 0))
+    return int(np.count_nonzero(values[1:] * values[:-1] < 0))
+
+
+# the nodes where a five-point difference and the residual are taken
+_INTERIOR = slice(2, -2)
 
 
 def _fd_dr(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
-    """d/dr by fourth-order central differences in t (interior only)."""
-    d = np.full_like(values, np.nan)
-    d[2:-2] = (values[:-4] - 8 * values[1:-3] + 8 * values[3:-1] - values[4:]) / (
-        12.0 * float(grid.steps[0])
-    )
-    return d / grid.r
+    """d/dr by fourth-order central differences in t, at the ``_INTERIOR``
+    nodes."""
+    return ((values[:-4] - 8 * values[1:-3] + 8 * values[3:-1] - values[4:])
+            / (12.0 * float(grid.steps[0])) / grid.r[_INTERIOR])
 
 
 def _fd_residual(equations, scale: np.ndarray) -> float:
     """Equation defect of a sampled solution, relative to the local
     magnitude of the terms being balanced: the maximum over live interior
-    nodes of |sum of terms| / sum of |terms|, over all equations.
+    nodes of |sum of terms| / sum of |terms|, over all equations, each
+    given as its (sum of terms, sum of |terms|) at the ``_INTERIOR`` nodes.
 
-    A node is live where ``scale`` (the solution's magnitude) is above 1e-8
-    of its peak; the two nodes at each end are never used.  Every residual
-    the package reports is this one, so it is dimensionless, at most 1, and
-    inf when no node is live.
+    A node is live where ``scale`` (the solution's magnitude at every node)
+    is above 1e-8 of its peak; the two nodes at each end are never used.
+    Every residual the package reports is this one, so it is dimensionless,
+    at most 1, and inf when no node is live.
     """
-    live = scale > 1e-8 * float(np.max(scale))
-    live[:2] = live[-2:] = False
-    if not np.any(live):
+    live = scale[_INTERIOR] > 1e-8 * float(scale.max())
+    if not live.any():
         return math.inf
-    rel = [np.abs(sum(terms)[live]) / (sum(np.abs(t) for t in terms)[live] + 1e-300)
-           for terms in equations]
+    rel = [np.abs(total[live]) / (size[live] + 1e-300)
+           for total, size in equations]
     return float(np.max(rel))
 
 
@@ -582,9 +671,13 @@ def _shoot(system, E_bracket, target_nodes: int):
     norm = math.sqrt(system.grid.integrate(system.density(y1, y2)))
     y1 /= norm
     y2 /= norm
-    if y1[np.argmax(np.abs(y1) > 1e-3 * np.max(np.abs(y1)))] < 0:
-        y1, y2 = -y1, -y2
-    nodes = _count_nodes(y1)
+    mag = np.abs(y1)
+    peak = float(mag.max())
+    if y1[np.argmax(mag > 1e-3 * peak)] < 0:
+        np.negative(y1, out=y1)
+        np.negative(y2, out=y2)
+    # sign changes among the samples above 1e-10 of the peak magnitude
+    nodes = _count_nodes(y1, mag > 1e-10 * peak)
     if nodes != target_nodes:
         raise WrongStateError(
             f"found a state with {nodes} nodes, wanted {target_nodes} "

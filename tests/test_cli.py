@@ -331,6 +331,11 @@ class TestNumericalFailure:
         ("ansatz", "--lambda", "1e-300", "--mu", "1", "--kappa0", "-3"),
         # ZeroDivisionError: gamma underflows to 0
         ("ansatz", "--lambda", "1e-12", "--mu", "1e-12", "--kappa0", "-3"),
+        # (m + v1)^2 and (E - v0 - v2)^2 leave the float range in the
+        # allowed region and the inward seed; the sweep then overflows
+        ("solve", "--family", "coulomb-linear", "--lambda", "0.5",
+         "--kappa0", "-1", "--n", "1", "--kappa", "-1", "--mu", "1e160",
+         "--points", "200"),
     ])
     def test_exit_4_and_no_output(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -509,6 +514,61 @@ class TestFormats:
         )
         assert proc.returncode == 0
         assert "E_dirac" in proc.stdout
+
+
+class TestParserReuse:
+    """``main`` builds the parser once per process; a reused parser gives
+    the bytes and exit code of a fresh one."""
+
+    @staticmethod
+    def _calls(capsys, monkeypatch, fresh):
+        from diraconf.fw_effective import UniquenessReport
+
+        def fake_scan(n_max, N_max):
+            return UniquenessReport(n_max=n_max, N_max=N_max,
+                                    solutions=[(2, -1, 3)],
+                                    physical_solutions=[],
+                                    sign_violations=[])
+
+        results = []
+        for argv in (("energy", "--lambda", "0.5", "--n", "2",
+                      "--kappa", "-1", "--format", "json"),
+                     ("energy", "--lambda", "0.5", "--n", "1", "--kappa",
+                      "-1", "--bogus", "1"),
+                     ("shift", "--lambda", "0.3", "--mu", "1e-4",
+                      "--kappa0", "-1", "--n-max", "2"),
+                     ("scan", "--n-max", "2", "--N-max", "3")):
+            if fresh:
+                cli.build_parser.cache_clear()
+            if argv[0] == "scan":
+                monkeypatch.setattr(cli, "preservation_scan", fake_scan)
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+            monkeypatch.undo()
+        return results
+
+    def test_same_bytes_and_codes_as_a_fresh_parser(self, capsys,
+                                                    monkeypatch):
+        cli.build_parser.cache_clear()
+        reused = self._calls(capsys, monkeypatch, fresh=False)
+        assert cli.build_parser.cache_info().misses == 1
+        fresh = self._calls(capsys, monkeypatch, fresh=True)
+        assert reused == fresh
+        assert [r[0] for r in reused] == [0, ("exit", 2), 0, 3]
+        assert "unrecognized arguments: --bogus 1" in reused[1][2]
+
+    def test_import_builds_no_parser(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import diraconf.cli as c; "
+             "print(c.build_parser.cache_info().currsize)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
 
 
 class TestDeterminism:

@@ -226,9 +226,39 @@ def test_compiled_rejects_arrays_it_cannot_read():
     with pytest.raises(ValueError):
         kernel(steps, a11.astype(np.float32), a12, a21, a22, f0, g0, False,
                *out)
-    out[0].flags.writeable = False
-    with pytest.raises(ValueError):
-        kernel(steps, a11, a12, a21, a22, f0, g0, False, *out)
+    for k in range(3):  # a ValueError, not the TypeError of a ctypes view
+        out = [np.empty(50), np.empty(50), np.empty(50)]
+        out[k].flags.writeable = False
+        with pytest.raises(ValueError):
+            kernel(steps, a11, a12, a21, a22, f0, g0, False, *out)
+
+
+@pytest.mark.parametrize("position", range(5))
+def test_compiled_reads_read_only_tables(position):
+    # ctypes views only writeable buffers: a read-only input table takes the
+    # slower pointer route and gives the same bytes
+    kernel = _compiled()
+    args = list(_coulomb_arrays(50))
+    ref = np.empty(50), np.empty(50), np.empty(50)
+    assert kernel(*args, False, *ref) == 0
+    table = args[position].copy()
+    table.flags.writeable = False
+    args[position] = table
+    out = np.empty(50), np.empty(50), np.empty(50)
+    assert kernel(*args, False, *out) == 0
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(out, ref))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_zero_step_sweep_matches_across_backends(reverse):
+    # one node: no step, and empty step buffers that ctypes cannot view
+    outs = []
+    for kernel in (_rk4_python, _compiled()):
+        out = np.full(1, 7.0), np.full(1, 7.0), np.full(1, 7.0)
+        status = kernel(np.empty(0), *(np.ones(1),) * 4, 2.0, 3.0, reverse,
+                        *out)
+        outs.append((status, [a.tolist() for a in out]))
+    assert outs[0] == outs[1] == (0, [[2.0], [3.0], [0.0]])
 
 
 @pytest.mark.parametrize("name, value", [

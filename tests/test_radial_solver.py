@@ -319,6 +319,94 @@ class TestFiniteTables:
                                         (1.5, 2.0), 0)
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("table", ["v1", "m + v1 - v0 - v2"])
+    def test_overflow_at_the_last_node_only(self, table):
+        # the tables are sampled in one pass: an overflow at the last
+        # radius, in a potential or in a table built from them, still
+        # names that table and radius
+        grid = RadialGrid(1e-3, 10.0, 101)
+        r_last = grid.r_all[-1]
+
+        def last(r, value):
+            return np.where(r < r_last, 0.0, value)
+
+        if table == "v1":  # 1e300 * 1e10 in the potential itself
+            def v1(r):
+                return last(r, 1e300) * (1.0 + last(r, 1e10))
+
+            v2 = rs._zero
+        else:  # v1 and v2 finite, m + v1 - v0 - v2 = 2e308
+            def v1(r):
+                return last(r, 1e308)
+
+            def v2(r):
+                return last(r, -1e308)
+
+        with pytest.raises(DomainError) as exc:
+            rs._DiracSystem(rs.PotentialSpec(v1=v1, v2=v2), -1, 1.0, grid)
+        message = str(exc.value)
+        assert message.startswith(f"{table} is not finite at r=")
+        assert float(message.split("r=", 1)[1].split(" ")[0]) == r_last
+        assert "overflow" in message
+
+
+class TestHotPath:
+    """What the per-system and per-energy precomputation must not change."""
+
+    @pytest.mark.parametrize("equation", ["dirac", "schrodinger"])
+    def test_sweep_pairs_do_not_alias_reused_buffers(self, equation):
+        if equation == "dirac":
+            pot, grid, e_ref = _preserved_case()
+            system = rs._DiracSystem(pot, -2, 1.0, grid)
+            e1, e2 = e_ref - 1e-5, e_ref + 2e-5
+        else:
+            v, grid, refs = _airy_case()
+            system = rs._SchrodingerSystem(v, 0, 1.0, grid)
+            e1, e2 = refs[0] - 0.05, refs[1]
+        i = rs._match_index(system, e1)
+
+        def sweeps_bytes(pair):
+            return [a.tobytes() for sweep in pair for a in sweep]
+
+        d1, pair1 = rs._sweep_pair(system, e1, i)
+        before = sweeps_bytes(pair1)
+        d2, pair2 = rs._sweep_pair(system, e2, i)
+        assert d1 != d2
+        assert sweeps_bytes(pair1) == before
+        tables = system.coefficients(e1)
+        arrays = [a for sweep in pair1 + pair2 for a in sweep]
+        assert not any(np.shares_memory(a, b)
+                       for k, a in enumerate(arrays)
+                       for b in arrays[k + 1:] + list(tables))
+
+    @pytest.mark.parametrize("case", ["dirac-inward-divide",
+                                      "dirac-outward-overflow",
+                                      "schrodinger-outward-overflow"])
+    def test_failing_seed_is_a_convergence_error(self, case):
+        # plain-float seeds raise ZeroDivisionError or OverflowError where
+        # numpy scalars gave inf or NaN (and a warning); either way the
+        # sweep ends in ConvergenceError, now with no warning
+        if case == "dirac-inward-divide":
+            grid = RadialGrid(1e-4, 30.0, 64)
+            system = rs._DiracSystem(coulomb_potential(0.5), -1, 1.0, grid)
+            E = -float(system.p_tilde[-1])  # E + p_tilde[-1] == 0
+            reverse = True
+        elif case == "dirac-outward-overflow":
+            # r0 ** (s - 1) with s - 1 ~ -0.986 leaves the float range
+            grid = RadialGrid(1e-320, 1.0, 64)
+            system = rs._DiracSystem(rs.PotentialSpec(coulomb_strength=0.9999),
+                                     -1, 1.0, grid)
+            E, reverse = 0.5, False
+        else:
+            # r0 ** (ell + 1) leaves the float range
+            grid = RadialGrid(1e103, 1e104, 64)
+            system = rs._SchrodingerSystem(lambda r: 0.0 * r, 2, 1.0, grid)
+            E, reverse = 1.5, False
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            rs._propagate(system, E, system.coefficients(E), reverse)
+
+
 class TestEigenvalueSearch:
     def test_preserved_level_evaluation_budget(self, defect_calls):
         pot, grid, e_ref = _preserved_case()
