@@ -6,6 +6,14 @@ classic fourth-order Runge-Kutta step only reads tables.  Trajectories are
 rescaled whenever they exceed 1e250 in magnitude; the accumulated log-scale
 is recorded per node so callers can reconstruct relative amplitudes exactly.
 
+A sweep runs from one end of the grid to a stop node, the trailing
+positional argument ``stop``: outward it fills nodes 0..stop, inward
+stop..N-1, and it leaves the other output nodes untouched.  By default it
+sweeps the whole grid.  The sweep is sequential, so a partial sweep writes
+the same floats a full sweep writes on those nodes; a shoot-and-match
+solver that reads one interior node steps only as far as it needs.  A stop
+outside [0, N-1] is a ValueError on both backends.
+
 Two backends compute the same bits.  ``_rk4_python`` is the reference loop.
 ``_rk4.c`` is its C99 twin, built on the first kernel call (never at
 import) with the system ``cc`` and ``-O2 -ffp-contract=off -fPIC -shared
@@ -13,19 +21,21 @@ import) with the system ``cc`` and ``-O2 -ffp-contract=off -fPIC -shared
 through ``ctypes``; the key is the sha256 of the source, the flags, the
 compiler's real path and the machine, so a cache hit starts no process.
 ``rk4_linear2x2`` runs the C kernel only if it builds, loads and matches the
-Python loop bit for bit on a pinned self-check; otherwise the Python loop.
+Python loop bit for bit on a pinned self-check (both directions, each
+stopping at a mid-grid node and at either end); otherwise the Python loop.
 ``backend()`` (``diraconf.kernel_backend``) names the one selected.
 
-Each compiled call first checks its eight arrays, because the C loop
-trusts them: float64, the stated length (N - 1 steps, 2N - 1 table samples,
-N outputs), C-contiguous, and writeable for the three outputs; anything
-else is a ValueError.  It takes each address from a ctypes view of the
-array's buffer, not from ``ndarray.ctypes.data``, which builds the whole
-``__array_interface__`` each time; ctypes views only writeable buffers, so
-a read-only input table takes that slower route.  On a 10-point sweep the
-call costs about 13 us besides the RK4 steps (about 4 us of it the ctypes
-call itself), against about 31 us with eight ``.ctypes.data`` lookups
-(numpy 2.4, CPython 3.11, x86-64).
+Each compiled call first checks its eight arrays and its stop node,
+because the C loop trusts them: float64, the stated length (N - 1 steps,
+2N - 1 table samples, N outputs, whatever the stop node), C-contiguous,
+and writeable for the three outputs; anything else is a ValueError.  It
+takes each address from a ctypes view of the array's buffer, not from
+``ndarray.ctypes.data``, which builds the whole ``__array_interface__``
+each time; ctypes views only writeable buffers, so a read-only input table
+takes that slower route.  On a 10-point sweep the call costs about 13 us
+besides the RK4 steps (about 4 us of it the ctypes call itself), against
+about 31 us with eight ``.ctypes.data`` lookups (numpy 2.4, CPython 3.11,
+x86-64).
 
 The Python loop converts its inputs with ``ndarray.tolist()`` up front,
 which yields Python floats; ``list(arr)`` would yield ``numpy.float64``
@@ -52,17 +62,32 @@ _CACHE_DIR = os.path.join(os.environ.get("XDG_CACHE_HOME")
                           "diraconf")
 
 
+def _stop_node(n, reverse, stop):
+    """The node a sweep of n nodes ends at: ``stop``, checked to lie in
+    [0, n - 1] (ValueError otherwise), or the far end of the grid."""
+    if stop is None:
+        return 0 if reverse else n - 1
+    if not 0 <= stop <= n - 1:
+        raise ValueError(f"stop must lie in [0, {n - 1}], got {stop!r}")
+    return stop
+
+
 def _rk4_python(step, a11, a12, a21, a22,
                 y1_init, y2_init, reverse,
-                y1_out, y2_out, logscale_out):
-    """Propagate y' = A(t) y across all grid nodes.
+                y1_out, y2_out, logscale_out, stop=None):
+    """Propagate y' = A(t) y from one end of the grid to node ``stop``.
 
     step: length N-1 positive step sizes in the integration variable.
     a11..a22: length 2N-1 coefficient samples (nodes and midpoints).
     reverse: start from (y1_init, y2_init) at the last node and step inward.
+    stop: the last node written, in [0, N-1] (ValueError otherwise): the
+    outward sweep fills nodes 0..stop and the inward sweep stop..N-1, and
+    leaves the other nodes of the outputs as they were.  None (the
+    default) sweeps the whole grid.
     Returns 0 on success, 1 if a non-finite value was produced.
     """
     n = len(step) + 1
+    stop = _stop_node(n, reverse, stop)
     s = step.tolist()
     b11 = a11.tolist()
     b12 = a12.tolist()
@@ -81,7 +106,7 @@ def _rk4_python(step, a11, a12, a21, a22,
         y2_out[0] = y2
         logscale_out[0] = acc
 
-    for i in range(n - 1):
+    for i in range(n - 1 - stop if reverse else stop):
         if reverse:
             iw = n - 2 - i
             h = -s[iw]
@@ -185,7 +210,7 @@ def _build_and_load():
     pointer = ctypes.c_void_p
     fn.argtypes = ([ctypes.c_long] + [pointer] * 5
                    + [ctypes.c_double, ctypes.c_double, ctypes.c_int]
-                   + [pointer] * 3)
+                   + [pointer] * 3 + [ctypes.c_long])
     fn.restype = ctypes.c_int
     return fn
 
@@ -225,15 +250,17 @@ def _wrap_compiled(fn):
 
     def _rk4_c(step, a11, a12, a21, a22,
                y1_init, y2_init, reverse,
-               y1_out, y2_out, logscale_out):
+               y1_out, y2_out, logscale_out, stop=None):
         n = len(step) + 1
         m = 2 * n - 1
-        # the C loop trusts these lengths: check them before passing pointers
+        # the C loop trusts these lengths and the stop node: check them
+        # before passing pointers
         return fn(n, _address(step, n - 1, False), _address(a11, m, False),
                   _address(a12, m, False), _address(a21, m, False),
                   _address(a22, m, False), y1_init, y2_init,
                   1 if reverse else 0, _address(y1_out, n, True),
-                  _address(y2_out, n, True), _address(logscale_out, n, True))
+                  _address(y2_out, n, True), _address(logscale_out, n, True),
+                  _stop_node(n, reverse, stop))
 
     return _rk4_c
 
@@ -249,17 +276,22 @@ def _self_check_input():
 
 
 def _same_bits(kernel, reference):
-    """True when both kernels return the same status and output bytes."""
+    """True when both kernels return the same status and output bytes, in
+    both directions, for a sweep that stops mid-grid and for each end node
+    (an empty sweep and a full one).  The outputs start out filled with
+    NaN, so the nodes a sweep must leave alone are compared too."""
     args = _self_check_input()
     n = len(args[0]) + 1
     for reverse in (False, True):
-        outs = []
-        for k in (kernel, reference):
-            out = (np.empty(n), np.empty(n), np.empty(n))
-            status = k(*args, reverse, *out)
-            outs.append((status, b"".join(a.tobytes() for a in out)))
-        if outs[0] != outs[1]:
-            return False
+        for stop in (0, n // 2, n - 1):
+            outs = []
+            for k in (kernel, reference):
+                out = (np.full(n, np.nan), np.full(n, np.nan),
+                       np.full(n, np.nan))
+                status = k(*args, reverse, *out, stop)
+                outs.append((status, b"".join(a.tobytes() for a in out)))
+            if outs[0] != outs[1]:
+                return False
     return True
 
 
@@ -284,11 +316,18 @@ def backend() -> str:
 
 def rk4_linear2x2(step, a11, a12, a21, a22,
                   y1_init, y2_init, reverse,
-                  y1_out, y2_out, logscale_out):
-    """Propagate y' = A(t) y across all grid nodes with the selected backend.
+                  y1_out, y2_out, logscale_out, stop=None):
+    """Propagate y' = A(t) y from one end of the grid to node ``stop`` with
+    the selected backend.
 
-    Same contract as ``_rk4_python``; the compiled backend also requires
-    C-contiguous float64 arrays of the stated lengths (ValueError otherwise).
+    Same contract as ``_rk4_python``: the outward sweep fills nodes
+    0..stop and the inward sweep stop..N-1, and the default sweeps the
+    whole grid.  The samples a partial sweep writes are the same floats a
+    full sweep writes there.  ``stop`` must be passed positionally (the
+    benchmark's tracer forwards positional arguments only); outside
+    [0, N-1] it is a ValueError.  The compiled backend also requires
+    C-contiguous float64 arrays of the stated lengths (ValueError
+    otherwise).
     """
     return _selected()[1](step, a11, a12, a21, a22, y1_init, y2_init,
-                          reverse, y1_out, y2_out, logscale_out)
+                          reverse, y1_out, y2_out, logscale_out, stop)

@@ -9,15 +9,17 @@ int diraconf_rk4_linear2x2(long n, const double *s, const double *b11,
                            const double *b12, const double *b21,
                            const double *b22, double y1, double y2,
                            int reverse, double *y1_out, double *y2_out,
-                           double *logscale_out)
+                           double *logscale_out, long stop)
 {
     double acc = 0.0;
     long first = reverse ? n - 1 : 0;
+    /* the caller checked 0 <= stop <= n - 1: the sweep ends at node stop */
+    long steps = reverse ? n - 1 - stop : stop;
     y1_out[first] = y1;
     y2_out[first] = y2;
     logscale_out[first] = acc;
 
-    for (long i = 0; i < n - 1; i++) {
+    for (long i = 0; i < steps; i++) {
         long iw, i0, im, i1;
         double h;
         if (reverse) {

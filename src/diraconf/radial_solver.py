@@ -8,15 +8,19 @@ and a bispinor with upper radial part f and lower radial part g, are
     -g'(r) + (kappa-1)/r g = (E - m - V1 - V0 - V2) f
 
 so the time-like pieces always enter as E - V0 - V2 and the scalar piece
-shifts the mass, m + V1.  Each trial energy is swept once outward from a
-power-series start at r_min and once inward from a WKB-seeded tail at
-r_max, both from one build of the coefficient tables; a bracketed Brent
-iteration drives the mismatch of g/f at an interior matching radius to the
-rounding floor, and the state is the final energy's pair glued, with no
-further sweep.  A fourth-order Runge-Kutta kernel (``diraconf._kernels``:
-compiled C when it builds and reproduces the Python loop bit for bit, the
-Python loop otherwise) steps in t = ln r, on a logarithmic ``RadialGrid``
-that resolves the power-law start at the origin from the first step.  The
+shifts the mass, m + V1.  Each trial energy is swept outward from a
+power-series start at r_min and inward from a WKB-seeded tail at r_max,
+both from one build of the coefficient tables and each only as far as the
+match window: the nodes between the outer turning points at the bracket's
+ends and midpoint.  A bracketed Brent iteration drives the mismatch of g/f
+at an interior matching radius (the midpoint's turning point) to the
+rounding floor, and the state is the final energy's pair glued inside the
+window, with no further sweep; only a glue node outside the window sweeps
+that energy once more across the whole grid.  A fourth-order Runge-Kutta
+kernel (``diraconf._kernels``: compiled C when it builds and reproduces the
+Python loop bit for bit, the Python loop otherwise) steps in t = ln r, on a
+logarithmic ``RadialGrid`` that resolves the power-law start at the origin
+from the first step.  The
 potential tables are sampled once per system and must be finite there
 (``DomainError`` otherwise), so the kernel's own non-finite check only
 guards the sweep itself.
@@ -28,8 +32,9 @@ the potentials at the nodes, the residual's (kappa +- 1)/r, r^2 for the
 density, the centrifugal term of the match point, and the seeds' inputs as
 plain floats.  Per energy (``_sweep_pair``): the off-diagonal tables,
 written into two buffers the system reuses (no sweep keeps them), the two
-seeds in plain-float arithmetic, two kernel calls into new output arrays
-and the matching defect.  Per solve: the match point, the glue, the norm,
+seeds in plain-float arithmetic, two kernel calls across the match window
+into new output arrays (about N + (hi - lo) RK4 steps instead of 2(N - 1))
+and the matching defect.  Per solve: the match window, the glue, the norm,
 the node count and the residual, each in as few array passes as keep the
 per-element order of operations, so every output bit is unchanged.
 
@@ -308,7 +313,8 @@ class _DiracSystem:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             self._kf = (kappa + 1.0) / rn[_INTERIOR]
             self._kg = (kappa - 1.0) / rn[_INTERIOR]
-            self._mass = m + self._v1
+            mass = m + self._v1
+            self._mass2 = mass * mass
             self._centrifugal = kappa * (kappa + 1.0) / rn**2
             self._r2 = rn**2
         self._r0 = float(rn[0])
@@ -366,8 +372,16 @@ class _DiracSystem:
         return f0, g0
 
     def allowed_region(self, E: float) -> np.ndarray:
-        return (_diff_of_squares(E - self._v0 - self._v2, self._mass)[0]
-                - self._centrifugal)
+        # (E - v0 - v2)^2 - (m + v1)^2 - centrifugal, in one new array; deep
+        # in a steep wall a square overflows to inf, and inf - inf is NaN,
+        # which is not allowed
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2 = E - self._v0
+            d2 -= self._v2
+            d2 *= d2
+            d2 -= self._mass2
+            d2 -= self._centrifugal
+        return d2
 
     def density(self, f, g):
         return (f * f + g * g) * self._r2
@@ -448,9 +462,10 @@ class _SchrodingerSystem:
         return _fd_residual([(t2 - t1, np.abs(t1) + np.abs(t2))], np.abs(u))
 
 
-def _propagate(system, E: float, tables, reverse: bool):
-    """(y1, y2, logscale) of one sweep over ``system.coefficients(E)``;
-    the three arrays are new."""
+def _propagate(system, E: float, tables, reverse: bool, stop=None):
+    """(y1, y2, logscale) of one sweep over ``system.coefficients(E)``,
+    from the grid's end to node ``stop`` (by default the other end); the
+    three arrays are new, of the grid's length, and unset beyond ``stop``."""
     n = system.grid.count
     y1 = np.empty(n)
     y2 = np.empty(n)
@@ -464,7 +479,7 @@ def _propagate(system, E: float, tables, reverse: bool):
     status = rk4_linear2x2(
         system.grid.steps, *tables,
         float(seed[0]), float(seed[1]), reverse,
-        y1, y2, logscale,
+        y1, y2, logscale, stop,
     )
     if status != 0:
         raise ConvergenceError(
@@ -490,7 +505,7 @@ def _matching_defect(pair, i: int) -> float:
     radius as E varies across the bracket.  Each sweep is first scaled by
     an exact power of two, so the cross products cannot overflow.
     """
-    (f_out, g_out, _), (f_in, g_in, _) = pair
+    (f_out, g_out, _), (f_in, g_in, _), _ = pair
     fo, go, fi, gi = f_out.item(i), g_out.item(i), f_in.item(i), g_in.item(i)
     k_out = math.frexp(max(abs(fo), abs(go)))[1]
     k_in = math.frexp(max(abs(fi), abs(gi)))[1]
@@ -505,18 +520,40 @@ def _log_peak(y1, y2, logscale) -> float:
     return float((np.log(np.where(mag > 0, mag, 1e-320)) + logscale).max())
 
 
+def _glue_node(pair, im: int):
+    """The first node from im outward, inside the pair's window, where both
+    sweeps are nonzero; None if im lies below the window or there is none."""
+    (f_out, _, _), (f_in, _, _), (lo, hi) = pair
+    if im < lo:
+        return None
+    while im <= hi:
+        if f_out[im] != 0.0 and f_in[im] != 0.0:
+            return im
+        im += 1
+    return None
+
+
 def _merge_and_scale(system, E: float, pair):
-    """The sweep pair at E glued at the match point, peak ~ 1."""
-    (f_out, g_out, so), (f_in, g_in, si) = pair
+    """The sweep pair at E glued at the match point, peak ~ 1.
+
+    The glue node is the match point at E, moved outward past nodes where
+    either sweep is zero.  If it leaves the pair's window, the energy is
+    swept again across the whole grid; the window's samples are the same
+    floats, so the result is that of full sweeps either way.
+    """
     n = system.grid.count
     im = _match_index(system, E)
-    while f_out[im] == 0.0 or f_in[im] == 0.0:
-        im += 1
-        if im == n:
-            raise ConvergenceError(
-                f"no radius beyond the match point where both sweeps are "
-                f"nonzero (E={E!r})"
-            )
+    glue = _glue_node(pair, im)
+    if glue is None and pair[2] != (0, n - 1):
+        pair = _sweep_pair(system, E, im)[1]
+        glue = _glue_node(pair, im)
+    if glue is None:
+        raise ConvergenceError(
+            f"no radius beyond the match point where both sweeps are "
+            f"nonzero (E={E!r})"
+        )
+    (f_out, g_out, so), (f_in, g_in, si), _ = pair
+    im = glue
     k = im + 1
     ref = _log_peak(f_out[:k], g_out[:k], so[:k])
     f = np.empty(n)
@@ -580,12 +617,20 @@ _EPS = sys.float_info.epsilon
 _MAX_DEFECT_EVALS = 300
 
 
-def _sweep_pair(system, E: float, i_match: int):
+def _sweep_pair(system, E: float, i_match: int, window=None):
     """The outward and inward sweeps at E from one coefficient build, the
-    solver's unit of work per energy: (matching defect at i_match, pair)."""
+    solver's unit of work per energy: (matching defect at i_match, pair).
+
+    Both sweeps cover the window (lo, hi) of nodes, which holds i_match and
+    is by default the whole grid: the outward sweep stops at hi and the
+    inward one at lo, about N + (hi - lo) RK4 steps in all.  The pair is
+    (outward, inward, window).
+    """
+    if window is None:
+        window = (0, system.grid.count - 1)
     tables = system.coefficients(E)
-    pair = (_propagate(system, E, tables, reverse=False),
-            _propagate(system, E, tables, reverse=True))
+    pair = (_propagate(system, E, tables, False, window[1]),
+            _propagate(system, E, tables, True, window[0]), window)
     d = _matching_defect(pair, i_match)
     if not math.isfinite(d):
         raise ConvergenceError(f"non-finite matching defect {d!r} at E={E!r}")
@@ -604,8 +649,13 @@ def _solve_eigenvalue(system, E_bracket):
     # fa, pa: the matching defect and sweep pair at a (likewise b, c)
     a, b = sorted(float(e) for e in E_bracket)
     i_match = _match_index(system, 0.5 * (a + b))
-    fa, pa = _sweep_pair(system, a, i_match)
-    fb, pb = _sweep_pair(system, b, i_match)
+    # each energy is swept only across the match points of the bracket's
+    # ends and midpoint; the merge sweeps the whole grid again in the rare
+    # case its glue node falls outside
+    ends = (_match_index(system, a), _match_index(system, b))
+    window = (min(i_match, *ends), max(i_match, *ends))
+    fa, pa = _sweep_pair(system, a, i_match, window)
+    fb, pb = _sweep_pair(system, b, i_match, window)
     if fa == 0.0:
         return a, pa
     if fb == 0.0:
@@ -651,7 +701,7 @@ def _solve_eigenvalue(system, E_bracket):
         a, fa, pa = b, fb, pb
         b_next = b + step if abs(step) > tol1 else b + math.copysign(tol1, half)
         b = b_next if b_next != b else math.nextafter(b, c)
-        fb, pb = _sweep_pair(system, b, i_match)
+        fb, pb = _sweep_pair(system, b, i_match, window)
     raise ConvergenceError(
         f"eigenvalue search did not converge in {_MAX_DEFECT_EVALS} steps; "
         f"bracket [{min(b, c)!r}, {max(b, c)!r}]",

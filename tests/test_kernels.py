@@ -57,6 +57,20 @@ def _run(reverse, kernel=rk4_linear2x2):
     return f, g, sc
 
 
+def _run_to(stop, reverse, kernel):
+    """``_run`` stopped at node ``stop``, into outputs that start as NaN."""
+    args = _coulomb_arrays()
+    n = len(args[0]) + 1
+    out = np.full(n, np.nan), np.full(n, np.nan), np.full(n, np.nan)
+    assert kernel(*args, reverse, *out, stop) == 0
+    return out
+
+
+def _swept(reverse, stop):
+    """The nodes a sweep to ``stop`` writes."""
+    return slice(stop, None) if reverse else slice(0, stop + 1)
+
+
 def _compiled():
     """The compiled kernel; it must be selected wherever ``cc`` exists."""
     if not HAVE_CC:
@@ -100,6 +114,52 @@ def test_each_backend_bit_identical(name, reverse):
     for values in _run(reverse, _kernel(name)):
         digest.update(values.tobytes())
     assert digest.hexdigest() == _KERNEL_SHA256[reverse]
+
+
+# sha256 of the y1, y2 and logscale bytes over the nodes swept by one
+# partial sweep of each direction on _coulomb_arrays() (outward to node 900,
+# inward to node 600): the full sweep's bytes on those nodes
+_PARTIAL_STOP = {False: 900, True: 600}
+_PARTIAL_SHA256 = {
+    False: "1e6cd46bf2647fc69f6421a0e9d382c9cd48115d7b382054f58b824354eb9890",
+    True: "cc51e593fadff595fb7432c06a85a2b8cbb57c2fca9240d12ed2f2ac73092aca",
+}
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("name", ["rk4_linear2x2", "_rk4_python", "_rk4_c"])
+def test_partial_sweep_pinned(name, reverse):
+    stop = _PARTIAL_STOP[reverse]
+    digest = hashlib.sha256()
+    for values in _run_to(stop, reverse, _kernel(name)):
+        digest.update(values[_swept(reverse, stop)].tobytes())
+    assert digest.hexdigest() == _PARTIAL_SHA256[reverse]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("name", ["_rk4_python", "_rk4_c"])
+def test_partial_sweep_is_the_full_sweep_on_its_nodes(name, reverse):
+    # the sweep is sequential: stopping early keeps every sample it writes
+    # and leaves the other nodes as they were
+    kernel = _kernel(name)
+    full = _run(reverse, kernel)
+    for stop in (0, 1, 499, 1000, 1498, 1499):
+        swept = _swept(reverse, stop)
+        for part, whole in zip(_run_to(stop, reverse, kernel), full):
+            assert part[swept].tobytes() == whole[swept].tobytes()
+            assert np.isnan(np.delete(part, np.arange(1500)[swept])).all()
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("name", ["rk4_linear2x2", "_rk4_python", "_rk4_c"])
+def test_stop_out_of_range_raises(name, reverse):
+    kernel = _kernel(name)
+    args = _coulomb_arrays(50)
+    for stop in (-1, 50, 10**6):
+        out = np.full(50, 7.0), np.full(50, 7.0), np.full(50, 7.0)
+        with pytest.raises(ValueError, match="stop"):
+            kernel(*args, reverse, *out, stop)
+        assert all((a == 7.0).all() for a in out)
 
 
 def test_backend_selected():
@@ -298,6 +358,31 @@ def test_mismatching_kernel_selects_python(monkeypatch):
         return perturbed
 
     monkeypatch.setattr(_kernels, "_wrap_compiled", off_by_one_ulp)
+    assert _kernels._select()[0] == "python"
+
+
+@pytest.mark.parametrize("misread", ["full-sweep", "one-node-short"])
+def test_kernel_mishandling_stop_selects_python(monkeypatch, misread):
+    # the self-check sweeps to a mid-grid node and to either end in both
+    # directions: a compiled kernel that misreads the stop node loses
+    _compiled()
+    wrap = _kernels._wrap_compiled
+
+    def misreading(fn):
+        kernel = wrap(fn)
+
+        def wrong_stop(*args):
+            n = len(args[0]) + 1
+            stop = args[11]
+            if misread == "full-sweep":
+                stop = None
+            elif 0 < stop < n - 1:
+                stop += 1 if args[7] else -1
+            return kernel(*args[:11], stop)
+
+        return wrong_stop
+
+    monkeypatch.setattr(_kernels, "_wrap_compiled", misreading)
     assert _kernels._select()[0] == "python"
 
 

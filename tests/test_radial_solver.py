@@ -64,13 +64,19 @@ def defect_calls(monkeypatch):
 
 @pytest.fixture
 def sweep_calls(monkeypatch):
-    """Counts RK4 kernel calls and coefficient-table builds."""
-    calls = {"kernel": 0, "coefficients": 0}
+    """Counts RK4 kernel calls and coefficient-table builds, and records
+    the steps each kernel call actually took: its outputs are filled with
+    NaN first, and every step writes one finite node."""
+    calls = {"kernel": 0, "coefficients": 0, "steps": []}
     kernel = rs.rk4_linear2x2
 
     def counted_kernel(*args):
         calls["kernel"] += 1
-        return kernel(*args)
+        y1 = args[8]
+        y1.fill(math.nan)
+        status = kernel(*args)
+        calls["steps"].append(int(np.count_nonzero(~np.isnan(y1))) - 1)
+        return status
 
     monkeypatch.setattr(rs, "rk4_linear2x2", counted_kernel)
     for cls in (rs._DiracSystem, rs._SchrodingerSystem):
@@ -365,17 +371,19 @@ class TestHotPath:
             system = rs._SchrodingerSystem(v, 0, 1.0, grid)
             e1, e2 = refs[0] - 0.05, refs[1]
         i = rs._match_index(system, e1)
+        window = (i - 10, i + 10)
 
         def sweeps_bytes(pair):
-            return [a.tobytes() for sweep in pair for a in sweep]
+            return [a.tobytes() for sweep in pair[:2] for a in sweep]
 
-        d1, pair1 = rs._sweep_pair(system, e1, i)
+        d1, pair1 = rs._sweep_pair(system, e1, i, window)
         before = sweeps_bytes(pair1)
-        d2, pair2 = rs._sweep_pair(system, e2, i)
+        d2, pair2 = rs._sweep_pair(system, e2, i, window)
+        assert pair1[2] == pair2[2] == window
         assert d1 != d2
         assert sweeps_bytes(pair1) == before
         tables = system.coefficients(e1)
-        arrays = [a for sweep in pair1 + pair2 for a in sweep]
+        arrays = [a for sweep in pair1[:2] + pair2[:2] for a in sweep]
         assert not any(np.shares_memory(a, b)
                        for k, a in enumerate(arrays)
                        for b in arrays[k + 1:] + list(tables))
@@ -438,6 +446,31 @@ class TestEigenvalueSearch:
         assert defect_calls[0] > 2
         assert sweep_calls["kernel"] == 2 * defect_calls[0]
         assert sweep_calls["coefficients"] == defect_calls[0]
+
+    @pytest.mark.parametrize("equation", ["dirac", "schrodinger"])
+    def test_each_energy_swept_across_the_window(self, sweep_calls,
+                                                 equation):
+        # the outward sweep stops at the window's upper node and the inward
+        # one at its lower node: hi + (n - 1 - lo) RK4 steps per energy,
+        # not 2 (n - 1); the merge sweeps nothing more
+        if equation == "dirac":
+            pot, grid, e_ref = _preserved_case()
+            bracket = (e_ref - 0.4e-4, e_ref + 0.6e-4)
+            system = rs._DiracSystem(pot, -2, 1.0, grid)
+            find_bound_state(pot, -2, 1.0, grid, bracket, 0)
+        else:
+            v, grid, refs = _airy_case()
+            bracket = (refs[0] - 0.08, refs[0] + 0.12)
+            system = rs._SchrodingerSystem(v, 0, 1.0, grid)
+            solve_schrodinger_radial(v, 0, 1.0, grid, bracket, 0)
+        n = grid.count
+        ends = [rs._match_index(system, e)
+                for e in (bracket[0], 0.5 * sum(bracket), bracket[1])]
+        lo, hi = min(ends), max(ends)
+        evaluations = sweep_calls["kernel"] // 2
+        assert evaluations > 2
+        assert sweep_calls["steps"] == [hi, n - 1 - lo] * evaluations
+        assert hi + (n - 1 - lo) <= 1.02 * n < 2 * (n - 1)
 
     def test_match_point_with_no_allowed_node(self):
         # the bracket's midpoint lies below the potential minimum, so no
@@ -516,13 +549,46 @@ class TestEigenvalueSearch:
                              (e_ref - 0.4e-4, e_ref + 0.6e-4), 0)
 
     def test_merge_without_live_match_point_raises(self, monkeypatch):
+        # all-zero sweeps, on the whole grid or on a window whose glue
+        # node search runs past it into whole-grid sweeps, all zeros again
         pot, grid, e_ref = _preserved_case()
         system = rs._DiracSystem(pot, -2, 1.0, grid)
         zeros = np.zeros(grid.count)
-        pair = ((zeros, zeros, zeros), (zeros, zeros, zeros))
         monkeypatch.setattr(rs, "_match_index", lambda *args: 8)
-        with pytest.raises(ConvergenceError):
-            rs._merge_and_scale(system, e_ref, pair)
+        monkeypatch.setattr(rs, "_propagate",
+                            lambda *args: (zeros, zeros, zeros))
+        for window in ((0, grid.count - 1), (8, 12)):
+            pair = ((zeros, zeros, zeros), (zeros, zeros, zeros), window)
+            with pytest.raises(ConvergenceError):
+                rs._merge_and_scale(system, e_ref, pair)
+
+    @pytest.mark.parametrize("case", ["above", "below", "zero-at-edge"])
+    def test_glue_outside_the_window_sweeps_the_whole_grid(
+            self, monkeypatch, sweep_calls, case):
+        # the glue node of the final energy leaves the match window: the
+        # merge sweeps that energy again across the whole grid and glues
+        # exactly as a merge of full sweeps does
+        pot, grid, e_ref = _preserved_case()
+        system = rs._DiracSystem(pot, -2, 1.0, grid)
+        energy, pair = rs._solve_eigenvalue(system, (e_ref - 0.4e-4,
+                                                     e_ref + 0.6e-4))
+        lo, hi = pair[2]
+        glue = {"above": hi + 3, "below": lo - 3, "zero-at-edge": hi}[case]
+        if case == "zero-at-edge":
+            # a zero of the inward sweep at the window's last node moves
+            # the glue node one past it
+            f_in = pair[1][0].copy()
+            f_in[hi] = 0.0
+            pair = (pair[0], (f_in,) + pair[1][1:], pair[2])
+        monkeypatch.setattr(rs, "_match_index", lambda *args: glue)
+        full = rs._sweep_pair(system, energy, glue)[1]
+        calls = sweep_calls["kernel"]
+        merged = rs._merge_and_scale(system, energy, pair)
+        assert sweep_calls["kernel"] == calls + 2
+        assert sweep_calls["steps"][-2:] == [grid.count - 1] * 2
+        expected = rs._merge_and_scale(system, energy, full)
+        assert sweep_calls["kernel"] == calls + 2
+        assert [a.tobytes() for a in merged] == [a.tobytes() for a in expected]
 
 
 class TestSuggestRmax:
