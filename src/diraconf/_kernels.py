@@ -1,4 +1,5 @@
-"""RK4 propagation kernel for coupled linear 2x2 radial systems.
+"""RK4 propagation kernel for coupled linear 2x2 radial systems, and the
+backend selection for it and the shooting systems' residuals.
 
 The coefficient matrix is sampled at the grid nodes and at the interval
 midpoints (index 2*i for node i, 2*i+1 for the midpoint of step i), so a
@@ -10,46 +11,39 @@ A sweep runs from one end of the grid to a stop node, the trailing
 positional argument ``stop``: outward it fills nodes 0..stop, inward
 stop..N-1, and it leaves the other output nodes untouched.  By default it
 sweeps the whole grid.  The sweep is sequential, so a partial sweep writes
-the same floats a full sweep writes on those nodes; a shoot-and-match
-solver that reads one interior node steps only as far as it needs.  A stop
-outside [0, N-1] is a ValueError on both backends.
+the same floats a full sweep writes on those nodes.  A stop outside
+[0, N-1] is a ValueError on both backends.
 
-Two backends compute the same bits.  ``_rk4_python`` is the reference loop.
-``_rk4.c`` is its C99 twin, built on the first kernel call (never at
-import) with the system ``cc`` and ``-O2 -ffp-contract=off -fPIC -shared
--lm``, into ``${XDG_CACHE_HOME:-~/.cache}/diraconf/<key>.so``, and loaded
-through ``ctypes``; the key is the sha256 of the source, the flags, the
-compiler's real path and the machine, so a cache hit starts no process.
-``rk4_linear2x2`` runs the C kernel only if it builds, loads and matches the
-Python loop bit for bit on a pinned self-check (both directions, each
-stopping at a mid-grid node and at either end); otherwise the Python loop.
-``backend()`` (``diraconf.kernel_backend``) names the one selected.
+Two backends compute the same bits.  The references are the Python loop
+``_rk4_python`` and the numpy residuals of ``radial_solver``.  ``_rk4.c``
+is their C99 twin, a CPython extension module built on the first call
+(never at import) with the system ``cc``, ``-O2 -ffp-contract=off -fPIC
+-shared -lm`` and the Python headers, into
+``${XDG_CACHE_HOME:-~/.cache}/diraconf/<key>.so``, and loaded with
+``importlib``'s ``ExtensionFileLoader``.  The key is the sha256 of the
+source, the flags, the compiler's real path, the machine and the
+interpreter's ``EXT_SUFFIX`` and include directory: a cache hit starts no
+process, and a module built for one interpreter is never loaded by another.
+The module is used only if it builds, loads and matches every reference bit
+for bit on a pinned self-check; otherwise the references run.  Each entry
+checks its arrays in C, through the buffer protocol: float64, 1-D, the
+stated length, C-contiguous, and writeable for the kernel's outputs
+(ValueError otherwise).  ``backend()`` (``diraconf.kernel_backend``) names
+the backend selected.
 
-Each compiled call first checks its eight arrays and its stop node,
-because the C loop trusts them: float64, the stated length (N - 1 steps,
-2N - 1 table samples, N outputs, whatever the stop node), C-contiguous,
-and writeable for the three outputs; anything else is a ValueError.  It
-takes each address from a ctypes view of the array's buffer, not from
-``ndarray.ctypes.data``, which builds the whole ``__array_interface__``
-each time; ctypes views only writeable buffers, so a read-only input table
-takes that slower route.  On a 10-point sweep the call costs about 13 us
-besides the RK4 steps (about 4 us of it the ctypes call itself), against
-about 31 us with eight ``.ctypes.data`` lookups (numpy 2.4, CPython 3.11,
-x86-64).
-
-The Python loop converts its inputs with ``ndarray.tolist()`` up front,
+The Python loop converts the slices a sweep reads with ``ndarray.tolist()``,
 which yields Python floats; ``list(arr)`` would yield ``numpy.float64``
 scalars, whose arithmetic costs about twice as much per operation.  The
 IEEE operations are the same either way, so the outputs are bit-identical.
 """
-import ctypes
 import functools
-import importlib
+import importlib.util
 import math
 import os
 import platform
 import shutil
 import tempfile
+from importlib.machinery import ExtensionFileLoader
 
 import numpy as np
 
@@ -88,11 +82,15 @@ def _rk4_python(step, a11, a12, a21, a22,
     """
     n = len(step) + 1
     stop = _stop_node(n, reverse, stop)
-    s = step.tolist()
-    b11 = a11.tolist()
-    b12 = a12.tolist()
-    b21 = a21.tolist()
-    b22 = a22.tolist()
+    # only the steps and samples the sweep reads, indexed from the slice's
+    # start: step[stop:] and samples [2*stop:] inward
+    steps = slice(stop, None) if reverse else slice(stop)
+    samples = slice(2 * stop, None) if reverse else slice(2 * stop + 1)
+    s = step[steps].tolist()
+    b11 = a11[samples].tolist()
+    b12 = a12[samples].tolist()
+    b21 = a21[samples].tolist()
+    b22 = a22[samples].tolist()
 
     y1 = y1_init
     y2 = y2_init
@@ -106,13 +104,14 @@ def _rk4_python(step, a11, a12, a21, a22,
         y2_out[0] = y2
         logscale_out[0] = acc
 
-    for i in range(n - 1 - stop if reverse else stop):
+    for i in range(len(s)):
         if reverse:
-            iw = n - 2 - i
-            h = -s[iw]
-            i0 = 2 * (iw + 1)
-            im = 2 * iw + 1
-            i1 = 2 * iw
+            k = len(s) - 1 - i  # the step into node stop + k
+            iw = stop + k
+            h = -s[k]
+            i0 = 2 * (k + 1)
+            im = 2 * k + 1
+            i1 = 2 * k
         else:
             iw = i + 1
             h = s[i]
@@ -164,11 +163,11 @@ def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def _build(cc, path):
+def _build(cc, include, path):
     """Compile ``_rk4.c`` into ``path``; False if the compiler fails.
 
-    The library is written under a unique name and renamed, so a
-    concurrent first use sees either no library or a whole one.
+    The module is written under a unique name and renamed, so a
+    concurrent first use sees either no module or a whole one.
     """
     import subprocess  # on a cache miss only
 
@@ -176,7 +175,8 @@ def _build(cc, path):
     fd, tmp = tempfile.mkstemp(suffix=".so.tmp", dir=_CACHE_DIR)
     os.close(fd)
     try:
-        built = subprocess.run([cc, *_FLAGS, "-o", tmp, _SOURCE, "-lm"],
+        built = subprocess.run([cc, *_FLAGS, "-I", include, "-o", tmp,
+                                _SOURCE, "-lm"],
                                capture_output=True).returncode == 0
         if built:
             os.replace(tmp, path)
@@ -186,83 +186,33 @@ def _build(cc, path):
             os.unlink(tmp)
 
 
-def _build_and_load():
-    """The compiled kernel's ctypes function, built into the cache on a miss.
-
-    Returns None when there is no compiler, the build fails or the cache
-    directory cannot be written.
-    """
+def _load():
+    """The compiled module, built into the cache on a miss; None without a
+    compiler or Python headers, or if the build, the cache directory or the
+    load fails."""
     cc = shutil.which(_CC)
     if cc is None:
         return None
+    import sysconfig  # about 3 ms; on the first kernel call only
+
+    include = sysconfig.get_paths()["include"]
     try:
         with open(_SOURCE, "rb") as fh:
             source = fh.read()
         key = _sha256(b"\0".join(
-            [source, " ".join(_FLAGS).encode(), os.path.realpath(cc).encode(),
-             platform.machine().encode()]))
+            [source] + [part.encode() for part in (
+                " ".join(_FLAGS), os.path.realpath(cc), platform.machine(),
+                sysconfig.get_config_var("EXT_SUFFIX"), include)]))
         path = os.path.join(_CACHE_DIR, key + ".so")
-        if not os.path.exists(path) and not _build(cc, path):
+        if not os.path.exists(path) and not _build(cc, include, path):
             return None
-        fn = ctypes.CDLL(path).diraconf_rk4_linear2x2
-    except OSError:
+        loader = ExtensionFileLoader("diraconf._rk4", path)
+        spec = importlib.util.spec_from_loader(loader.name, loader)
+        module = importlib.util.module_from_spec(spec)
+        loader.exec_module(module)
+        return module
+    except (ImportError, OSError):
         return None
-    pointer = ctypes.c_void_p
-    fn.argtypes = ([ctypes.c_long] + [pointer] * 5
-                   + [ctypes.c_double, ctypes.c_double, ctypes.c_int]
-                   + [pointer] * 3 + [ctypes.c_long])
-    fn.restype = ctypes.c_int
-    return fn
-
-
-_F64 = np.dtype(np.float64)
-_view = ctypes.c_char.from_buffer
-_addressof = ctypes.addressof
-
-
-def _address(a, size, output):
-    """Address of the first element of one kernel array, after the checks
-    the C loop relies on: float64 of length ``size``, C-contiguous and, for
-    an output, writeable (ValueError otherwise).
-
-    A ctypes view of the buffer gives the address in about a fifth of the
-    time of ``a.ctypes.data``, which builds the whole
-    ``__array_interface__``.  ctypes views only nonempty, C-contiguous,
-    writeable buffers, so a read-only input table takes the slower route.
-    """
-    if a.dtype != _F64 or a.shape != (size,):
-        raise ValueError(f"kernel arrays must be C-contiguous float64 of "
-                         f"length {size}, got {a.dtype} {a.shape}")
-    try:
-        return _addressof(_view(a))
-    except (TypeError, ValueError):  # not C-contiguous, read-only or empty
-        pass
-    if not a.flags.c_contiguous:
-        raise ValueError(f"kernel arrays must be C-contiguous float64 of "
-                         f"length {size}, got a strided {a.dtype} {a.shape}")
-    if output:
-        raise ValueError("kernel output arrays must be writeable")
-    return a.ctypes.data
-
-
-def _wrap_compiled(fn):
-    """The ctypes function behind the kernel's Python signature."""
-
-    def _rk4_c(step, a11, a12, a21, a22,
-               y1_init, y2_init, reverse,
-               y1_out, y2_out, logscale_out, stop=None):
-        n = len(step) + 1
-        m = 2 * n - 1
-        # the C loop trusts these lengths and the stop node: check them
-        # before passing pointers
-        return fn(n, _address(step, n - 1, False), _address(a11, m, False),
-                  _address(a12, m, False), _address(a21, m, False),
-                  _address(a22, m, False), y1_init, y2_init,
-                  1 if reverse else 0, _address(y1_out, n, True),
-                  _address(y2_out, n, True), _address(logscale_out, n, True),
-                  _stop_node(n, reverse, stop))
-
-    return _rk4_c
 
 
 def _self_check_input():
@@ -295,15 +245,54 @@ def _same_bits(kernel, reference):
     return True
 
 
+def _residual_check_inputs():
+    """Pinned residual inputs on 65 log-spaced nodes whose tails fall below
+    the live threshold: the Dirac-Coulomb ground state (lam 0.5, kappa -1)
+    with small linear v1 and v2 and the hydrogen ground state, each as it
+    is, with a NaN, and as zeros."""
+    h = 0.125
+    r = np.exp(-4.0 + h * np.arange(65))
+    s = math.sqrt(0.75)
+    f = r ** (s - 1.0) * np.exp(-0.5 * r)
+    u = r * np.exp(-r)
+    nan = np.ones(65)
+    nan[30] = np.nan
+    for k in (1.0, nan, 0.0):
+        yield ((k * f, 2.0 * (s - 1.0) * f, r, -0.5 / r, 1e-4 * r, -2e-4 * r,
+                s, 1.0, -1, h),
+               (k * u, (1.0 - r) * np.exp(-r), r, -1.0 / r, 0.5, 1.0, h))
+
+
+def _same_residuals(residuals, references):
+    """True when the Dirac and Schroedinger ``residuals`` give the
+    ``references``' float.hex on every pinned input."""
+    return all(float.hex(residual(*args)) == float.hex(reference(*args))
+               for inputs in _residual_check_inputs()
+               for residual, reference, args
+               in zip(residuals, references, inputs))
+
+
+def _references():
+    """("python", the Python loop and the numpy residuals)."""
+    # radial_solver imports this module, so its residuals are imported late
+    from .radial_solver import _dirac_fd_residual, _schrodinger_fd_residual
+
+    return "python", _rk4_python, _dirac_fd_residual, _schrodinger_fd_residual
+
+
 def _select():
-    """("c", compiled kernel) if it builds, loads and reproduces the Python
-    loop bit for bit; otherwise ("python", the Python loop)."""
-    fn = _build_and_load()
-    if fn is not None:
-        compiled = _wrap_compiled(fn)
-        if _same_bits(compiled, _rk4_python):
-            return "c", compiled
-    return "python", _rk4_python
+    """("c", the compiled kernel and residuals) if the module builds, loads
+    and reproduces every reference bit for bit; otherwise ``_references``."""
+    references = _references()
+    module = _load()
+    if module is None:
+        return references
+    compiled = ("c", module.rk4_linear2x2, module.dirac_fd_residual,
+                module.schrodinger_fd_residual)
+    if (_same_bits(compiled[1], references[1])
+            and _same_residuals(compiled[2:], references[2:])):
+        return compiled
+    return references
 
 
 _selected = functools.cache(_select)
@@ -318,16 +307,22 @@ def rk4_linear2x2(step, a11, a12, a21, a22,
                   y1_init, y2_init, reverse,
                   y1_out, y2_out, logscale_out, stop=None):
     """Propagate y' = A(t) y from one end of the grid to node ``stop`` with
-    the selected backend.
+    the selected backend, under the contract of ``_rk4_python``.
 
-    Same contract as ``_rk4_python``: the outward sweep fills nodes
-    0..stop and the inward sweep stop..N-1, and the default sweeps the
-    whole grid.  The samples a partial sweep writes are the same floats a
-    full sweep writes there.  ``stop`` must be passed positionally (the
-    benchmark's tracer forwards positional arguments only); outside
-    [0, N-1] it is a ValueError.  The compiled backend also requires
+    ``stop`` must be passed positionally: the benchmark's tracer forwards
+    positional arguments only.  The compiled backend also requires
     C-contiguous float64 arrays of the stated lengths (ValueError
     otherwise).
     """
     return _selected()[1](step, a11, a12, a21, a22, y1_init, y2_init,
                           reverse, y1_out, y2_out, logscale_out, stop)
+
+
+def dirac_fd_residual(f, g, r, v0, v1, v2, E, m, kappa, h):
+    """``radial_solver._dirac_fd_residual`` with the selected backend."""
+    return _selected()[2](f, g, r, v0, v1, v2, E, m, kappa, h)
+
+
+def schrodinger_fd_residual(u, du, r, v_eff, E, m, h):
+    """``radial_solver._schrodinger_fd_residual`` with the selected backend."""
+    return _selected()[3](u, du, r, v_eff, E, m, h)

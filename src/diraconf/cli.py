@@ -276,6 +276,10 @@ def cmd_solve(args) -> int:
         raise DomainError(f"--lambda must be positive for family {args.family}")
     if args.lam < 0:
         raise DomainError("--lambda must be >= 0")
+    if args.family == "coulomb-linear" and args.mu < 0:
+        raise DomainError(
+            f"--mu must be >= 0 for family coulomb-linear, got {args.mu!r}: "
+            "a negative scalar slope gives no normalizable state")
     rows, wavefunction = _SOLVE_FAMILIES[args.family](args)
     _emit(rows, args.format, args.output)
     if args.dump_wavefunction:

@@ -17,26 +17,27 @@ at an interior matching radius (the midpoint's turning point) to the
 rounding floor, and the state is the final energy's pair glued inside the
 window, with no further sweep; only a glue node outside the window sweeps
 that energy once more across the whole grid.  A fourth-order Runge-Kutta
-kernel (``diraconf._kernels``: compiled C when it builds and reproduces the
-Python loop bit for bit, the Python loop otherwise) steps in t = ln r, on a
-logarithmic ``RadialGrid`` that resolves the power-law start at the origin
-from the first step.  The
-potential tables are sampled once per system and must be finite there
+kernel steps in t = ln r, on a logarithmic ``RadialGrid`` that resolves
+the power-law start at the origin from the first step.  The kernel and the
+systems' residuals (``_dirac_fd_residual``, ``_schrodinger_fd_residual``)
+run as compiled C when ``diraconf._kernels`` builds a module that
+reproduces them bit for bit, and as the Python loop and numpy otherwise.
+The potential tables are sampled once per system and must be finite there
 (``DomainError`` otherwise), so the kernel's own non-finite check only
 guards the sweep itself.
 
 Work is split by how often it is needed.  Per system (one
 ``_DiracSystem``/``_SchrodingerSystem``): every potential table in one
 guarded sampling pass (``_sampled``), the constant kernel tables and -r,
-the potentials at the nodes, the residual's (kappa +- 1)/r, r^2 for the
-density, the centrifugal term of the match point, and the seeds' inputs as
-plain floats.  Per energy (``_sweep_pair``): the off-diagonal tables,
+the potentials at the nodes, r^2 for the density, the centrifugal term of
+the match point, and the seeds' inputs as plain floats.  Per energy (``_sweep_pair``): the off-diagonal tables,
 written into two buffers the system reuses (no sweep keeps them), the two
 seeds in plain-float arithmetic, two kernel calls across the match window
 into new output arrays (about N + (hi - lo) RK4 steps instead of 2(N - 1))
-and the matching defect.  Per solve: the match window, the glue, the norm,
-the node count and the residual, each in as few array passes as keep the
-per-element order of operations, so every output bit is unchanged.
+and the matching defect.  Per solve: the match window, the glue, the norm
+and the node count, each in as few array passes as keep the per-element
+order of operations, and the residual in one compiled call, so every
+output bit is unchanged.
 
 A radial Schroedinger solver built on the same machinery handles the
 nonrelativistic confining problems (single component u(r), with
@@ -59,7 +60,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._kernels import rk4_linear2x2
+from ._kernels import (dirac_fd_residual, rk4_linear2x2,
+                       schrodinger_fd_residual)
 from .coulomb import dirac_coulomb_energy
 from .errors import BracketError, ConvergenceError, DomainError, WrongStateError
 from .quantum_numbers import radial_nodes
@@ -111,7 +113,9 @@ class RadialGrid:
 
     @cached_property
     def r(self) -> np.ndarray:
-        return np.exp(self.t)
+        # exp(t) bit for bit: point 2k of r_all's linspace is 2k times half
+        # t's step (halving is exact) plus the start, as is t[k]
+        return self.r_all[::2].copy()
 
     @cached_property
     def r_all(self) -> np.ndarray:
@@ -308,16 +312,15 @@ class _DiracSystem:
         self._a12 = np.empty_like(ra)
         self._a21 = np.empty_like(ra)
         self._v0, self._v1, self._v2 = (v[::2].copy() for v in (v0, v1, v2))
-        # tables of the residual, density and match point; on extreme grids
-        # they overflow to inf, which ends in a non-finite residual or sweep
+        # tables of the density and match point; on extreme grids they
+        # overflow to inf, which ends in a non-finite residual or sweep
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            self._kf = (kappa + 1.0) / rn[_INTERIOR]
-            self._kg = (kappa - 1.0) / rn[_INTERIOR]
             mass = m + self._v1
             self._mass2 = mass * mass
             self._centrifugal = kappa * (kappa + 1.0) / rn**2
             self._r2 = rn**2
         self._r0 = float(rn[0])
+        self._h = float(grid.steps[0])
         self._v_start = float(v0[0] + v1[0] + v2[0])
         self._p_start = float(v1[0] - v0[0] - v2[0])
         self._v0_end = float(v0[-1])
@@ -388,14 +391,9 @@ class _DiracSystem:
 
     def residual(self, E: float, f, g) -> float:
         """Relative defect of the two radial equations, derivatives by
-        finite differences."""
-        m, i = self.m, _INTERIOR
-        v0, v1, v2 = self._v0[i], self._v1[i], self._v2[i]
-        return _fd_residual(
-            _dirac_sums(f[i], _fd_dr(self.grid, f), g[i], _fd_dr(self.grid, g),
-                        self._kf, self._kg, E + m + v1 - v0 - v2,
-                        E - m - v1 - v0 - v2),
-            np.maximum(np.abs(f), np.abs(g)))
+        finite differences (``_dirac_fd_residual``)."""
+        return dirac_fd_residual(f, g, self.grid.r, self._v0, self._v1,
+                                 self._v2, E, self.m, self.kappa, self._h)
 
 
 class _SchrodingerSystem:
@@ -428,6 +426,7 @@ class _SchrodingerSystem:
             self._r_2m = ra * 2.0 * m
             self._centrifugal = ell * (ell + 1.0) / rn**2
         self._r0 = float(rn[0])
+        self._h = float(grid.steps[0])
         self._v_eff_end = float(self.v_eff[-1])
 
     def coefficients(self, E: float):
@@ -455,11 +454,10 @@ class _SchrodingerSystem:
         return u * u
 
     def residual(self, E: float, u, du) -> float:
-        """Relative defect of -u''/2m + (v_eff - (E-m)) u = 0 (u'' from the
-        sampled du)."""
-        t1 = _fd_dr(self.grid, du) / (2.0 * self.m)
-        t2 = (self._v_eff[_INTERIOR] - (E - self.m)) * u[_INTERIOR]
-        return _fd_residual([(t2 - t1, np.abs(t1) + np.abs(t2))], np.abs(u))
+        """Relative defect of -u''/2m + (v_eff - (E-m)) u = 0, u'' by
+        finite differences of du (``_schrodinger_fd_residual``)."""
+        return schrodinger_fd_residual(u, du, self.grid.r, self._v_eff, E,
+                                       self.m, self._h)
 
 
 def _propagate(system, E: float, tables, reverse: bool, stop=None):
@@ -585,11 +583,11 @@ def _count_nodes(values: np.ndarray, live: np.ndarray) -> int:
 _INTERIOR = slice(2, -2)
 
 
-def _fd_dr(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
-    """d/dr by fourth-order central differences in t, at the ``_INTERIOR``
-    nodes."""
+def _fd_dr(r: np.ndarray, h: float, values: np.ndarray) -> np.ndarray:
+    """d/dr by fourth-order central differences in t = ln r (node spacing
+    h), at the ``_INTERIOR`` nodes of the radii r."""
     return ((values[:-4] - 8 * values[1:-3] + 8 * values[3:-1] - values[4:])
-            / (12.0 * float(grid.steps[0])) / grid.r[_INTERIOR])
+            / (12.0 * h) / r[_INTERIOR])
 
 
 def _fd_residual(equations, scale: np.ndarray) -> float:
@@ -609,6 +607,34 @@ def _fd_residual(equations, scale: np.ndarray) -> float:
     rel = [np.abs(total[live]) / (size[live] + 1e-300)
            for total, size in equations]
     return float(np.max(rel))
+
+
+# The shooting systems' residuals, from the nodes r (spacing h in ln r) and
+# the potentials at the nodes.  These are the references of the compiled
+# entries of ``_rk4.c``: they use only +, -, *, /, abs, comparisons and max,
+# and ``_kernels`` selects the compiled module only if it gives the same
+# float on a pinned self-check.
+
+def _dirac_fd_residual(f, g, r, v0, v1, v2, E, m, kappa, h) -> float:
+    """``_fd_residual`` of the two radial Dirac equations."""
+    i = _INTERIOR
+    v0, v1, v2 = v0[i], v1[i], v2[i]
+    # on extreme grids (kappa +- 1)/r overflows to inf, which ends in a
+    # non-finite residual
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        kf = (kappa + 1.0) / r[i]
+        kg = (kappa - 1.0) / r[i]
+    return _fd_residual(
+        _dirac_sums(f[i], _fd_dr(r, h, f), g[i], _fd_dr(r, h, g), kf, kg,
+                    E + m + v1 - v0 - v2, E - m - v1 - v0 - v2),
+        np.maximum(np.abs(f), np.abs(g)))
+
+
+def _schrodinger_fd_residual(u, du, r, v_eff, E, m, h) -> float:
+    """``_fd_residual`` of -u''/2m + (v_eff - (E-m)) u = 0."""
+    t1 = _fd_dr(r, h, du) / (2.0 * m)
+    t2 = (v_eff[_INTERIOR] - (E - m)) * u[_INTERIOR]
+    return _fd_residual([(t2 - t1, np.abs(t1) + np.abs(t2))], np.abs(u))
 
 
 _EPS = sys.float_info.epsilon

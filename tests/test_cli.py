@@ -263,6 +263,17 @@ class TestSolve:
                                "antiparticle-linear", "--mu", "-0.5")
         assert code == 2
 
+    def test_negative_mu_of_the_linear_pair_rejected(self, capsys):
+        # ansatz rejects the same mu < 0 as non-normalizable; the solve
+        # used to exit 0 with the Coulomb energy
+        code, out, err = run_cli(capsys, "solve", "--family",
+                                 "coulomb-linear", "--lambda", "0.5",
+                                 "--kappa0", "-1", "--n", "1", "--kappa",
+                                 "-1", "--mu=-1e-4")
+        assert code == 2
+        assert out == ""
+        assert "domain error" in err and "--mu" in err
+
     # in this class the solve cases are named by the mass alone
     @pytest.mark.parametrize("command, mass", [
         pytest.param(command, mass,

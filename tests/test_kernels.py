@@ -1,22 +1,27 @@
 """The RK4 kernel: pinned output bytes, the rescaling bookkeeping, and the
-compiled backend against the Python loop."""
+compiled backend against the Python loop and the numpy residuals."""
 import hashlib
 import math
 import os
 import shutil
 import subprocess
 import sys
+import sysconfig
+import types
 
 import numpy as np
 import pytest
 
 from diraconf import _kernels
+from diraconf import radial_solver as rs
 from diraconf._kernels import _rk4_python, rk4_linear2x2
+from diraconf.ansatz import nu_fine_tuned
 from diraconf.coulomb import dirac_coulomb_energy
 from diraconf.fw_effective import antiparticle_spectrum_airy
 from diraconf.radial_solver import (
     airy_grid,
     coulomb_grid,
+    coulomb_plus_linear,
     coulomb_potential,
     find_bound_state,
     solve_schrodinger_radial,
@@ -71,13 +76,19 @@ def _swept(reverse, stop):
     return slice(stop, None) if reverse else slice(0, stop + 1)
 
 
-def _compiled():
-    """The compiled kernel; it must be selected wherever ``cc`` exists."""
+def _compiled_backend():
+    """The compiled backend: ("c", kernel, Dirac residual, Schroedinger
+    residual); it must be selected wherever ``cc`` exists."""
     if not HAVE_CC:
         pytest.skip("no C compiler on PATH")
-    name, kernel = _SELECTED()
-    assert name == "c"
-    return kernel
+    selected = _SELECTED()
+    assert selected[0] == "c"
+    return selected
+
+
+def _compiled():
+    """The compiled kernel."""
+    return _compiled_backend()[1]
 
 
 def _kernel(name):
@@ -86,8 +97,9 @@ def _kernel(name):
 
 
 def _use_backend(monkeypatch, name):
-    kernel = _rk4_python if name == "python" else _compiled()
-    monkeypatch.setattr(_kernels, "_selected", lambda: (name, kernel))
+    selected = (_kernels._references() if name == "python"
+                else _compiled_backend())
+    monkeypatch.setattr(_kernels, "_selected", lambda: selected)
 
 
 # sha256 of the y1, y2 and logscale bytes of the kernel on
@@ -240,7 +252,7 @@ def _dirac_n2(monkeypatch, backend):
     state = find_bound_state(coulomb_potential(lam), kappa, m,
                              coulomb_grid(lam, n, kappa, m, 2000),
                              (e_ref - 0.25 * gap, e_ref + 0.25 * gap), n - 1)
-    return [state.energy.hex()], [state.f, state.g]
+    return [state.energy.hex(), state.residual.hex()], [state.f, state.g]
 
 
 def _airy_ladder(monkeypatch, backend):
@@ -258,7 +270,7 @@ def _airy_ladder(monkeypatch, backend):
         lo = refs[k] - 0.45 * (refs[k] - (refs[k - 1] if k else m))
         hi = refs[k] + 0.45 * (refs[k + 1] - refs[k])
         state = solve_schrodinger_radial(v, 0, m, grid, (lo, hi), k)
-        energies.append(state.energy.hex())
+        energies += [state.energy.hex(), state.residual.hex()]
         arrays += [state.u, state.du]
     return energies, arrays
 
@@ -275,28 +287,38 @@ def test_full_solves_match_across_backends(monkeypatch, solve):
     assert results["c"] == results["python"]
 
 
+def _bad_arrays(a):
+    """Arrays holding a's values that no compiled entry may read."""
+    wide = np.empty(2 * len(a))
+    wide[::2] = a
+    return {"strided": wide[::2], "short": a[:-1],
+            "float32": a.astype(np.float32), "int64": a.astype(np.int64),
+            "big-endian": a.astype(">f8"), "2-D": a.reshape(1, -1)}
+
+
 def test_compiled_rejects_arrays_it_cannot_read():
+    # the step array, a table and an output replaced in turn by each bad
+    # array, then each output made read-only: a ValueError every time
     kernel = _compiled()
-    steps, a11, a12, a21, a22, f0, g0 = _coulomb_arrays(50)
-    out = np.empty(50), np.empty(50), np.empty(50)
-    with pytest.raises(ValueError):
-        kernel(steps, a11[::-1], a12, a21, a22, f0, g0, False, *out)
-    with pytest.raises(ValueError):
-        kernel(steps, a11[:-1], a12, a21, a22, f0, g0, False, *out)
-    with pytest.raises(ValueError):
-        kernel(steps, a11.astype(np.float32), a12, a21, a22, f0, g0, False,
-               *out)
-    for k in range(3):  # a ValueError, not the TypeError of a ctypes view
+    for position in (0, 1, 8):
+        for bad in _bad_arrays(np.ones(3)):
+            args = list(_coulomb_arrays(50))
+            args[7:] = [False, np.full(50, 7.0), np.empty(50), np.empty(50)]
+            args[position] = _bad_arrays(args[position])[bad]
+            with pytest.raises(ValueError):
+                kernel(*args, None)
+            if position != 8:
+                assert (args[8] == 7.0).all()
+    for k in range(3):
         out = [np.empty(50), np.empty(50), np.empty(50)]
         out[k].flags.writeable = False
-        with pytest.raises(ValueError):
-            kernel(steps, a11, a12, a21, a22, f0, g0, False, *out)
+        with pytest.raises(ValueError, match="writeable"):
+            kernel(*_coulomb_arrays(50), False, *out)
 
 
 @pytest.mark.parametrize("position", range(5))
 def test_compiled_reads_read_only_tables(position):
-    # ctypes views only writeable buffers: a read-only input table takes the
-    # slower pointer route and gives the same bytes
+    # read-only input tables are read like any other and give the same bytes
     kernel = _compiled()
     args = list(_coulomb_arrays(50))
     ref = np.empty(50), np.empty(50), np.empty(50)
@@ -311,7 +333,7 @@ def test_compiled_reads_read_only_tables(position):
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_zero_step_sweep_matches_across_backends(reverse):
-    # one node: no step, and empty step buffers that ctypes cannot view
+    # one node: no step, and an empty step buffer
     outs = []
     for kernel in (_rk4_python, _compiled()):
         out = np.full(1, 7.0), np.full(1, 7.0), np.full(1, 7.0)
@@ -319,6 +341,128 @@ def test_zero_step_sweep_matches_across_backends(reverse):
                         *out)
         outs.append((status, [a.tolist() for a in out]))
     assert outs[0] == outs[1] == (0, [[2.0], [3.0], [0.0]])
+
+
+def _residual_args(y1, y2, system):
+    """Arguments of each residual for the samples y1, y2 on a 40-node grid
+    (the Dirac one with a linear pair, the Schroedinger one a slope)."""
+    grid = rs.RadialGrid(1e-3, 20.0, 40)
+    r, h = grid.r, float(grid.steps[0])
+    if system == "dirac":
+        return y1, y2, r, -0.5 / r, 1e-3 * r, -7e-4 * r, 0.83, 1.0, -2, h
+    return y1, y2, r, 0.6 * r, 1.7, 1.0, h
+
+
+def _residual_cases():
+    """(name, y1, y2): edge inputs of the residual on the 40-node grid."""
+    r = rs.RadialGrid(1e-3, 20.0, 40).r
+    f = r * np.exp(-r)
+    g = -0.2 * r * np.exp(-r)
+    cases = {"smooth": (f, g), "zeros": (0 * f, 0 * g)}
+    for name, value in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf)):
+        for node in (0, 20):  # an end node and a live interior node
+            bad = f.copy()
+            bad[node] = value
+            cases[f"{name}-at-{node}"] = (bad, g)
+            cases[f"{name}-in-y2-at-{node}"] = (f, np.where(
+                np.arange(40) == node, value, g))
+    # a single live node: every other sample below 1e-8 of the peak
+    one = np.full(40, 1e-12)
+    one[17] = 1.0
+    cases["one-live-node"] = (one, 0.5 * one)
+    cases["one-live-node-of-y2"] = (np.zeros(40), one)
+    return cases
+
+
+@pytest.mark.parametrize("system", ["dirac", "schrodinger"])
+@pytest.mark.parametrize("case", list(_residual_cases()))
+def test_residual_matches_across_backends(system, case):
+    compiled = _compiled_backend()[2 if system == "dirac" else 3]
+    reference = _kernels._references()[2 if system == "dirac" else 3]
+    args = _residual_args(*_residual_cases()[case], system)
+    with np.errstate(all="ignore"):  # numpy warns where inf meets inf
+        expected = reference(*args)
+    assert float.hex(compiled(*args)) == float.hex(expected)
+    # the Schroedinger residual's scale is |u| alone, not |du|
+    in_scale = system == "dirac" or "y2" not in case
+    nonfinite = case.startswith(("nan", "inf", "-inf"))
+    if case == "zeros" or (nonfinite and in_scale):
+        assert expected == math.inf  # no live node
+    elif case.startswith("one-live-node") and in_scale:
+        assert 0.0 <= expected <= 1.0
+
+
+def _solved(system_kind):
+    """(residual arguments, residual) of real solves on the selected
+    backend: preserved levels at three slopes and an n = 2 Coulomb level,
+    or a three-state Airy ladder."""
+    m = 1.0
+    if system_kind == "dirac":
+        lam, kappa0 = 0.3, -2
+        e_ref = dirac_coulomb_energy(2, kappa0, lam, m)
+        grid = coulomb_grid(lam, 2, kappa0, m, 1000)
+        cases = [(coulomb_plus_linear(lam, mu,
+                                      nu_fine_tuned(mu, lam, kappa0)),
+                  kappa0, grid, (e_ref - 5e-5, e_ref + 5e-5), 0)
+                 for mu in (1e-5, 1e-3, 0.02)]
+        e2 = dirac_coulomb_energy(2, -1, 0.5, m)
+        cases.append((coulomb_potential(0.5), -1,
+                      coulomb_grid(0.5, 2, -1, m, 2000),
+                      (e2 - 0.01, e2 + 0.01), 1))
+        for pot, kappa, grid, bracket, nodes in cases:
+            system = rs._DiracSystem(pot, kappa, m, grid)
+            energy, f, g, _, residual = rs._shoot(system, bracket, nodes)
+            yield ((f, g, grid.r, system._v0, system._v1, system._v2, energy,
+                    m, kappa, system._h), residual)
+        return
+    refs = antiparticle_spectrum_airy(0.3, m, count=4)
+
+    def v(r):
+        return 0.6 * np.asarray(r, dtype=float)
+
+    grid = airy_grid(v, 0.6, refs[2], m, 1500)
+    system = rs._SchrodingerSystem(v, 0, m, grid)
+    for k in range(3):
+        lo = refs[k] - 0.45 * (refs[k] - (refs[k - 1] if k else m))
+        hi = refs[k] + 0.45 * (refs[k + 1] - refs[k])
+        energy, u, du, _, residual = rs._shoot(system, (lo, hi), k)
+        yield (u, du, grid.r, system._v_eff, energy, m, system._h), residual
+
+
+@pytest.mark.parametrize("system", ["dirac", "schrodinger"])
+def test_residual_of_real_solves_matches_across_backends(system):
+    index = 2 if system == "dirac" else 3
+    compiled = _compiled_backend()[index]
+    reference = _kernels._references()[index]
+    for args, residual in _solved(system):
+        assert float.hex(compiled(*args)) == float.hex(reference(*args))
+        assert float.hex(compiled(*args)) == float.hex(residual)
+        assert 0.0 < residual < 1e-2
+
+
+def _compiled_residuals():
+    """(system, compiled residual) of both systems."""
+    return zip(("dirac", "schrodinger"), _compiled_backend()[2:])
+
+
+def test_residual_entries_reject_arrays_they_cannot_read():
+    for system, residual in _compiled_residuals():
+        for position in range(4):
+            for bad in _bad_arrays(np.ones(3)):
+                args = list(_residual_args(*_residual_cases()["smooth"],
+                                           system))
+                args[position] = _bad_arrays(args[position])[bad]
+                with pytest.raises(ValueError):
+                    residual(*args)
+
+
+def test_residual_entries_read_read_only_arrays():
+    for system, residual in _compiled_residuals():
+        args = _residual_args(*_residual_cases()["smooth"], system)
+        expected = residual(*args)
+        for a in args[:4]:
+            a.flags.writeable = False
+        assert float.hex(residual(*args)) == float.hex(expected)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -333,6 +477,43 @@ def test_failed_build_selects_python(monkeypatch, tmp_path, name, value):
     assert os.listdir(tmp_path) == []
 
 
+def test_build_without_python_headers_selects_python(monkeypatch, tmp_path):
+    # an interpreter installed without its headers builds no module
+    _compiled()
+    paths = sysconfig.get_paths()
+    monkeypatch.setattr(sysconfig, "get_paths", lambda: {
+        **paths, "include": str(tmp_path / "no-headers")})
+    monkeypatch.setattr(_kernels, "_CACHE_DIR", str(tmp_path / "cache"))
+    assert _kernels._select()[0] == "python"
+    assert os.listdir(tmp_path / "cache") == []
+
+
+def test_module_that_fails_to_load_selects_python(monkeypatch, tmp_path):
+    # a cached file that is no extension module (or one the dynamic loader
+    # refuses) raises ImportError on load
+    def build_garbage(cc, include, path):
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as fh:
+            fh.write(b"not a shared object")
+        return True
+
+    monkeypatch.setattr(_kernels, "_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(_kernels, "_build", build_garbage)
+    assert _kernels._load() is None
+    assert _kernels._select()[0] == "python"
+
+
+def test_source_compiles_without_warnings(tmp_path):
+    include = sysconfig.get_paths()["include"]
+    if not HAVE_CC or not os.path.exists(os.path.join(include, "Python.h")):
+        pytest.skip("needs cc and the Python headers")
+    proc = subprocess.run(
+        [_kernels._CC, *_kernels._FLAGS, "-Wall", "-Wextra", "-Werror",
+         "-I", include, "-o", str(tmp_path / "module.so"), _kernels._SOURCE,
+         "-lm"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
 def test_unwritable_cache_selects_python(monkeypatch, tmp_path):
     # the cache directory would sit below a regular file, so it cannot be
     # created; unlike a chmod 0o500 parent, this also holds for root
@@ -342,22 +523,42 @@ def test_unwritable_cache_selects_python(monkeypatch, tmp_path):
     assert _kernels._select()[0] == "python"
 
 
-def test_mismatching_kernel_selects_python(monkeypatch):
-    # selection is by observation: a compiled kernel that moves one bit loses
+def _load_altered(monkeypatch, entry, alter):
+    """Make ``_kernels._load`` return the compiled module's three entries,
+    with ``entry`` replaced by ``alter(entry)``."""
     _compiled()
-    wrap = _kernels._wrap_compiled
+    module = _kernels._load()
+    entries = {name: getattr(module, name) for name in (
+        "rk4_linear2x2", "dirac_fd_residual", "schrodinger_fd_residual")}
+    entries[entry] = alter(entries[entry])
+    monkeypatch.setattr(_kernels, "_load",
+                        lambda: types.SimpleNamespace(**entries))
 
-    def off_by_one_ulp(fn):
-        kernel = wrap(fn)
 
-        def perturbed(*args):
-            status = kernel(*args)
-            args[8][-1] = np.nextafter(args[8][-1], np.inf)
-            return status
+def _off_by_one_ulp(kernel):
+    def perturbed(*args):
+        status = kernel(*args)
+        args[8][-1] = np.nextafter(args[8][-1], np.inf)
+        return status
 
-        return perturbed
+    return perturbed
 
-    monkeypatch.setattr(_kernels, "_wrap_compiled", off_by_one_ulp)
+
+def test_mismatching_kernel_selects_python(monkeypatch):
+    # selection is by observation: a compiled kernel that moves one bit
+    # loses, while the same entries unaltered are selected
+    _load_altered(monkeypatch, "rk4_linear2x2", lambda entry: entry)
+    assert _kernels._select()[0] == "c"
+    _load_altered(monkeypatch, "rk4_linear2x2", _off_by_one_ulp)
+    assert _kernels._select()[0] == "python"
+
+
+@pytest.mark.parametrize("entry", ["dirac_fd_residual",
+                                   "schrodinger_fd_residual"])
+def test_mismatching_residual_selects_python(monkeypatch, entry):
+    _load_altered(monkeypatch, entry,
+                  lambda residual: lambda *args: math.nextafter(
+                      residual(*args), math.inf))
     assert _kernels._select()[0] == "python"
 
 
@@ -365,12 +566,7 @@ def test_mismatching_kernel_selects_python(monkeypatch):
 def test_kernel_mishandling_stop_selects_python(monkeypatch, misread):
     # the self-check sweeps to a mid-grid node and to either end in both
     # directions: a compiled kernel that misreads the stop node loses
-    _compiled()
-    wrap = _kernels._wrap_compiled
-
-    def misreading(fn):
-        kernel = wrap(fn)
-
+    def misreading(kernel):
         def wrong_stop(*args):
             n = len(args[0]) + 1
             stop = args[11]
@@ -382,7 +578,7 @@ def test_kernel_mishandling_stop_selects_python(monkeypatch, misread):
 
         return wrong_stop
 
-    monkeypatch.setattr(_kernels, "_wrap_compiled", misreading)
+    _load_altered(monkeypatch, "rk4_linear2x2", misreading)
     assert _kernels._select()[0] == "python"
 
 

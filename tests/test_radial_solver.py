@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import diraconf.radial_solver as rs
 from diraconf.ansatz import build_ansatz, evaluate_spinor, nu_fine_tuned
@@ -128,6 +130,23 @@ class TestGrid:
         assert np.all(np.diff(g.r_all) > 0)
         # midpoints are geometric means on the log grid
         assert g.r_all[1] == pytest.approx(math.sqrt(g.r[0] * g.r[1]), rel=1e-12)
+
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              database=None)
+    @given(count=st.integers(16, 5000), low=st.floats(-300.0, 300.0),
+           decades=st.floats(1e-3, 12.0))
+    def test_nodes_are_every_other_radius_of_r_all(self, count, low, decades):
+        # r is a strided copy of r_all, whose linspace has half the step of
+        # the nodes' linspace: the same floats as exp of the nodes' own
+        # linspace, bit for bit
+        r_min = 10.0**low
+        r_max = r_min * 10.0**decades
+        assume(math.isfinite(r_max) and r_max > r_min)
+        g = RadialGrid(r_min, r_max, count)
+        t = np.linspace(math.log(r_min), math.log(r_max), count)
+        expected = np.exp(t)
+        assert g.r.tobytes() == expected.tobytes()
+        assert g.r.flags.c_contiguous and g.r.base is None
 
     def test_integrate_log(self):
         g = RadialGrid(1e-7, 60.0, 4000)
