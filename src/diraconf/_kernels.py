@@ -12,7 +12,8 @@ positional argument ``stop``: outward it fills nodes 0..stop, inward
 stop..N-1, and it leaves the other output nodes untouched.  By default it
 sweeps the whole grid.  The sweep is sequential, so a partial sweep writes
 the same floats a full sweep writes on those nodes.  A stop outside
-[0, N-1] is a ValueError on both backends.
+[0, N-1], or an array the compiled entry cannot read (below), is a
+ValueError on both backends.
 
 Two backends compute the same bits.  The references are the Python loop
 ``_rk4_python`` and the numpy residuals of ``radial_solver``.  ``_rk4.c``
@@ -26,9 +27,10 @@ interpreter's ``EXT_SUFFIX`` and include directory: a cache hit starts no
 process, and a module built for one interpreter is never loaded by another.
 The module is used only if it builds, loads and matches every reference bit
 for bit on a pinned self-check; otherwise the references run.  Each entry
-checks its arrays in C, through the buffer protocol: float64, 1-D, the
-stated length, C-contiguous, and writeable for the kernel's outputs
-(ValueError otherwise).  ``backend()`` (``diraconf.kernel_backend``) names
+checks its arrays in C, through the buffer protocol, and the Python loop
+makes the kernel's checks through ``memoryview``: float64, 1-D, the stated
+length, C-contiguous, and writeable for the kernel's outputs (ValueError
+otherwise).  ``backend()`` (``diraconf.kernel_backend``) names
 the backend selected.
 
 The Python loop converts the slices a sweep reads with ``ndarray.tolist()``,
@@ -66,6 +68,26 @@ def _stop_node(n, reverse, stop):
     return stop
 
 
+def _check_arrays(arrays):
+    """The compiled entry's checks of the kernel's eight arrays (the steps,
+    the four tables, the three outputs): each float64 in native byte order,
+    1-D and C-contiguous, the tables of length 2N-1 and the outputs of
+    length N (for N - 1 steps) and writeable; ValueError otherwise."""
+    n = None
+    for k, a in enumerate(arrays):
+        with memoryview(a) as view:
+            if k >= 5 and view.readonly:
+                raise ValueError("kernel output arrays must be writeable")
+            size = None if k == 0 else 2 * n - 1 if k <= 4 else n
+            if (view.format != "d" or view.ndim != 1 or not view.c_contiguous
+                    or size is not None and view.shape[0] != size):
+                length = "" if size is None else f" of length {size}"
+                raise ValueError(
+                    f"kernel arrays must be 1-D C-contiguous float64{length}")
+            if k == 0:
+                n = view.shape[0] + 1
+
+
 def _rk4_python(step, a11, a12, a21, a22,
                 y1_init, y2_init, reverse,
                 y1_out, y2_out, logscale_out, stop=None):
@@ -78,8 +100,10 @@ def _rk4_python(step, a11, a12, a21, a22,
     outward sweep fills nodes 0..stop and the inward sweep stop..N-1, and
     leaves the other nodes of the outputs as they were.  None (the
     default) sweeps the whole grid.
+    The arrays must pass the compiled entry's checks (``_check_arrays``).
     Returns 0 on success, 1 if a non-finite value was produced.
     """
+    _check_arrays((step, a11, a12, a21, a22, y1_out, y2_out, logscale_out))
     n = len(step) + 1
     stop = _stop_node(n, reverse, stop)
     # only the steps and samples the sweep reads, indexed from the slice's
@@ -310,9 +334,7 @@ def rk4_linear2x2(step, a11, a12, a21, a22,
     the selected backend, under the contract of ``_rk4_python``.
 
     ``stop`` must be passed positionally: the benchmark's tracer forwards
-    positional arguments only.  The compiled backend also requires
-    C-contiguous float64 arrays of the stated lengths (ValueError
-    otherwise).
+    positional arguments only.
     """
     return _selected()[1](step, a11, a12, a21, a22, y1_init, y2_init,
                           reverse, y1_out, y2_out, logscale_out, stop)

@@ -8,11 +8,16 @@ report).  Output is CSV (default) or JSON with every float printed as
 byte-identical.
 
 Exit codes: 0 success, 2 domain error (including bad flags, a NaN or
-infinite number, a mass that is not positive, and an (n, kappa) pair that
+infinite number, a flag outside its bound, and an (n, kappa) pair that
 names no state), 3 physics claim violation (``scan`` found an unexpected
 solution), 4 numerical failure (non-convergence, overflow or division by
 zero, or a result with a NaN or infinite field, in which case nothing is
 written).
+
+Before any command runs, ``main`` checks every float flag finite and the
+bounds of ``_BOUNDS``: ``--mass > 0``, ``shift --n-max >= 1``, ``solve``
+``coulomb-linear --mu >= 0`` and ``antiparticle-linear --lambda >= 0
+--states >= 1``; the library checks the other flags before any work.
 """
 from __future__ import annotations
 
@@ -20,6 +25,7 @@ import argparse
 import dataclasses
 import functools
 import math
+import operator
 import sys
 
 import numpy as np
@@ -130,8 +136,6 @@ def cmd_energy(args) -> int:
 
 
 def cmd_shift(args) -> int:
-    if args.n_max < 1:
-        raise DomainError(f"--n-max must be >= 1, got {args.n_max}")
     rows = []
     for n in range(1, args.n_max + 1):
         for kappa in enumerate_kappa(n):
@@ -232,10 +236,6 @@ def _solve_bag(args):
 def _solve_antiparticle(args):
     """s-wave ladder of the slope 2 mu (plus an optional +lam/r core)."""
     m = args.mass
-    if args.mu <= 0:
-        raise DomainError("--mu must be positive for the confining slope")
-    if args.states < 1:
-        raise DomainError(f"--states must be >= 1, got {args.states}")
     slope = 2.0 * args.mu
 
     def v(r):
@@ -272,14 +272,6 @@ _SOLVE_FAMILIES = {
 
 
 def cmd_solve(args) -> int:
-    if args.family != "antiparticle-linear" and not args.lam > 0:
-        raise DomainError(f"--lambda must be positive for family {args.family}")
-    if args.lam < 0:
-        raise DomainError("--lambda must be >= 0")
-    if args.family == "coulomb-linear" and args.mu < 0:
-        raise DomainError(
-            f"--mu must be >= 0 for family coulomb-linear, got {args.mu!r}: "
-            "a negative scalar slope gives no normalizable state")
     rows, wavefunction = _SOLVE_FAMILIES[args.family](args)
     _emit(rows, args.format, args.output)
     if args.dump_wavefunction:
@@ -367,6 +359,15 @@ def build_parser() -> argparse.ArgumentParser:
 # flags whose destination is not the flag name with '-' for '_'
 _FLAG_NAMES = {"lam": "lambda"}
 
+# flag bounds by subcommand, solve --family and "*" (every command)
+_BOUNDS = {
+    "*": [("mass", ">", 0)],
+    "shift": [("n_max", ">=", 1)],
+    "coulomb-linear": [("mu", ">=", 0)],  # mu < 0: no normalizable state
+    "antiparticle-linear": [("lam", ">=", 0), ("states", ">=", 1)],
+}
+_COMPARE = {">": operator.gt, ">=": operator.ge}
+
 
 def main(argv=None) -> int:
     parser = build_parser()
@@ -382,8 +383,12 @@ def main(argv=None) -> int:
             if isinstance(value, float) and not math.isfinite(value):
                 flag = _FLAG_NAMES.get(dest, dest.replace("_", "-"))
                 raise DomainError(f"--{flag} must be finite, got {value!r}")
-        if not args.mass > 0:
-            raise DomainError(f"--mass must be positive, got {args.mass!r}")
+        for key in ("*", args.command, getattr(args, "family", None)):
+            for dest, op, bound in _BOUNDS.get(key, ()):
+                value = getattr(args, dest)
+                if not _COMPARE[op](value, bound):
+                    flag = _FLAG_NAMES.get(dest, dest.replace("_", "-"))
+                    raise DomainError(f"--{flag} must be {op} {bound}, got {value!r}")
         return args.func(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)

@@ -204,9 +204,12 @@ def dirac_residual(f, df, g, dg, r, E, kappa, m, v0, v1, v2) -> float:
     finite differences), not from the equations themselves.
     """
     i = _INTERIOR
+    # (kappa +- 1)/r overflows to inf on extreme grids: a non-finite residual
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        kf = (kappa + 1.0) / r[i]
+        kg = (kappa - 1.0) / r[i]
     return _fd_residual(
-        _dirac_sums(f[i], df[i], g[i], dg[i], (kappa + 1.0) / r[i],
-                    (kappa - 1.0) / r[i], E + m + v1[i] - v0[i] - v2[i],
+        _dirac_sums(f[i], df[i], g[i], dg[i], kf, kg, E + m + v1[i] - v0[i] - v2[i],
                     E - m - v1[i] - v0[i] - v2[i]),
         np.maximum(np.abs(f), np.abs(g)))
 
@@ -346,12 +349,11 @@ class _DiracSystem:
             # first-order series correction in r keeps the seed defect
             # below the integrator's own truncation error
             ep, em = E + m, E - m
+            # det is -(1 + 2 s) <= -1, as s^2 = kappa^2 - lam^2: never 0
             det = (s + kappa + 1.0) * (kappa - 1.0 - s) - lam * lam
-            if abs(det) > 1e-10:
-                cf1 = ((kappa - 1.0 - s) * ep * cg + lam * em * cf) / det
-                cg1 = (lam * ep * cg + (s + kappa + 1.0) * em * cf) / det
-                return cf + cf1 * r0, cg + cg1 * r0
-            return cf, cg
+            cf1 = ((kappa - 1.0 - s) * ep * cg + lam * em * cf) / det
+            cg1 = (lam * ep * cg + (s + kappa + 1.0) * em * cf) / det
+            return cf + cf1 * r0, cg + cg1 * r0
         q0 = E - m - self._v_start
         p0 = E + m + self._p_start
         if kappa < 0:
@@ -585,9 +587,9 @@ _INTERIOR = slice(2, -2)
 
 def _fd_dr(r: np.ndarray, h: float, values: np.ndarray) -> np.ndarray:
     """d/dr by fourth-order central differences in t = ln r (node spacing
-    h), at the ``_INTERIOR`` nodes of the radii r."""
-    return ((values[:-4] - 8 * values[1:-3] + 8 * values[3:-1] - values[4:])
-            / (12.0 * h) / r[_INTERIOR])
+    h) at the ``_INTERIOR`` nodes of the radii r, 0 at the four end nodes."""
+    return np.pad((values[:-4] - 8 * values[1:-3] + 8 * values[3:-1]
+                   - values[4:]) / (12.0 * h) / r[_INTERIOR], 2)
 
 
 def _fd_residual(equations, scale: np.ndarray) -> float:
@@ -616,23 +618,14 @@ def _fd_residual(equations, scale: np.ndarray) -> float:
 # float on a pinned self-check.
 
 def _dirac_fd_residual(f, g, r, v0, v1, v2, E, m, kappa, h) -> float:
-    """``_fd_residual`` of the two radial Dirac equations."""
-    i = _INTERIOR
-    v0, v1, v2 = v0[i], v1[i], v2[i]
-    # on extreme grids (kappa +- 1)/r overflows to inf, which ends in a
-    # non-finite residual
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        kf = (kappa + 1.0) / r[i]
-        kg = (kappa - 1.0) / r[i]
-    return _fd_residual(
-        _dirac_sums(f[i], _fd_dr(r, h, f), g[i], _fd_dr(r, h, g), kf, kg,
-                    E + m + v1 - v0 - v2, E - m - v1 - v0 - v2),
-        np.maximum(np.abs(f), np.abs(g)))
+    """``dirac_residual`` with derivatives by finite differences."""
+    return dirac_residual(f, _fd_dr(r, h, f), g, _fd_dr(r, h, g), r, E,
+                          kappa, m, v0, v1, v2)
 
 
 def _schrodinger_fd_residual(u, du, r, v_eff, E, m, h) -> float:
     """``_fd_residual`` of -u''/2m + (v_eff - (E-m)) u = 0."""
-    t1 = _fd_dr(r, h, du) / (2.0 * m)
+    t1 = _fd_dr(r, h, du)[_INTERIOR] / (2.0 * m)
     t2 = (v_eff[_INTERIOR] - (E - m)) * u[_INTERIOR]
     return _fd_residual([(t2 - t1, np.abs(t1) + np.abs(t2))], np.abs(u))
 
@@ -904,8 +897,10 @@ def suggest_rmax_schrodinger(v: Callable, E_guess: float, m: float,
 
 def coulomb_grid(lam: float, n: int, kappa: int, m: float = 1.0,
                  points: int = 20000) -> RadialGrid:
-    """Log grid for the Coulomb level |n, kappa>: from 1e-6 Bohr radii to
-    deep in the tail of the Sommerfeld energy's decay."""
+    """Log grid for the Coulomb level |n, kappa> of a lam > 0: from 1e-6
+    Bohr radii to deep in the tail of the Sommerfeld energy's decay."""
+    if not lam > 0:
+        raise DomainError(f"lam must be positive, got {lam!r}")
     e_ref = dirac_coulomb_energy(n, kappa, lam, m)
     r_max = suggest_rmax(coulomb_potential(lam), kappa, e_ref, m,
                          r_start=4.0 * n * n / (lam * m))

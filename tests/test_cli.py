@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diraconf import cli
+from diraconf import cli, rescale
 from diraconf.cli import main
 
 
@@ -406,6 +407,104 @@ class TestNumericalFailure:
             cli._emit([{"n": 1, "value": 0.5}, {"n": 2, "value": math.inf}],
                       "csv", str(path))
         assert not path.exists()
+
+
+def _subparsers():
+    """{subcommand: its parser} of the CLI."""
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _option(key, dest):
+    """The option of the parser of ``key`` (a subcommand or a solve
+    family) whose destination is ``dest``, or None."""
+    parser = _subparsers().get(key) or _subparsers()["solve"]
+    return next((a for a in parser._actions
+                 if a.dest == dest and a.option_strings), None)
+
+
+# a valid call of each subcommand and solve family
+_KEY_ARGV = {
+    **{command: (command, *argv) for command, argv in VALID_ARGV.items()},
+    "coulomb": ("solve", *VALID_ARGV["solve"]),
+    "coulomb-linear": ("solve", "--family", "coulomb-linear", "--lambda",
+                       "0.5", "--kappa0", "-1", "--n", "1", "--kappa", "-1",
+                       "--mu", "1e-4"),
+    "bag": ("solve", "--family", "bag", "--lambda", "0.5", "--kappa0", "-1"),
+    "antiparticle-linear": ("solve", "--family", "antiparticle-linear",
+                            "--mu", "0.5", "--states", "1"),
+}
+
+
+def _table_cases():
+    """(key, flag, value just outside its bound) for every entry of
+    ``cli._BOUNDS``, the shared ones under every subcommand."""
+    for key, entries in cli._BOUNDS.items():
+        for target in (VALID_ARGV if key == "*" else [key]):
+            for dest, op, bound in entries:
+                # a dest with no option fails below, not at collection
+                option = _option(target, dest)
+                flag = option.option_strings[0] if option else f"--{dest}"
+                outside = (bound if op == ">" else bound - 1
+                           if option and option.type is int
+                           else math.nextafter(bound, -math.inf))
+                yield pytest.param(target, flag, outside, True,
+                                   id=f"{target}{op}{dest}")
+
+
+# the bounds the library enforces before any work, with none in the table:
+# coulomb_grid, dirac_coulomb_ground_state (through bag_model_case) and
+# antiparticle_spectrum_airy reject lam <= 0 and mu <= 0
+_LIBRARY_CASES = [
+    pytest.param(key, flag, 0.0, False, id=f"{key}-library{flag}")
+    for key, flag in (("coulomb", "--lambda"), ("coulomb-linear", "--lambda"),
+                      ("bag", "--lambda"), ("antiparticle-linear", "--mu"))
+]
+
+
+class TestInputBoundary:
+    """Every bound on a flag is checked before any solver runs."""
+
+    @pytest.mark.parametrize("key, flag, value, in_table",
+                             [*_table_cases(), *_LIBRARY_CASES])
+    def test_just_outside_a_bound_exits_2(self, capsys, monkeypatch, key,
+                                          flag, value, in_table):
+        def ran(*args, **kwargs):
+            raise AssertionError("a solver ran")
+
+        names = ["find_bound_state", "solve_schrodinger_radial",
+                 "first_order_shift"]
+        if in_table or key != "bag":
+            names.append("bag_model_case")
+        for name in names:
+            monkeypatch.setattr(cli, name, ran)
+        # the work of bag_model_case, which checks lam before it
+        monkeypatch.setattr(rescale, "suggest_rmax", ran)
+        monkeypatch.setattr(rescale, "h_profile", ran)
+        code, out, err = run_cli(capsys, *_KEY_ARGV[key], f"{flag}={value!r}")
+        assert code == 2
+        assert out == ""
+        assert "domain error" in err
+        if in_table:
+            assert flag in err
+
+    def test_table_names_flags_of_its_commands(self):
+        # a misspelled dest would only fail when main reads it
+        subparsers = _subparsers()
+        families = _option("solve", "family").choices
+        for key, entries in cli._BOUNDS.items():
+            assert key == "*" or key in subparsers or key in families
+            for target in (subparsers if key == "*" else [key]):
+                for dest, op, bound in entries:
+                    assert op in cli._COMPARE
+                    assert _option(target, dest) is not None, (target, dest)
+
+    @pytest.mark.parametrize("scenario", cli._SEED_DEFAULTS)
+    def test_seed_defaults_pass_the_table(self, scenario):
+        args = cli.build_parser().parse_args(shlex.split(scenario))
+        for key in ("*", args.command, getattr(args, "family", None)):
+            for dest, op, bound in cli._BOUNDS.get(key, ()):
+                assert cli._COMPARE[op](getattr(args, dest), bound)
 
 
 # every kind of float a flag can carry: zero, both signs, subnormal, tiny,

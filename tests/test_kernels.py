@@ -296,10 +296,9 @@ def _bad_arrays(a):
             "big-endian": a.astype(">f8"), "2-D": a.reshape(1, -1)}
 
 
-def test_compiled_rejects_arrays_it_cannot_read():
+def _check_rejects_arrays_it_cannot_read(kernel):
     # the step array, a table and an output replaced in turn by each bad
     # array, then each output made read-only: a ValueError every time
-    kernel = _compiled()
     for position in (0, 1, 8):
         for bad in _bad_arrays(np.ones(3)):
             args = list(_coulomb_arrays(50))
@@ -316,10 +315,17 @@ def test_compiled_rejects_arrays_it_cannot_read():
             kernel(*_coulomb_arrays(50), False, *out)
 
 
-@pytest.mark.parametrize("position", range(5))
-def test_compiled_reads_read_only_tables(position):
+def test_compiled_rejects_arrays_it_cannot_read():
+    _check_rejects_arrays_it_cannot_read(_compiled())
+
+
+def test_python_rejects_arrays_it_cannot_read():
+    # the Python loop used to run a float32 table or a strided step array
+    _check_rejects_arrays_it_cannot_read(_rk4_python)
+
+
+def _check_reads_read_only_tables(kernel, position):
     # read-only input tables are read like any other and give the same bytes
-    kernel = _compiled()
     args = list(_coulomb_arrays(50))
     ref = np.empty(50), np.empty(50), np.empty(50)
     assert kernel(*args, False, *ref) == 0
@@ -329,6 +335,16 @@ def test_compiled_reads_read_only_tables(position):
     out = np.empty(50), np.empty(50), np.empty(50)
     assert kernel(*args, False, *out) == 0
     assert all(a.tobytes() == b.tobytes() for a, b in zip(out, ref))
+
+
+@pytest.mark.parametrize("position", range(5))
+def test_compiled_reads_read_only_tables(position):
+    _check_reads_read_only_tables(_compiled(), position)
+
+
+@pytest.mark.parametrize("position", range(5))
+def test_python_reads_read_only_tables(position):
+    _check_reads_read_only_tables(_rk4_python, position)
 
 
 @pytest.mark.parametrize("reverse", [False, True])

@@ -122,6 +122,13 @@ class TestGrid:
         with pytest.raises(DomainError):
             RadialGrid(1e-6, 1.0, 4)
 
+    @pytest.mark.parametrize("lam", [0.0, -0.5, math.nan])
+    def test_coulomb_grid_needs_positive_lam(self, lam):
+        # both ends of the grid scale with 1/lam: lam = 0 used to divide by
+        # zero
+        with pytest.raises(DomainError, match="lam must be positive"):
+            coulomb_grid(lam, 1, -1)
+
     def test_arrays(self):
         g = RadialGrid(1e-3, 10.0, 101)
         assert g.r[0] == pytest.approx(1e-3, rel=1e-12)
@@ -195,6 +202,24 @@ class TestIntegrateRadial:
         sel = (grid.r > 20.0) & (grid.r < 30.0) & (f_in > 0)
         slope = np.polyfit(grid.r[sel], np.log(f_in[sel] * grid.r[sel]), 1)[0]
         assert slope == pytest.approx(-rate, rel=1e-3)
+
+    @pytest.mark.parametrize("kappa", [-1, 1])
+    def test_regular_origin_start_matches_free_particle(self, kappa):
+        # no Coulomb term: the outward sweep starts on the power series of a
+        # potential regular at the origin, and g/f is the free particle's
+        # ratio of modified spherical Bessel functions, x = k r
+        from scipy.special import spherical_in
+
+        from diraconf.radial_solver import PotentialSpec
+        m, e = 1.0, 0.8
+        grid = RadialGrid(1e-6, 8.0, 4000)
+        f, g = integrate_radial(PotentialSpec(), kappa, e, m, grid, "outward")
+        k = math.sqrt(m * m - e * e)
+        sel = grid.r > 1e-3
+        i0, i1 = spherical_in(0, k * grid.r[sel]), spherical_in(1, k * grid.r[sel])
+        want = (k * i1 / ((e + m) * i0) if kappa == -1
+                else (m - e) * i0 / (k * i1))
+        np.testing.assert_allclose(g[sel] / f[sel], want, rtol=1e-8)
 
     def test_direction_validation(self):
         with pytest.raises(DomainError):
