@@ -175,17 +175,35 @@ def radial_residual(params: AnsatzParams, grid) -> float:
                           -c.lam / r, c.mu * r, c.nu * r)
 
 
+_WALK_GROWTH = 1.05
+_WALK_CHUNK = 64  # radii per evaluation; the walk is typically 40-80 steps
+
+
 def residual_grid(params: AnsatzParams) -> np.ndarray:
     """2001 geometric radii for ``radial_residual``: from well inside the
     power-law region (1e-4 Bohr radii) out to where f has fallen below
     1e-13 of its value at max(b, 1)/a, or at the Gaussian width
-    1/sqrt(alpha2) where that is smaller."""
+    1/sqrt(alpha2) where that is smaller.
+
+    The outer radius is the first r_peak * 1.05^k at which f is not above
+    that threshold.  The walk is taken in chunks of running products (one
+    ``evaluate_spinor`` call each), so each radius is the same float a
+    step-by-step ``r *= 1.05`` loop gives.
+    """
     r_peak = max(params.b / params.a, 1.0 / params.a)
     if params.alpha2 > 0:
         r_peak = min(r_peak, 1.0 / math.sqrt(params.alpha2))
     f_peak, _ = evaluate_spinor(params, r_peak)
+    threshold = 1e-13 * f_peak
+    growth = np.full(_WALK_CHUNK, _WALK_GROWTH)
     r_hi = r_peak
-    while evaluate_spinor(params, r_hi)[0] > 1e-13 * f_peak:
-        r_hi *= 1.05
+    while True:
+        radii = np.multiply.accumulate(np.concatenate(([r_hi], growth)))
+        f, _ = evaluate_spinor(params, radii[:-1])
+        stop = np.flatnonzero(~(f > threshold))
+        if stop.size:
+            r_hi = float(radii[stop[0]])
+            break
+        r_hi = float(radii[-1])
     c = params.couplings
     return np.geomspace(1e-4 / (c.lam * c.mass), r_hi, 2001)

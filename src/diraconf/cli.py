@@ -17,7 +17,8 @@ written).
 Before any command runs, ``main`` checks every float flag finite and the
 bounds of ``_BOUNDS``: ``--mass > 0``, ``shift --n-max >= 1``, ``solve``
 ``coulomb-linear --mu >= 0`` and ``antiparticle-linear --lambda >= 0
---states >= 1``; the library checks the other flags before any work.
+--states >= 1 --states <= 19``; the library checks the other flags before
+any work.
 """
 from __future__ import annotations
 
@@ -167,6 +168,23 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
+def _norm_integrand(params):
+    """The norm density (f^2 + g^2) r^2 in x = m r, on an array of x.
+
+    In x the density's scale is that of the couplings, whatever the mass,
+    so the quadrature's absolute tolerance means the same at any m; at
+    m = 1 both divisions are exact and the integrand is the one in r.
+    """
+    m = params.couplings.mass
+
+    def integrand(x):
+        r = x / m
+        f, g = evaluate_spinor(params, r)
+        return (f * f + g * g) * r * r / m
+
+    return integrand
+
+
 def cmd_ansatz(args) -> int:
     params = build_ansatz(args.lam, args.mu, args.kappa0, args.mass)
     if args.detune_nu != 0.0:
@@ -176,12 +194,7 @@ def cmd_ansatz(args) -> int:
             couplings=dataclasses.replace(c, nu=c.nu * (1.0 + args.detune_nu)),
         )
     resid = radial_residual(params, residual_grid(params))
-
-    def norm_integrand(r):
-        f, g = evaluate_spinor(params, r)
-        return float((f * f + g * g) * r * r)
-
-    quad = integrate_adaptive(norm_integrand, 0.0, math.inf, tol=1e-11)
+    quad = integrate_adaptive(_norm_integrand(params), 0.0, math.inf, tol=1e-11)
     devs = params.gamma_deviations()
     rows = [{"quantity": name, "value": value} for name, value in [
         ("b", params.b), ("a", params.a), ("alpha2", params.alpha2),
@@ -364,9 +377,11 @@ _BOUNDS = {
     "*": [("mass", ">", 0)],
     "shift": [("n_max", ">=", 1)],
     "coulomb-linear": [("mu", ">=", 0)],  # mu < 0: no normalizable state
-    "antiparticle-linear": [("lam", ">=", 0), ("states", ">=", 1)],
+    # the ladder asks antiparticle_spectrum_airy for --states + 1 <= 20 levels
+    "antiparticle-linear": [("lam", ">=", 0), ("states", ">=", 1),
+                            ("states", "<=", 19)],
 }
-_COMPARE = {">": operator.gt, ">=": operator.ge}
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
 def main(argv=None) -> int:

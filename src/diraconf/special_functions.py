@@ -9,6 +9,10 @@ checked against a code path that shares nothing with the numerical solvers:
                         adaptive quadrature below.
 * ``integrate_adaptive``  globally adaptive Gauss-Legendre 7/15 pair;
                         semi-infinite ranges are mapped through u/(1-u).
+                        The integrand takes arrays: ``f`` maps a float64
+                        array of nodes to an array (or list) of values of
+                        the same length, and is called once per panel, on
+                        the 7 + 15 = 22 nodes of the pair.
 * ``airy_negative_zeros``  bisection on an independent Ai evaluation
                         (Maclaurin series for |x| <= 8, the standard
                         negative-axis asymptotic expansion beyond).
@@ -83,20 +87,38 @@ def _gauss_legendre(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _panel(f, a: float, b: float) -> tuple[float, float, int]:
-    """GL15 value with |GL15 - GL7| as the error estimate on [a, b]."""
+@functools.cache
+def _gauss_legendre_7_15():
+    """The 22 nodes of the GL7 and GL15 rules, GL7 first, and both weights."""
     (t7, w7), (t15, w15) = _gauss_legendre(7), _gauss_legendre(15)
+    return np.concatenate((t7, t15)), w7, w15
+
+
+def _panel(f, a: float, b: float) -> tuple[float, float, int]:
+    """GL15 value with |GL15 - GL7| as the error estimate on [a, b].
+
+    ``f`` sees all 22 nodes in one call.  Each rule is summed with ``sum``
+    over the numpy product array, whose items are numpy scalars: one plain
+    double addition per node in node order, as a scalar loop did.  A numpy
+    reduction sums pairwise, and ``sum`` over exact Python floats (a
+    ``tolist()``) is compensated from Python 3.12; both round differently.
+    """
+    t, w7, w15 = _gauss_legendre_7_15()
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    x7 = mid + half * t7
-    x15 = mid + half * t15
-    i7 = half * sum(w * f(x) for x, w in zip(x7, w7))
-    i15 = half * sum(w * f(x) for x, w in zip(x15, w15))
-    return i15, abs(i15 - i7), 22
+    y = np.asarray(f(mid + half * t), dtype=float)
+    if y.shape != t.shape:
+        raise TypeError(
+            f"integrand must map {t.size} nodes to {t.size} values, "
+            f"got shape {y.shape}"
+        )
+    i7 = half * sum(w7 * y[:7])
+    i15 = half * sum(w15 * y[7:])
+    return i15, abs(i15 - i7), t.size
 
 
 def integrate_adaptive(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     tol: float = 1e-12,
@@ -104,6 +126,7 @@ def integrate_adaptive(
 ) -> QuadratureResult:
     """Adaptive quadrature of ``f`` on (lo, hi); ``hi`` may be math.inf.
 
+    ``f`` maps a float64 array of nodes to the array of its values.
     Splits the interval with the largest local error estimate until the
     summed estimate drops below ``tol`` (absolute, with a relative floor).
     The integrand is never evaluated at the endpoints, so integrable
@@ -114,9 +137,12 @@ def integrate_adaptive(
 
         def f(u, _g=g, _lo=lo):
             w = 1.0 - u
-            if w == 0.0:  # u rounded onto 1, which maps to x = inf
-                return 0.0
-            return _g(_lo + u / w) / (w * w)
+            # a node that rounded onto u = 1 is x = inf, where the mapped
+            # integrand is 0; it is evaluated at the finite lo + u instead
+            at_inf = w == 0.0
+            w = np.where(at_inf, 1.0, w)
+            y = np.asarray(_g(_lo + u / w), dtype=float) / (w * w)
+            return np.where(at_inf, 0.0, y)
 
         lo, hi = 0.0, 1.0
     if not hi > lo:
@@ -152,7 +178,9 @@ def kummer_U(a: float, b: float, z: float) -> float:
     Uses the Laplace integral
         U(a, b, z) = 1/Gamma(a) * int_0^inf e^{-z t} t^{a-1} (1+t)^{b-a-1} dt,
     rescaled by t = s/z when z >= 1 so the integrand stays O(1) even for
-    the very large z that arise from weakly confining couplings.
+    the very large z that arise from weakly confining couplings.  The
+    integrands stay scalar ``math`` code, node by node, so U keeps every
+    bit it had when the quadrature called them one node at a time.
     """
     if not (a > 0 and z > 0):
         raise DomainError(f"kummer_U requires a > 0 and z > 0, got a={a}, z={z}")
@@ -161,13 +189,15 @@ def kummer_U(a: float, b: float, z: float) -> float:
         def integrand(s):
             return math.exp(-s + (a - 1.0) * math.log(s) + c * math.log1p(s / z))
 
-        res = integrate_adaptive(integrand, 0.0, math.inf, tol=1e-13)
+        res = integrate_adaptive(lambda s: [integrand(x) for x in s], 0.0,
+                                 math.inf, tol=1e-13)
         return z ** (-a) / gamma_fn(a) * res.value
 
     def integrand(t):
         return math.exp(-z * t + (a - 1.0) * math.log(t) + c * math.log1p(t))
 
-    res = integrate_adaptive(integrand, 0.0, math.inf, tol=1e-13)
+    res = integrate_adaptive(lambda s: [integrand(x) for x in s], 0.0,
+                             math.inf, tol=1e-13)
     return res.value / gamma_fn(a)
 
 
@@ -231,31 +261,36 @@ def airy_ai(x: float) -> float:
 
 
 def airy_negative_zeros(k: int) -> list[float]:
-    """First ``k`` zeros of Ai on the negative axis (as negative numbers)."""
+    """First ``k`` zeros of Ai on the negative axis (as negative numbers).
+
+    Each zero is computed once per process; every call returns a new list.
+    """
     if not 1 <= k <= 20:
         raise DomainError(f"k must be in [1, 20], got {k}")
-    zeros = []
-    for n in range(1, k + 1):
-        # standard asymptotic estimate for the n-th zero
-        t = 3.0 * math.pi * (4 * n - 1) / 8.0
-        guess = -(t ** (2.0 / 3.0)) * (1.0 + 5.0 / (48.0 * t * t))
-        lo, hi = guess - 0.2, guess + 0.2
+    return [_airy_zero(n) for n in range(1, k + 1)]
+
+
+@functools.cache
+def _airy_zero(n: int) -> float:
+    """The n-th negative zero of Ai: bisection from the asymptotic estimate."""
+    t = 3.0 * math.pi * (4 * n - 1) / 8.0
+    guess = -(t ** (2.0 / 3.0)) * (1.0 + 5.0 / (48.0 * t * t))
+    lo, hi = guess - 0.2, guess + 0.2
+    flo, fhi = airy_ai(lo), airy_ai(hi)
+    width = 0.2
+    while flo * fhi > 0:
+        width *= 1.5
+        lo, hi = guess - width, guess + width
         flo, fhi = airy_ai(lo), airy_ai(hi)
-        width = 0.2
-        while flo * fhi > 0:
-            width *= 1.5
-            lo, hi = guess - width, guess + width
-            flo, fhi = airy_ai(lo), airy_ai(hi)
-            if width > 2.0:
-                raise ConvergenceError(f"could not bracket Airy zero #{n}")
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fm = airy_ai(mid)
-            if flo * fm <= 0:
-                hi, fhi = mid, fm
-            else:
-                lo, flo = mid, fm
-            if hi - lo < 1e-13:
-                break
-        zeros.append(0.5 * (lo + hi))
-    return zeros
+        if width > 2.0:
+            raise ConvergenceError(f"could not bracket Airy zero #{n}")
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        fm = airy_ai(mid)
+        if flo * fm <= 0:
+            hi, fhi = mid, fm
+        else:
+            lo, flo = mid, fm
+        if hi - lo < 1e-13:
+            break
+    return 0.5 * (lo + hi)

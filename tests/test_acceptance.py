@@ -159,7 +159,7 @@ def test_criterion_06_normalization():
 
                 def integrand(r, p=p):
                     f, g = evaluate_spinor(p, r)
-                    return float((f * f + g * g) * r * r)
+                    return (f * f + g * g) * r * r
 
                 quad = integrate_adaptive(integrand, 0.0, math.inf, tol=1e-11)
                 assert abs(quad.value - 1.0) <= 1e-8

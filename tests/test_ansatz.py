@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from diraconf import ansatz
 from diraconf.ansatz import (
     AnsatzParams,
     build_ansatz,
@@ -112,7 +113,7 @@ class TestSpinor:
 
         def integrand(r):
             f, g = evaluate_spinor(p, r)
-            return float((f * f + g * g) * r * r)
+            return (f * f + g * g) * r * r
 
         res = integrate_adaptive(integrand, 0.0, math.inf, tol=1e-11)
         assert res.value == pytest.approx(1.0, abs=1e-8)
@@ -124,6 +125,22 @@ class TestResidual:
     def test_exact_preservation(self, lam, kappa0, mu):
         p = build_ansatz(lam, mu, kappa0)
         assert radial_residual(p, residual_grid(p)) <= 1e-10
+
+    @pytest.mark.parametrize("lam,kappa0,mu", [*SWEEP, (0.9, -1, 1e-4)])
+    def test_grid_end_matches_a_step_by_step_walk(self, lam, kappa0, mu):
+        # the chunked walk gives the float of the scalar r *= 1.05 loop
+        p = build_ansatz(lam, mu, kappa0)
+        r_peak = min(max(p.b / p.a, 1.0 / p.a), 1.0 / math.sqrt(p.alpha2))
+        f_peak, _ = evaluate_spinor(p, r_peak)
+        r_hi, steps = r_peak, 0
+        while evaluate_spinor(p, r_hi)[0] > 1e-13 * f_peak:
+            r_hi *= 1.05
+            steps += 1
+        grid = residual_grid(p)
+        assert float(grid[-1]).hex() == r_hi.hex()
+        assert np.array_equal(grid, np.geomspace(1e-4 / lam, r_hi, 2001))
+        if kappa0 == -1:
+            assert steps > ansatz._WALK_CHUNK  # the walk takes two chunks
 
     def test_grid_ends_before_f_underflows(self):
         # a weak Coulomb tail: max(b, 1)/a = 1e4 lies far beyond the

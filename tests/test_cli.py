@@ -185,6 +185,18 @@ class TestAnsatzCmd:
         vals = {r["quantity"]: float(r["value"]) for r in csv_rows(out)}
         assert vals["max_radial_residual"] <= 1e-10
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mass", ["1e4", "1e6"])
+    def test_norm_quadrature_holds_at_any_mass(self, capsys, mass):
+        # the norm is integrated in x = m r, so a heavy mass does not
+        # shrink the density below the quadrature's absolute tolerance
+        code, out, _ = run_cli(capsys, "ansatz", "--lambda", "0.5",
+                               "--mu", "1e-4", "--kappa0", "-1",
+                               "--mass", mass)
+        assert code == 0
+        vals = {r["quantity"]: float(r["value"]) for r in csv_rows(out)}
+        assert vals["norm_quadrature_defect"] <= 1e-12
+
     def test_detuned_nu_blows_up_residual(self, capsys):
         code, out, _ = run_cli(capsys, "ansatz", "--lambda", "0.5",
                                "--mu", "1e-4", "--kappa0", "-1",
@@ -258,6 +270,20 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", *argv, "--points", "200")
         assert code == 2
         assert "domain error" in err
+
+    def test_states_limit_names_the_flag(self, capsys):
+        # the ladder asks for --states + 1 Airy levels, and there are 20
+        code, out, err = run_cli(capsys, "solve", "--family",
+                                 "antiparticle-linear", "--mu", "0.5",
+                                 "--states", "20")
+        assert (code, out) == (2, "")
+        assert err == "domain error: --states must be <= 19, got 20\n"
+        code, out, _ = run_cli(capsys, "solve", "--family",
+                               "antiparticle-linear", "--mu", "0.5",
+                               "--states", "19", "--points", "4000")
+        assert code == 0
+        assert [row["k"] for row in csv_rows(out)] == [str(k)
+                                                       for k in range(1, 20)]
 
     def test_negative_mu_rejected(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--family",
@@ -445,9 +471,13 @@ def _table_cases():
                 # a dest with no option fails below, not at collection
                 option = _option(target, dest)
                 flag = option.option_strings[0] if option else f"--{dest}"
-                outside = (bound if op == ">" else bound - 1
-                           if option and option.type is int
-                           else math.nextafter(bound, -math.inf))
+                if op == ">":
+                    outside = bound
+                elif option and option.type is int:
+                    outside = bound - 1 if op == ">=" else bound + 1
+                else:
+                    outside = math.nextafter(
+                        bound, -math.inf if op == ">=" else math.inf)
                 yield pytest.param(target, flag, outside, True,
                                    id=f"{target}{op}{dest}")
 

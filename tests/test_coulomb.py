@@ -103,7 +103,7 @@ class TestExpectations:
 
         def moment(power):
             res = integrate_adaptive(
-                lambda r: float(radial_wavefunction(n, ell, lam, m, r)) ** 2
+                lambda r: radial_wavefunction(n, ell, lam, m, r) ** 2
                 * r ** (2 + power),
                 0.0, math.inf, tol=1e-12,
             )
@@ -120,7 +120,7 @@ class TestExpectations:
         kappa = -1
 
         def u(r):
-            return r * float(radial_wavefunction(n, ell, lam, m, r))
+            return r * radial_wavefunction(n, ell, lam, m, r)
 
         def integrand(r):
             h = 1e-3
@@ -148,7 +148,7 @@ class TestRadialWavefunction:
         lam, m = 1.0, 1.0
         for ell in range(n):
             res = integrate_adaptive(
-                lambda r: float(radial_wavefunction(n, ell, lam, m, r)) ** 2
+                lambda r: radial_wavefunction(n, ell, lam, m, r) ** 2
                 * r * r,
                 0.0, math.inf, tol=1e-12,
             )

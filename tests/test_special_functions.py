@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 from scipy.special import ai_zeros, gamma as scipy_gamma, hyperu
 
+from diraconf import cli, special_functions
+from diraconf.ansatz import build_ansatz, evaluate_spinor
 from diraconf.errors import DomainError
 from diraconf.special_functions import (
+    QuadratureResult,
     airy_ai,
     airy_negative_zeros,
     gamma_fn,
@@ -27,7 +30,7 @@ class TestGamma:
         # direct quadrature of the defining integral as the oracle
         x = 1.7320508
         res = integrate_adaptive(
-            lambda t: t ** (x - 1.0) * math.exp(-t), 0.0, math.inf, tol=1e-12
+            lambda t: t ** (x - 1.0) * np.exp(-t), 0.0, math.inf, tol=1e-12
         )
         assert gamma_fn(x) == pytest.approx(res.value, abs=1e-10)
 
@@ -111,13 +114,13 @@ class TestKummerU:
 
 class TestQuadrature:
     def test_exponential(self):
-        res = integrate_adaptive(lambda t: math.exp(-t), 0.0, math.inf)
+        res = integrate_adaptive(lambda t: np.exp(-t), 0.0, math.inf)
         assert res.value == pytest.approx(1.0, abs=1e-12)
         assert res.evaluations > 0
         assert res.abs_error_estimate >= 0
 
     def test_gaussian_moment(self):
-        res = integrate_adaptive(lambda t: t * t * math.exp(-t * t), 0.0, math.inf)
+        res = integrate_adaptive(lambda t: t * t * np.exp(-t * t), 0.0, math.inf)
         assert res.value == pytest.approx(math.sqrt(math.pi) / 4.0, abs=1e-12)
 
     def test_endpoint_singularity(self):
@@ -152,13 +155,162 @@ class TestQuadrature:
         from diraconf.errors import ConvergenceError
         from diraconf.special_functions import QuadratureResult
         with pytest.raises(ConvergenceError) as err:
-            integrate_adaptive(lambda t: math.sin(4e4 * t), 0.0, 1.0,
+            integrate_adaptive(lambda t: np.sin(4e4 * t), 0.0, 1.0,
                                tol=1e-14, max_intervals=6)
         assert isinstance(err.value.partial, QuadratureResult)
         assert err.value.partial.evaluations > 0
 
 
+def _scalar_quadrature(f, lo, hi, tol=1e-12, max_intervals=4000):
+    """Reference: the adaptive GL7/GL15 quadrature with one call of a
+    scalar ``f`` per node, as the package evaluated it before integrands
+    took arrays.  The array form must reproduce it bit for bit."""
+    if math.isinf(hi):
+        g = f
+
+        def f(u, _g=g, _lo=lo):
+            w = 1.0 - u
+            if w == 0.0:
+                return 0.0
+            return _g(_lo + u / w) / (w * w)
+
+        lo, hi = 0.0, 1.0
+    (t7, w7), (t15, w15) = (np.polynomial.legendre.leggauss(7),
+                            np.polynomial.legendre.leggauss(15))
+
+    def panel(a, b):
+        half = 0.5 * (b - a)
+        mid = 0.5 * (a + b)
+        x7 = mid + half * t7
+        x15 = mid + half * t15
+        i7 = half * sum(w * f(x) for x, w in zip(x7, w7))
+        i15 = half * sum(w * f(x) for x, w in zip(x15, w15))
+        return i15, abs(i15 - i7), 22
+
+    val, err, n_eval = panel(lo, hi)
+    intervals = [(err, lo, hi, val)]
+    while True:
+        total = sum(iv[3] for iv in intervals)
+        total_err = sum(iv[0] for iv in intervals)
+        if total_err <= max(tol, 1e-15 * abs(total)):
+            break
+        assert len(intervals) < max_intervals
+        worst = max(range(len(intervals)), key=lambda i: intervals[i][0])
+        _, a, b, _ = intervals.pop(worst)
+        mid = 0.5 * (a + b)
+        left = panel(a, mid)
+        right = panel(mid, b)
+        n_eval += left[2] + right[2]
+        intervals.append((left[1], a, mid, left[0]))
+        intervals.append((right[1], mid, b, right[0]))
+    return QuadratureResult(total, total_err, n_eval)
+
+
+def _bits(res):
+    return (float(res.value).hex(), float(res.abs_error_estimate).hex(),
+            res.evaluations)
+
+
+def _kummer_integrand(a, b, z):
+    """The scalar integrand ``kummer_U`` integrates for these arguments."""
+    c = b - a - 1.0
+    if z >= 1.0:
+        return lambda s: math.exp(-s + (a - 1.0) * math.log(s)
+                                  + c * math.log1p(s / z))
+    return lambda t: math.exp(-z * t + (a - 1.0) * math.log(t)
+                              + c * math.log1p(t))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestArrayIntegrandBits:
+    """One integrand call per panel gives the bits of one call per node."""
+
+    @pytest.mark.parametrize("lam, mu, kappa0, m", [
+        (0.5, 1e-4, -1, 1.0), (0.1, 1e-6, -1, 1.0), (0.3, 1e-4, -2, 1.0),
+        (0.9, 3e-4, -3, 1.0), (0.5, 1e-4, -1, 1e6), (0.37, 3e-4, -2, 2.0),
+    ])
+    def test_cli_norm_integrand(self, lam, mu, kappa0, m):
+        p = build_ansatz(lam, mu, kappa0, m)
+
+        def scalar(x):
+            r = x / m
+            f, g = evaluate_spinor(p, r)
+            return float((f * f + g * g) * r * r / m)
+
+        res = integrate_adaptive(cli._norm_integrand(p), 0.0, math.inf,
+                                 tol=1e-11)
+        assert _bits(res) == _bits(_scalar_quadrature(scalar, 0.0, math.inf,
+                                                      tol=1e-11))
+        if m == 1.0:
+            # the same bits as the integrand in r, before the x = m r map
+            def in_r(r):
+                f, g = evaluate_spinor(p, r)
+                return float((f * f + g * g) * r * r)
+
+            assert _bits(res) == _bits(_scalar_quadrature(in_r, 0.0, math.inf,
+                                                          tol=1e-11))
+
+    @pytest.mark.parametrize("a, b, z", [
+        (1.8660254037844386, 1.5, 2500.0), (2.9365, 1.5, 300.0),
+        (1.0, 2.0, 1.0), (0.7, 1.5, 0.5), (1.8660254037844386, 1.5, 0.04),
+    ])
+    def test_kummer_integrands(self, monkeypatch, a, b, z):
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(integrate_adaptive(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(special_functions, "integrate_adaptive", recording)
+        u = kummer_U(a, b, z)
+        ref = _scalar_quadrature(_kummer_integrand(a, b, z), 0.0, math.inf,
+                                 tol=1e-13)
+        assert [_bits(res) for res in results] == [_bits(ref)]
+        scale = z ** (-a) if z >= 1.0 else 1.0
+        expected = (scale / gamma_fn(a) * ref.value if z >= 1.0
+                    else ref.value / gamma_fn(a))
+        assert u.hex() == float(expected).hex()
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (0.5, 3.0)])
+    def test_one_call_of_22_nodes_per_panel(self, lo, hi):
+        # a slow tail: refinement reaches nodes that round onto u = 1
+        calls = []
+
+        def f(x):
+            calls.append((x.shape, x.dtype))
+            return (1.0 + x) ** -1.7
+
+        res = integrate_adaptive(f, lo, hi)
+        # power of a 0-d array, so that both sides take numpy's array loop
+        # (numpy-scalar power calls libm, which rounds differently)
+        ref = _scalar_quadrature(
+            lambda x: float(np.asarray(1.0 + x) ** -1.7), lo, hi)
+        assert _bits(res) == _bits(ref)
+        assert set(calls) == {((22,), np.dtype(np.float64))}
+        assert 22 * len(calls) == res.evaluations
+
+    def test_scalar_integrand_is_rejected(self):
+        with pytest.raises(TypeError):
+            integrate_adaptive(lambda x: 1.0, 0.0, 1.0)
+        with pytest.raises(TypeError):
+            integrate_adaptive(lambda x: math.exp(-x), 0.0, 1.0)
+
+
 class TestAiry:
+    def test_zeros_cached_but_returned_fresh(self, monkeypatch):
+        first = airy_negative_zeros(3)
+        expected = list(first)
+        first[0] = 0.0
+        first.append(1.0)
+
+        def no_bisection(x):
+            raise AssertionError("a cached zero was computed again")
+
+        monkeypatch.setattr(special_functions, "airy_ai", no_bisection)
+        again = airy_negative_zeros(3)
+        assert again == expected
+        assert again is not airy_negative_zeros(3)
+
     def test_first_zeros_frozen(self):
         zeros = airy_negative_zeros(3)
         assert zeros[0] == pytest.approx(-2.3381074105, abs=1e-9)
