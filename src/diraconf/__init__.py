@@ -18,7 +18,6 @@ from .ansatz import (
 )
 from .coulomb import (
     CouplingSet,
-    HydrogenicState,
     dirac_coulomb_energy,
     dirac_coulomb_ground_state,
     expectation_anticomm_p2_r,
@@ -47,7 +46,6 @@ from .fw_effective import (
     shift_from_expectations,
 )
 from .quantum_numbers import (
-    AngularState,
     check_state,
     decompose_kappa,
     enumerate_kappa,

@@ -8,12 +8,13 @@ rescaled whenever they exceed 1e250 in magnitude; the accumulated log-scale
 is recorded per node so callers can reconstruct relative amplitudes exactly.
 
 A sweep runs from one end of the grid to a stop node, the trailing
-positional argument ``stop``: outward it fills nodes 0..stop, inward
-stop..N-1, and it leaves the other output nodes untouched.  By default it
-sweeps the whole grid.  The sweep is sequential, so a partial sweep writes
-the same floats a full sweep writes on those nodes.  A stop outside
-[0, N-1], or an array the compiled entry cannot read (below), is a
-ValueError on both backends.
+positional argument ``stop``, which every call names: outward it fills
+nodes 0..stop, inward stop..N-1, and it leaves the other output nodes
+untouched; a whole-grid sweep stops at N-1 outward and at 0 inward.  The
+sweep is sequential, so a partial sweep writes the same floats a full
+sweep writes on those nodes.  A stop outside [0, N-1], or an array the
+compiled entry cannot read (below), is a ValueError on both backends; a
+call without a stop, or with None, is a TypeError.
 
 Two backends compute the same bits.  The references are the Python loop
 ``_rk4_python`` and the numpy residuals of ``radial_solver``.  ``_rk4.c``
@@ -58,16 +59,6 @@ _CACHE_DIR = os.path.join(os.environ.get("XDG_CACHE_HOME")
                           "diraconf")
 
 
-def _stop_node(n, reverse, stop):
-    """The node a sweep of n nodes ends at: ``stop``, checked to lie in
-    [0, n - 1] (ValueError otherwise), or the far end of the grid."""
-    if stop is None:
-        return 0 if reverse else n - 1
-    if not 0 <= stop <= n - 1:
-        raise ValueError(f"stop must lie in [0, {n - 1}], got {stop!r}")
-    return stop
-
-
 def _check_arrays(arrays):
     """The compiled entry's checks of the kernel's eight arrays (the steps,
     the four tables, the three outputs): each float64 in native byte order,
@@ -90,7 +81,7 @@ def _check_arrays(arrays):
 
 def _rk4_python(step, a11, a12, a21, a22,
                 y1_init, y2_init, reverse,
-                y1_out, y2_out, logscale_out, stop=None):
+                y1_out, y2_out, logscale_out, stop):
     """Propagate y' = A(t) y from one end of the grid to node ``stop``.
 
     step: length N-1 positive step sizes in the integration variable.
@@ -98,14 +89,14 @@ def _rk4_python(step, a11, a12, a21, a22,
     reverse: start from (y1_init, y2_init) at the last node and step inward.
     stop: the last node written, in [0, N-1] (ValueError otherwise): the
     outward sweep fills nodes 0..stop and the inward sweep stop..N-1, and
-    leaves the other nodes of the outputs as they were.  None (the
-    default) sweeps the whole grid.
+    leaves the other nodes of the outputs as they were.
     The arrays must pass the compiled entry's checks (``_check_arrays``).
     Returns 0 on success, 1 if a non-finite value was produced.
     """
     _check_arrays((step, a11, a12, a21, a22, y1_out, y2_out, logscale_out))
     n = len(step) + 1
-    stop = _stop_node(n, reverse, stop)
+    if not 0 <= stop <= n - 1:
+        raise ValueError(f"stop must lie in [0, {n - 1}], got {stop!r}")
     # only the steps and samples the sweep reads, indexed from the slice's
     # start: step[stop:] and samples [2*stop:] inward
     steps = slice(stop, None) if reverse else slice(stop)
@@ -329,7 +320,7 @@ def backend() -> str:
 
 def rk4_linear2x2(step, a11, a12, a21, a22,
                   y1_init, y2_init, reverse,
-                  y1_out, y2_out, logscale_out, stop=None):
+                  y1_out, y2_out, logscale_out, stop):
     """Propagate y' = A(t) y from one end of the grid to node ``stop`` with
     the selected backend, under the contract of ``_rk4_python``.
 

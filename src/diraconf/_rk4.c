@@ -155,7 +155,7 @@ static int sweep(Py_ssize_t n, const double *s, const double *b11,
 }
 
 /* rk4_linear2x2(step, a11, a12, a21, a22, y1_init, y2_init, reverse,
- *               y1_out, y2_out, logscale_out[, stop]) -> status */
+ *               y1_out, y2_out, logscale_out, stop) -> status */
 static PyObject *rk4_linear2x2(PyObject *self, PyObject *const *args,
                                Py_ssize_t nargs)
 {
@@ -164,10 +164,9 @@ static PyObject *rk4_linear2x2(PyObject *self, PyObject *const *args,
     double seed[2];
     PyObject *result = NULL;
     (void)self;
-    if (nargs != 11 && nargs != 12) {
+    if (nargs != 12) {
         PyErr_Format(PyExc_TypeError,
-                     "rk4_linear2x2 takes 11 or 12 arguments (%zd given)",
-                     nargs);
+                     "rk4_linear2x2 takes 12 arguments (%zd given)", nargs);
         return NULL;
     }
     int held = get_arrays(args, position, 8, 1, v);
@@ -177,16 +176,14 @@ static PyObject *rk4_linear2x2(PyObject *self, PyObject *const *args,
     if (reverse < 0)
         goto done;
     Py_ssize_t n = v[0].shape[0] + 1;
-    Py_ssize_t stop = reverse ? 0 : n - 1;
-    if (nargs == 12 && args[11] != Py_None) {
-        stop = PyNumber_AsSsize_t(args[11], NULL);  /* clamps huge ints */
-        if (stop == -1 && PyErr_Occurred())
-            goto done;
-        if (stop < 0 || stop > n - 1) {
-            PyErr_Format(PyExc_ValueError, "stop must lie in [0, %zd], got %R",
-                         n - 1, args[11]);
-            goto done;
-        }
+    /* a TypeError for None or any other non-integer; clamps huge ints */
+    Py_ssize_t stop = PyNumber_AsSsize_t(args[11], NULL);
+    if (stop == -1 && PyErr_Occurred())
+        goto done;
+    if (stop < 0 || stop > n - 1) {
+        PyErr_Format(PyExc_ValueError, "stop must lie in [0, %zd], got %R",
+                     n - 1, args[11]);
+        goto done;
     }
     result = PyLong_FromLong(sweep(
         n, v[0].buf, v[1].buf, v[2].buf, v[3].buf, v[4].buf, seed[0],

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quantum_numbers import AngularState, check_state
+from .quantum_numbers import check_state
 
 __all__ = [
     "CouplingSet",
-    "HydrogenicState",
     "dirac_coulomb_energy",
     "schrodinger_energy",
     "expectation_r",
@@ -48,21 +47,6 @@ class CouplingSet:
     def __post_init__(self):
         if not self.mass > 0:
             raise DomainError(f"mass must be positive, got {self.mass}")
-
-
-@dataclass(frozen=True)
-class HydrogenicState:
-    """Reference state |n, kappa> with kappa restricted to -n..n-1, nonzero."""
-
-    n: int
-    angular: AngularState
-
-    def __post_init__(self):
-        check_state(self.n, self.angular.kappa)
-
-    @property
-    def kappa(self) -> int:
-        return self.angular.kappa
 
 
 def dirac_coulomb_energy(n: int, kappa: int, lam: float, m: float = 1.0) -> float:
@@ -115,10 +99,10 @@ def expectation_anticomm_p2_r(n: int, kappa: int, lam: float, m: float = 1.0) ->
     return 4.0 * m * (e_b * expectation_r(n, kappa, lam, m) + lam)
 
 
-def radial_wavefunction(n: int, ell: int, lam: float, m: float = 1.0, r=None):
+def radial_wavefunction(n: int, ell: int, lam: float, m: float, r):
     """Normalized hydrogenic R_{n ell}(r), Bohr scale 1/(lam m).
 
-    With ``r`` a scalar or array, returns R at those radii; associated
+    Returns R at the radii ``r``, a scalar or an array; associated
     Laguerre polynomials are built by upward recurrence, which stays
     well-conditioned to n ~ 20.
     """

@@ -6,8 +6,10 @@ the total angular momentum j of a bispinor state:
     kappa = -(l + 1)  for j = l + 1/2
     kappa = +l        for j = l - 1/2      (l >= 1)
 
-so l = |kappa + 1/2| - 1/2 and j = |kappa| - 1/2.  Half-integers (j and the
-magnetic projection M) are stored doubled, as exact integers.
+so l = |kappa + 1/2| - 1/2 and j = |kappa| - 1/2; j is stored doubled,
+as the exact integer 2j.  A state is the pair (n, kappa) of plain ints,
+checked by ``check_state``; no matrix element here depends on the magnetic
+projection M.
 
 Convention for the spin-angular eigenvalue: on the upper two-spinor
 (sigma.L + 1) chi_kappa = -kappa chi_kappa, hence <sigma.L> = -kappa - 1
@@ -20,12 +22,9 @@ energy shift reproduces the closed-form shift exactly (see
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError
 
 __all__ = [
-    "AngularState",
     "kappa_from_lj",
     "decompose_kappa",
     "sigma_dot_L_plus_one_eigenvalue",
@@ -33,36 +32,6 @@ __all__ = [
     "check_state",
     "radial_nodes",
 ]
-
-
-@dataclass(frozen=True)
-class AngularState:
-    """Angular quantum numbers of one bispinor component.
-
-    ``magnetic_twice`` (2M) is carried for completeness only; no matrix
-    element in this package depends on it.
-    """
-
-    kappa: int
-    magnetic_twice: int = 1
-
-    def __post_init__(self):
-        if self.kappa == 0:
-            raise DomainError("kappa must be a nonzero integer")
-        if abs(self.magnetic_twice) > self.j_twice:
-            raise DomainError(
-                f"|2M| = {abs(self.magnetic_twice)} exceeds 2j = {self.j_twice}"
-            )
-        if self.magnetic_twice % 2 == 0:
-            raise DomainError("2M must be odd (M is half-integer)")
-
-    @property
-    def ell(self) -> int:
-        return self.kappa if self.kappa > 0 else -self.kappa - 1
-
-    @property
-    def j_twice(self) -> int:
-        return 2 * abs(self.kappa) - 1
 
 
 def kappa_from_lj(ell: int, j_twice: int) -> int:

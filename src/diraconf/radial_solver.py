@@ -417,9 +417,9 @@ class _SchrodingerSystem:
             ("v + l(l+1)/(2 m r^2)",
              lambda t: t[0] + ell * (ell + 1.0) / (2.0 * m * ra**2)),
         ])
-        self.a11 = np.zeros_like(ra)
-        self.a12 = ra.copy()
-        self.a22 = np.zeros_like(ra)
+        # the kernel only reads its tables: one zero table serves as both
+        # diagonals, and a12 is the radii themselves
+        self._zero = np.zeros_like(ra)
         # a21 of the last energy built; no sweep keeps it
         self._a21 = np.empty_like(ra)
         self._v = v_all[::2].copy()
@@ -434,7 +434,7 @@ class _SchrodingerSystem:
     def coefficients(self, E: float):
         a21 = np.subtract(self.v_eff, E - self.m, out=self._a21)
         np.multiply(self._r_2m, a21, out=a21)
-        return self.a11, self.a12, a21, self.a22
+        return self._zero, self.grid.r_all, a21, self._zero
 
     def outward_seed(self, E: float):
         r0 = self._r0
@@ -462,10 +462,10 @@ class _SchrodingerSystem:
                                        self.m, self._h)
 
 
-def _propagate(system, E: float, tables, reverse: bool, stop=None):
+def _propagate(system, E: float, tables, reverse: bool, stop: int):
     """(y1, y2, logscale) of one sweep over ``system.coefficients(E)``,
-    from the grid's end to node ``stop`` (by default the other end); the
-    three arrays are new, of the grid's length, and unset beyond ``stop``."""
+    from the grid's end to node ``stop``; the three arrays are new, of the
+    grid's length, and unset beyond ``stop``."""
     n = system.grid.count
     y1 = np.empty(n)
     y2 = np.empty(n)
@@ -542,10 +542,11 @@ def _merge_and_scale(system, E: float, pair):
     floats, so the result is that of full sweeps either way.
     """
     n = system.grid.count
+    whole = (0, n - 1)
     im = _match_index(system, E)
     glue = _glue_node(pair, im)
-    if glue is None and pair[2] != (0, n - 1):
-        pair = _sweep_pair(system, E, im)[1]
+    if glue is None and pair[2] != whole:
+        pair = _sweep_pair(system, E, im, whole)[1]
         glue = _glue_node(pair, im)
     if glue is None:
         raise ConvergenceError(
@@ -636,17 +637,14 @@ _EPS = sys.float_info.epsilon
 _MAX_DEFECT_EVALS = 300
 
 
-def _sweep_pair(system, E: float, i_match: int, window=None):
+def _sweep_pair(system, E: float, i_match: int, window):
     """The outward and inward sweeps at E from one coefficient build, the
     solver's unit of work per energy: (matching defect at i_match, pair).
 
-    Both sweeps cover the window (lo, hi) of nodes, which holds i_match and
-    is by default the whole grid: the outward sweep stops at hi and the
-    inward one at lo, about N + (hi - lo) RK4 steps in all.  The pair is
-    (outward, inward, window).
+    Both sweeps cover the window (lo, hi) of nodes, which holds i_match:
+    the outward sweep stops at hi and the inward one at lo, about
+    N + (hi - lo) RK4 steps in all.  The pair is (outward, inward, window).
     """
-    if window is None:
-        window = (0, system.grid.count - 1)
     tables = system.coefficients(E)
     pair = (_propagate(system, E, tables, False, window[1]),
             _propagate(system, E, tables, True, window[0]), window)
@@ -763,8 +761,9 @@ def integrate_radial(potential: PotentialSpec, kappa: int, E: float, m: float,
     if direction not in ("outward", "inward"):
         raise DomainError(f"direction must be 'outward' or 'inward', got {direction!r}")
     system = _DiracSystem(potential, kappa, m, grid)
-    f, g, logscale = _propagate(system, E, system.coefficients(E),
-                                reverse=(direction == "inward"))
+    inward = direction == "inward"
+    f, g, logscale = _propagate(system, E, system.coefficients(E), inward,
+                                0 if inward else grid.count - 1)
     scale = np.exp(logscale - _log_peak(f, g, logscale))
     return f * scale, g * scale
 
@@ -795,7 +794,9 @@ def find_bound_state(potential: PotentialSpec, kappa: int, m: float,
     bracket of about 4 ulp of E), f, g normalized to
     int (f^2 + g^2) r^2 dr = 1 and, in ``residual``, the relative equation
     defect of ``_fd_residual`` (derivatives by finite differences): a
-    consistency check, not an error bar on the energy.
+    smoothness check that the sampled state solves the equations, not an
+    error bar on the energy.  It need not shrink as the grid is refined:
+    the differences divide rounding by the step.
     """
     system = _DiracSystem(potential, kappa, m, grid)
     energy, f, g, nodes, residual = _shoot(system, E_bracket, target_nodes)
@@ -811,6 +812,14 @@ def solve_schrodinger_radial(v: Callable, ell: int, m: float, grid: RadialGrid,
     ``v`` is the potential without the centrifugal term; energies include
     the rest mass, matching the relativistic solver's convention.
     ``coulomb_coeff`` declares a c/r component of v for the series start.
+
+    ``residual`` is the smoothness check of ``find_bound_state``, not an
+    error bar on the energy, and it grows as the grid is refined: at the
+    innermost live nodes the finite difference of a nearly constant ``du``
+    cancels, an error of order rounding/h.  With mu = 0.1 (the CLI's
+    ``antiparticle-linear`` family) it rises from 1.6e-3 to 1.7e-2 for
+    N = 1000 -> 8000 while the ground energy closes in on the Airy value,
+    from 3.7e-10 to 9e-14 away.
     """
     system = _SchrodingerSystem(v, ell, m, grid, coulomb_coeff)
     energy, u, du, nodes, residual = _shoot(system, E_bracket, target_nodes)

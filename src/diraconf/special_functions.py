@@ -117,18 +117,22 @@ def _panel(f, a: float, b: float) -> tuple[float, float, int]:
     return i15, abs(i15 - i7), t.size
 
 
+# the panel count at which integrate_adaptive gives up
+_MAX_INTERVALS = 4000
+
+
 def integrate_adaptive(
     f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     tol: float = 1e-12,
-    max_intervals: int = 4000,
 ) -> QuadratureResult:
     """Adaptive quadrature of ``f`` on (lo, hi); ``hi`` may be math.inf.
 
     ``f`` maps a float64 array of nodes to the array of its values.
     Splits the interval with the largest local error estimate until the
-    summed estimate drops below ``tol`` (absolute, with a relative floor).
+    summed estimate drops below ``tol`` (absolute, with a relative floor);
+    ConvergenceError, with the partial result, after ``_MAX_INTERVALS``.
     The integrand is never evaluated at the endpoints, so integrable
     endpoint singularities are allowed.
     """
@@ -155,7 +159,7 @@ def integrate_adaptive(
         total_err = sum(iv[0] for iv in intervals)
         if total_err <= max(tol, 1e-15 * abs(total)):
             break
-        if len(intervals) >= max_intervals:
+        if len(intervals) >= _MAX_INTERVALS:
             raise ConvergenceError(
                 f"quadrature did not converge: error estimate {total_err:.3e} "
                 f"after {len(intervals)} intervals",

@@ -5,7 +5,6 @@ import pytest
 
 from diraconf.coulomb import (
     CouplingSet,
-    HydrogenicState,
     dirac_coulomb_energy,
     dirac_coulomb_ground_state,
     expectation_anticomm_p2_r,
@@ -15,7 +14,6 @@ from diraconf.coulomb import (
     schrodinger_energy,
 )
 from diraconf.errors import DomainError
-from diraconf.quantum_numbers import AngularState
 from diraconf.special_functions import integrate_adaptive
 
 
@@ -158,6 +156,13 @@ class TestRadialWavefunction:
         with pytest.raises(DomainError):
             radial_wavefunction(2, 2, 1.0, 1.0, 1.0)
 
+    def test_radii_required(self):
+        # np.asarray(None, dtype=float) is NaN: without radii, R must raise
+        with pytest.raises(TypeError):
+            radial_wavefunction(1, 0, 0.5)
+        with pytest.raises(TypeError):
+            radial_wavefunction(1, 0, 0.5, 1.0)
+
 
 class TestTypes:
     def test_coupling_set_validation(self):
@@ -165,14 +170,6 @@ class TestTypes:
             CouplingSet(mass=0.0, lam=0.5)
         c = CouplingSet(mass=1.0, lam=0.5, mu=1e-4, nu=-8.66e-5)
         assert c.lam == 0.5
-
-    def test_hydrogenic_state_bounds(self):
-        s = HydrogenicState(n=2, angular=AngularState(kappa=-2))
-        assert s.kappa == -2
-        with pytest.raises(DomainError):
-            HydrogenicState(n=2, angular=AngularState(kappa=2))  # kappa = n
-        with pytest.raises(DomainError):
-            HydrogenicState(n=1, angular=AngularState(kappa=-2))
 
     def test_ground_state_helper(self):
         gs = dirac_coulomb_ground_state(0.5, -1, 1.0)

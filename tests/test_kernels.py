@@ -57,7 +57,8 @@ def _run(reverse, kernel=rk4_linear2x2):
     f = np.empty(n)
     g = np.empty(n)
     sc = np.empty(n)
-    status = kernel(steps, a11, a12, a21, a22, f0, g0, reverse, f, g, sc)
+    status = kernel(steps, a11, a12, a21, a22, f0, g0, reverse, f, g, sc,
+                    0 if reverse else n - 1)
     assert status == 0
     return f, g, sc
 
@@ -174,6 +175,20 @@ def test_stop_out_of_range_raises(name, reverse):
         assert all((a == 7.0).all() for a in out)
 
 
+
+@pytest.mark.parametrize("name", ["_rk4_python", "_rk4_c"])
+def test_stop_is_required(name):
+    # every sweep names its stop node: there is no whole-grid default
+    kernel = _kernel(name)
+    args = _coulomb_arrays(50)
+    for reverse in (False, True):
+        for stop in ((), (None,)):
+            out = np.full(50, 7.0), np.full(50, 7.0), np.full(50, 7.0)
+            with pytest.raises(TypeError):
+                kernel(*args, reverse, *out, *stop)
+            assert all((a == 7.0).all() for a in out)
+
+
 def test_backend_selected():
     assert _kernels.backend() == ("c" if HAVE_CC else "python")
 
@@ -216,7 +231,8 @@ def test_rescaling_bookkeeping(kernel):
     f = np.empty(n)
     g = np.empty(n)
     sc = np.empty(n)
-    status = kernel(steps, ones, zeros, zeros, ones, 1.0, 1.0, False, f, g, sc)
+    status = kernel(steps, ones, zeros, zeros, ones, 1.0, 1.0, False, f, g, sc,
+                    n - 1)
     assert status == 0
     assert np.max(np.abs(f)) <= 1e250
     log_val = np.log(f) + sc
@@ -232,7 +248,7 @@ def test_non_finite_status(name):
     big = np.full(7, 1e308)
     out = np.empty(4), np.empty(4), np.empty(4)
     assert _kernel(name)(steps, big, big, big, big, 1e300, 1e300, False,
-                         *out) == 1
+                         *out, 3) == 1
 
 
 def test_self_check_covers_a_rescale():
@@ -240,7 +256,8 @@ def test_self_check_covers_a_rescale():
     n = len(args[0]) + 1
     for reverse in (False, True):
         sc = np.empty(n)
-        assert _rk4_python(*args, reverse, np.empty(n), np.empty(n), sc) == 0
+        assert _rk4_python(*args, reverse, np.empty(n), np.empty(n), sc,
+                           0 if reverse else n - 1) == 0
         assert np.count_nonzero(sc) > 0
 
 
@@ -305,14 +322,14 @@ def _check_rejects_arrays_it_cannot_read(kernel):
             args[7:] = [False, np.full(50, 7.0), np.empty(50), np.empty(50)]
             args[position] = _bad_arrays(args[position])[bad]
             with pytest.raises(ValueError):
-                kernel(*args, None)
+                kernel(*args, 49)
             if position != 8:
                 assert (args[8] == 7.0).all()
     for k in range(3):
         out = [np.empty(50), np.empty(50), np.empty(50)]
         out[k].flags.writeable = False
         with pytest.raises(ValueError, match="writeable"):
-            kernel(*_coulomb_arrays(50), False, *out)
+            kernel(*_coulomb_arrays(50), False, *out, 49)
 
 
 def test_compiled_rejects_arrays_it_cannot_read():
@@ -328,12 +345,12 @@ def _check_reads_read_only_tables(kernel, position):
     # read-only input tables are read like any other and give the same bytes
     args = list(_coulomb_arrays(50))
     ref = np.empty(50), np.empty(50), np.empty(50)
-    assert kernel(*args, False, *ref) == 0
+    assert kernel(*args, False, *ref, 49) == 0
     table = args[position].copy()
     table.flags.writeable = False
     args[position] = table
     out = np.empty(50), np.empty(50), np.empty(50)
-    assert kernel(*args, False, *out) == 0
+    assert kernel(*args, False, *out, 49) == 0
     assert all(a.tobytes() == b.tobytes() for a, b in zip(out, ref))
 
 
@@ -354,7 +371,7 @@ def test_zero_step_sweep_matches_across_backends(reverse):
     for kernel in (_rk4_python, _compiled()):
         out = np.full(1, 7.0), np.full(1, 7.0), np.full(1, 7.0)
         status = kernel(np.empty(0), *(np.ones(1),) * 4, 2.0, 3.0, reverse,
-                        *out)
+                        *out, 0)
         outs.append((status, [a.tolist() for a in out]))
     assert outs[0] == outs[1] == (0, [[2.0], [3.0], [0.0]])
 
@@ -587,7 +604,7 @@ def test_kernel_mishandling_stop_selects_python(monkeypatch, misread):
             n = len(args[0]) + 1
             stop = args[11]
             if misread == "full-sweep":
-                stop = None
+                stop = 0 if args[7] else n - 1
             elif 0 < stop < n - 1:
                 stop += 1 if args[7] else -1
             return kernel(*args[:11], stop)

@@ -2,7 +2,6 @@ import pytest
 
 from diraconf.errors import DomainError
 from diraconf.quantum_numbers import (
-    AngularState,
     check_state,
     decompose_kappa,
     enumerate_kappa,
@@ -119,18 +118,3 @@ def test_radial_nodes_rejects_missing_states():
     with pytest.raises(DomainError):
         radial_nodes(2, 0)
 
-
-def test_angular_state_properties():
-    s = AngularState(kappa=-1, magnetic_twice=1)
-    assert s.ell == 0 and s.j_twice == 1
-    s = AngularState(kappa=2, magnetic_twice=-3)
-    assert s.ell == 2 and s.j_twice == 3
-
-
-def test_angular_state_validation():
-    with pytest.raises(DomainError):
-        AngularState(kappa=0)
-    with pytest.raises(DomainError):
-        AngularState(kappa=-1, magnetic_twice=3)  # |2M| > 2j
-    with pytest.raises(DomainError):
-        AngularState(kappa=-2, magnetic_twice=2)  # M must be half-integer

@@ -96,7 +96,8 @@ def _bisect_to_floor(system, E_bracket):
     i_match = rs._match_index(system, 0.5 * (lo + hi))
 
     def defect(E):
-        return rs._sweep_pair(system, E, i_match)[0]
+        return rs._sweep_pair(system, E, i_match,
+                              (0, system.grid.count - 1))[0]
 
     d_lo = defect(lo)
     d_hi = defect(hi)
@@ -310,7 +311,7 @@ class TestFindBoundState:
             g = np.empty(n_pts)
             sc = np.empty(n_pts)
             assert rk4_linear2x2(steps, a11, a12, a21, a22, f0, g0, False,
-                                 f, g, sc) == 0
+                                 f, g, sc, n_pts - 1) == 0
             exact = r[-1] ** (b - 1.0) * math.exp(-a * r[-1])
             return abs(f[-1] - exact) / exact
 
@@ -456,7 +457,8 @@ class TestHotPath:
             system = rs._SchrodingerSystem(lambda r: 0.0 * r, 2, 1.0, grid)
             E, reverse = 1.5, False
         with pytest.raises(ConvergenceError, match="non-finite"):
-            rs._propagate(system, E, system.coefficients(E), reverse)
+            rs._propagate(system, E, system.coefficients(E), reverse,
+                          0 if reverse else grid.count - 1)
 
 
 class TestEigenvalueSearch:
@@ -625,7 +627,7 @@ class TestEigenvalueSearch:
             f_in[hi] = 0.0
             pair = (pair[0], (f_in,) + pair[1][1:], pair[2])
         monkeypatch.setattr(rs, "_match_index", lambda *args: glue)
-        full = rs._sweep_pair(system, energy, glue)[1]
+        full = rs._sweep_pair(system, energy, glue, (0, grid.count - 1))[1]
         calls = sweep_calls["kernel"]
         merged = rs._merge_and_scale(system, energy, pair)
         assert sweep_calls["kernel"] == calls + 2

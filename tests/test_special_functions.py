@@ -151,12 +151,13 @@ class TestQuadrature:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
 
-    def test_nonconvergence_carries_partial_result(self):
+    def test_nonconvergence_carries_partial_result(self, monkeypatch):
         from diraconf.errors import ConvergenceError
         from diraconf.special_functions import QuadratureResult
+        monkeypatch.setattr(special_functions, "_MAX_INTERVALS", 6)
         with pytest.raises(ConvergenceError) as err:
             integrate_adaptive(lambda t: np.sin(4e4 * t), 0.0, 1.0,
-                               tol=1e-14, max_intervals=6)
+                               tol=1e-14)
         assert isinstance(err.value.partial, QuadratureResult)
         assert err.value.partial.evaluations > 0
 
