@@ -60,6 +60,8 @@ from .radial_solver import (
     ScalarBoundState,
     ShiftStudy,
     airy_grid,
+    airy_ladder,
+    coulomb_bracket,
     coulomb_grid,
     coulomb_plus_linear,
     coulomb_potential,

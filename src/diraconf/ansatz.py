@@ -190,9 +190,8 @@ def residual_grid(params: AnsatzParams) -> np.ndarray:
     ``evaluate_spinor`` call each), so each radius is the same float a
     step-by-step ``r *= 1.05`` loop gives.
     """
-    r_peak = max(params.b / params.a, 1.0 / params.a)
-    if params.alpha2 > 0:
-        r_peak = min(r_peak, 1.0 / math.sqrt(params.alpha2))
+    r_peak = min(max(params.b / params.a, 1.0 / params.a),
+                 1.0 / math.sqrt(params.alpha2))
     f_peak, _ = evaluate_spinor(params, r_peak)
     threshold = 1e-13 * f_peak
     growth = np.full(_WALK_CHUNK, _WALK_GROWTH)

@@ -19,6 +19,12 @@ bounds of ``_BOUNDS``: ``--mass > 0``, ``shift --n-max >= 1``, ``solve``
 ``coulomb-linear --mu >= 0`` and ``antiparticle-linear --lambda >= 0
 --states >= 1 --states <= 19``; the library checks the other flags before
 any work.
+
+``solve`` runs one setup per family (``_SOLVE_FAMILIES``).  Each closed-form
+bracket rule lives in ``radial_solver`` next to its grid: ``coulomb_grid``
+and ``coulomb_bracket`` for ``coulomb`` and ``coulomb-linear``, and
+``airy_ladder`` (grid, brackets and one system for every level) for
+``antiparticle-linear``; ``bag`` is ``rescale.bag_model_case``.
 """
 from __future__ import annotations
 
@@ -47,19 +53,15 @@ from .errors import (
     NormalizationError,
     WrongStateError,
 )
-from .fw_effective import (
-    antiparticle_spectrum_airy,
-    first_order_shift,
-    preservation_scan,
-)
+from .fw_effective import first_order_shift, preservation_scan
 from .quantum_numbers import enumerate_kappa, radial_nodes
 from .radial_solver import (
-    airy_grid,
+    airy_ladder,
+    coulomb_bracket,
     coulomb_grid,
     coulomb_plus_linear,
     coulomb_potential,
     find_bound_state,
-    solve_schrodinger_radial,
 )
 from .rescale import bag_model_case
 from .special_functions import integrate_adaptive
@@ -118,12 +120,6 @@ def _emit(rows, fmt: str, path: str | None):
             fh.write(text)
 
 
-def _coulomb_bracket(n: int, lam: float, m: float):
-    # bracket halfwidth from the spacing to the next level of the same kappa
-    gap = lam * lam * m * (1.0 / (n * n) - 1.0 / ((n + 1) * (n + 1))) / 2.0
-    return max(0.25 * gap, 1e-7 * m)
-
-
 def cmd_energy(args) -> int:
     e_dirac = dirac_coulomb_energy(args.n, args.kappa, args.lam, args.mass)
     e_schr = schrodinger_energy(args.n, args.lam, args.mass)
@@ -169,18 +165,22 @@ def cmd_scan(args) -> int:
 
 
 def _norm_integrand(params):
-    """The norm density (f^2 + g^2) r^2 in x = m r, on an array of x.
+    """The norm density (f^2 + g^2) r^2 in x = s r, on an array of x, with
+    s = max(m, sqrt(alpha2)) the larger of the state's two inverse lengths.
 
     In x the density's scale is that of the couplings, whatever the mass,
-    so the quadrature's absolute tolerance means the same at any m; at
-    m = 1 both divisions are exact and the integrand is the one in r.
+    so the quadrature's absolute tolerance means the same at any m.  Where
+    the Gaussian width 1/sqrt(alpha2) is the shorter length (a light
+    mass), x in r = 1/m units would put the whole density between the
+    first panel's nodes; in units of the width it lies on them.  At
+    s = m = 1 both divisions are exact and the integrand is the one in r.
     """
-    m = params.couplings.mass
+    s = max(params.couplings.mass, math.sqrt(params.alpha2))
 
     def integrand(x):
-        r = x / m
+        r = x / s
         f, g = evaluate_spinor(params, r)
-        return (f * f + g * g) * r * r / m
+        return (f * f + g * g) * r * r / s
 
     return integrand
 
@@ -212,7 +212,7 @@ def _solve_coulomb(args):
     """Coulomb level |n, kappa>, bare or with the fine-tuned linear pair."""
     m = args.mass
     e_ref = dirac_coulomb_energy(args.n, args.kappa, args.lam, m)
-    half = _coulomb_bracket(args.n, args.lam, m)
+    bracket = coulomb_bracket(args.n, args.kappa, args.lam, m)
     grid = coulomb_grid(args.lam, args.n, args.kappa, m, args.points)
     linear = args.family == "coulomb-linear"
     if linear:
@@ -220,8 +220,7 @@ def _solve_coulomb(args):
         pot = coulomb_plus_linear(args.lam, args.mu, nu)
     else:
         pot = coulomb_potential(args.lam)
-    state = find_bound_state(pot, args.kappa, m, grid,
-                             (e_ref - half, e_ref + half),
+    state = find_bound_state(pot, args.kappa, m, grid, bracket,
                              radial_nodes(args.n, args.kappa))
     row = {"n": args.n, "kappa": args.kappa}
     if linear:
@@ -248,31 +247,13 @@ def _solve_bag(args):
 
 def _solve_antiparticle(args):
     """s-wave ladder of the slope 2 mu (plus an optional +lam/r core)."""
-    m = args.mass
-    slope = 2.0 * args.mu
-
-    def v(r):
-        r = np.asarray(r, dtype=float)
-        base = slope * r
-        return base + args.lam / r if args.lam else base
-
-    refs = antiparticle_spectrum_airy(args.mu, m, count=args.states + 1)
-    grid = airy_grid(v, slope, refs[args.states - 1], m, args.points)
-    r_char = (2.0 * m * slope) ** (-1.0 / 3.0)
-    shift_room = 2.0 * args.lam / r_char if args.lam else 0.0
-    rows = []
-    for k in range(1, args.states + 1):
-        lo = refs[k - 1] - (0.45 * (refs[k - 1] - refs[k - 2])
-                           if k > 1 else 0.45 * (refs[0] - m))
-        hi = refs[k - 1] + 0.45 * (refs[k] - refs[k - 1]) + shift_room
-        state = solve_schrodinger_radial(v, 0, m, grid, (lo, hi), k - 1,
-                                         coulomb_coeff=args.lam)
-        rows.append({
-            "k": k, "energy": state.energy,
-            "energy_airy": refs[k - 1] if not args.lam else None,
-            "nodes": state.nodes, "residual": state.residual,
-        })
-    return rows, {"r": grid.r, "u": state.u}
+    refs, grid, levels = airy_ladder(args.mu, args.mass, args.states,
+                                     args.lam, args.points)
+    rows = [{"k": k, "energy": state.energy,
+             "energy_airy": ref if not args.lam else None,
+             "nodes": state.nodes, "residual": state.residual}
+            for k, (ref, state) in enumerate(zip(refs, levels), 1)]
+    return rows, {"r": grid.r, "u": levels[-1].u}
 
 
 # each family maps the parsed flags to (table rows, wavefunction columns)

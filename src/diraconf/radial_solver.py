@@ -48,7 +48,10 @@ tables, seeds, norm density and equation residual; one pipeline
 count and measures the residual for both.  One tail walk
 (``_tail_radius``) places r_max for both from their WKB decay rates;
 ``coulomb_grid`` and ``airy_grid`` build the grids of the Coulomb levels and
-of the linear-slope ladders.
+of the linear-slope ladders, and next to them live the two closed-form
+bracket rules: ``coulomb_bracket`` (a quarter of the gap to the next level
+around the Sommerfeld energy) and ``airy_ladder`` (0.45 of the Airy level
+spacing, every level of a ladder solved on one system).
 """
 from __future__ import annotations
 
@@ -64,6 +67,7 @@ from ._kernels import (dirac_fd_residual, rk4_linear2x2,
                        schrodinger_fd_residual)
 from .coulomb import dirac_coulomb_energy
 from .errors import BracketError, ConvergenceError, DomainError, WrongStateError
+from .fw_effective import antiparticle_spectrum_airy
 from .quantum_numbers import radial_nodes
 
 __all__ = [
@@ -82,7 +86,9 @@ __all__ = [
     "suggest_rmax",
     "suggest_rmax_schrodinger",
     "coulomb_grid",
+    "coulomb_bracket",
     "airy_grid",
+    "airy_ladder",
 ]
 
 
@@ -916,6 +922,18 @@ def coulomb_grid(lam: float, n: int, kappa: int, m: float = 1.0,
     return RadialGrid(1e-6 / (lam * m), r_max, points)
 
 
+def coulomb_bracket(n: int, kappa: int, lam: float, m: float):
+    """Energy bracket of the Coulomb level |n, kappa>: its Sommerfeld
+    energy plus or minus a quarter of the nonrelativistic gap
+    lam^2 m (1/n^2 - 1/(n+1)^2)/2 to the next level of the same kappa,
+    and at least 1e-7 m.  It serves the bare level and the preserved one,
+    which keeps the Sommerfeld energy under fine-tuned confinement."""
+    e_ref = dirac_coulomb_energy(n, kappa, lam, m)
+    gap = lam * lam * m * (1.0 / (n * n) - 1.0 / ((n + 1) * (n + 1))) / 2.0
+    half = max(0.25 * gap, 1e-7 * m)
+    return e_ref - half, e_ref + half
+
+
 def airy_grid(v: Callable, slope: float, e_top: float, m: float = 1.0,
               points: int = 20000) -> RadialGrid:
     """Log grid for the s-wave levels up to ``e_top`` of a linear slope
@@ -926,6 +944,50 @@ def airy_grid(v: Callable, slope: float, e_top: float, m: float = 1.0,
     r_max = suggest_rmax_schrodinger(v, e_top, m,
                                      r_start=2.0 * (e_top - m) / slope)
     return RadialGrid(1e-6 * r_char, r_max, points)
+
+
+def airy_ladder(mu: float, m: float, states: int, core: float, points: int):
+    """The lowest ``states`` s-wave levels of the slope 2 mu r plus a
+    repulsive core ``core``/r (none when ``core`` is 0): (refs, grid,
+    levels).
+
+    ``refs`` are the ``states + 1`` Airy-ladder energies of the bare slope
+    (``antiparticle_spectrum_airy``), ``grid`` is the ``airy_grid`` of the
+    top level, and ``levels`` holds a ``ScalarBoundState`` per level, all
+    solved on one ``_SchrodingerSystem``.  Level k is bracketed from 0.45
+    of the spacing to the level below (the rest mass below the ground) to
+    0.45 of the spacing to the level above, and the top is lifted by
+    shift_room = 2 core / r_char (r_char the Airy length) to make room for
+    the core's upward shift.  That lift is a stopgap that grows without
+    limit in ``core``: ``solve --family antiparticle-linear --mu 0.5
+    --lambda 1e6 --states 1 --points 500`` exits 0 with residual 1.0, and
+    ``--lambda 10`` raises BracketError although the state exists.
+    Brackets from node counts (Sturm oscillation, as in SLEDGE) are to
+    replace it.
+    """
+    if states < 1:
+        raise DomainError(f"states must be >= 1, got {states!r}")
+    slope = 2.0 * mu
+
+    def v(r):
+        r = np.asarray(r, dtype=float)
+        base = slope * r
+        return base + core / r if core else base
+
+    refs = antiparticle_spectrum_airy(mu, m, count=states + 1)
+    grid = airy_grid(v, slope, refs[states - 1], m, points)
+    r_char = (2.0 * m * slope) ** (-1.0 / 3.0)
+    shift_room = 2.0 * core / r_char if core else 0.0
+    system = _SchrodingerSystem(v, 0, m, grid, core)
+    levels = []
+    for k in range(states):
+        below = refs[k - 1] if k else m
+        bracket = (refs[k] - 0.45 * (refs[k] - below),
+                   refs[k] + 0.45 * (refs[k + 1] - refs[k]) + shift_room)
+        energy, u, du, nodes, residual = _shoot(system, bracket, k)
+        levels.append(ScalarBoundState(energy=energy, ell=0, grid=grid, u=u,
+                                       du=du, nodes=nodes, residual=residual))
+    return refs, grid, levels
 
 
 @dataclass

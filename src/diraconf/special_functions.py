@@ -181,10 +181,14 @@ def kummer_U(a: float, b: float, z: float) -> float:
 
     Uses the Laplace integral
         U(a, b, z) = 1/Gamma(a) * int_0^inf e^{-z t} t^{a-1} (1+t)^{b-a-1} dt,
-    rescaled by t = s/z when z >= 1 so the integrand stays O(1) even for
-    the very large z that arise from weakly confining couplings.  The
-    integrands stay scalar ``math`` code, node by node, so U keeps every
-    bit it had when the quadrature called them one node at a time.
+    rescaled by t = s/z so the integrand decays as e^{-s} at any z: the
+    very large z of weakly confining couplings and the very small z of a
+    light mass alike.  For z >= 1 the factor (1 + s/z)^{b-a-1} is taken
+    as it stands; for z < 1 it is written z^{a+1-b} (z + s)^{b-a-1}, so
+    the integrand stays O(1) as z -> 0 and the prefactor is
+    z^{1-b}/Gamma(a).  The integrands stay scalar ``math`` code,
+    node by node, so the z >= 1 branch keeps every bit it had when the
+    quadrature called them one node at a time.
     """
     if not (a > 0 and z > 0):
         raise DomainError(f"kummer_U requires a > 0 and z > 0, got a={a}, z={z}")
@@ -193,16 +197,15 @@ def kummer_U(a: float, b: float, z: float) -> float:
         def integrand(s):
             return math.exp(-s + (a - 1.0) * math.log(s) + c * math.log1p(s / z))
 
-        res = integrate_adaptive(lambda s: [integrand(x) for x in s], 0.0,
-                                 math.inf, tol=1e-13)
-        return z ** (-a) / gamma_fn(a) * res.value
+        scale = z ** (-a)
+    else:
+        def integrand(s):
+            return math.exp(-s + (a - 1.0) * math.log(s) + c * math.log(z + s))
 
-    def integrand(t):
-        return math.exp(-z * t + (a - 1.0) * math.log(t) + c * math.log1p(t))
-
+        scale = z ** (1.0 - b)
     res = integrate_adaptive(lambda s: [integrand(x) for x in s], 0.0,
                              math.inf, tol=1e-13)
-    return res.value / gamma_fn(a)
+    return scale / gamma_fn(a) * res.value
 
 
 # -- Airy function on the negative real axis ---------------------------------

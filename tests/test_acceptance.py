@@ -28,6 +28,8 @@ from diraconf.quantum_numbers import enumerate_kappa
 from diraconf.radial_solver import (
     RadialGrid,
     airy_grid,
+    airy_ladder,
+    coulomb_bracket,
     coulomb_grid,
     coulomb_plus_linear,
     coulomb_potential,
@@ -86,15 +88,12 @@ def test_criterion_02_exact_preservation_numerical():
         for lam in LAMBDAS:
             for kappa0 in KAPPA0S:
                 grid, e_ref = _preserved_grid(lam, kappa0, m)
-                n0 = -kappa0
-                gap = lam * lam * m * (1.0 / n0**2 - 1.0 / (n0 + 1) ** 2) / 2.0
-                half = 0.25 * gap
+                bracket = coulomb_bracket(-kappa0, kappa0, lam, m)
                 energies = []
                 for mu in (1e-6, 1e-5, 1e-4):
                     p = build_ansatz(lam, mu, kappa0, m)
                     pot = coulomb_plus_linear(lam, mu, p.couplings.nu)
-                    st = find_bound_state(pot, kappa0, m, grid,
-                                          (e_ref - half, e_ref + half), 0)
+                    st = find_bound_state(pot, kappa0, m, grid, bracket, 0)
                     energies.append(st.energy)
                 assert all(abs(e - e_ref) <= 1e-8 * m for e in energies)
                 assert max(energies) - min(energies) < 1e-8 * m
@@ -171,19 +170,14 @@ def test_criterion_07_antiparticle_spectrum():
                       "first-order theory predicts"):
         m = 1.0
         for mu in (0.1, 0.5):
-            slope = 2.0 * mu
-            refs = antiparticle_spectrum_airy(mu, m, count=6)
-            v = lambda r: slope * np.asarray(r, dtype=float)
-            grid = airy_grid(v, slope, refs[5], m, 20000)
-            for k in range(1, 6):
-                lo = (refs[k - 1] - 0.45 * (refs[k - 1] - refs[k - 2])
-                      if k > 1 else m + 0.3 * (refs[0] - m))
-                hi = refs[k - 1] + 0.45 * (refs[k] - refs[k - 1])
-                st = solve_schrodinger_radial(v, 0, m, grid, (lo, hi), k - 1)
-                assert abs((st.energy - m) / (refs[k - 1] - m) - 1.0) <= 1e-6
+            refs, _, levels = airy_ladder(mu, m, 5, 0.0, 20000)
+            for ref, st in zip(refs, levels):
+                assert abs((st.energy - m) / (ref - m) - 1.0) <= 1e-6
 
         # repulsive Coulomb core on top of the slope: positive shift equal
-        # to lam <1/r> at first order
+        # to lam <1/r> at first order.  Both solves keep their own bracket
+        # and share the bare slope's grid, so that the shift is a difference
+        # on one grid; the core's bracket is widened for its upward shift.
         mu, lam = 0.5, 0.05
         slope = 2.0 * mu
         refs = antiparticle_spectrum_airy(mu, m, count=2)

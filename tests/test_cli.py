@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diraconf import cli, rescale
+from diraconf import cli, radial_solver, rescale
 from diraconf.cli import main
 
 
@@ -186,10 +186,11 @@ class TestAnsatzCmd:
         assert vals["max_radial_residual"] <= 1e-10
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("mass", ["1e4", "1e6"])
+    @pytest.mark.parametrize("mass", ["1e-8", "1e-6", "1e4", "1e6"])
     def test_norm_quadrature_holds_at_any_mass(self, capsys, mass):
-        # the norm is integrated in x = m r, so a heavy mass does not
-        # shrink the density below the quadrature's absolute tolerance
+        # the norm is integrated in x = max(m, sqrt(alpha2)) r, so neither
+        # a heavy mass shrinks the density below the quadrature's absolute
+        # tolerance nor a light one leaves it between the first nodes
         code, out, _ = run_cli(capsys, "ansatz", "--lambda", "0.5",
                                "--mu", "1e-4", "--kappa0", "-1",
                                "--mass", mass)
@@ -232,6 +233,23 @@ class TestSolve:
         rows = csv_rows(out)
         assert float(rows[0]["energy"]) == pytest.approx(
             float(rows[0]["energy_airy"]), rel=1e-6)
+
+    def test_antiparticle_ladder_builds_one_system(self, capsys, monkeypatch):
+        # every level of the ladder is solved on the same system
+        built = []
+
+        class Counted(radial_solver._SchrodingerSystem):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(radial_solver, "_SchrodingerSystem", Counted)
+        code, out, _ = run_cli(capsys, "solve", "--family",
+                               "antiparticle-linear", "--mu", "0.5",
+                               "--states", "3")
+        assert code == 0
+        assert len(csv_rows(out)) == 3
+        assert len(built) == 1
 
     def test_bag(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--family", "bag",
@@ -502,12 +520,13 @@ class TestInputBoundary:
         def ran(*args, **kwargs):
             raise AssertionError("a solver ran")
 
-        names = ["find_bound_state", "solve_schrodinger_radial",
-                 "first_order_shift"]
+        names = ["find_bound_state", "first_order_shift"]
         if in_table or key != "bag":
             names.append("bag_model_case")
         for name in names:
             monkeypatch.setattr(cli, name, ran)
+        # the search each level of airy_ladder runs, after its own checks
+        monkeypatch.setattr(radial_solver, "_shoot", ran)
         # the work of bag_model_case, which checks lam before it
         monkeypatch.setattr(rescale, "suggest_rmax", ran)
         monkeypatch.setattr(rescale, "h_profile", ran)

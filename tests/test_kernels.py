@@ -17,14 +17,13 @@ from diraconf import radial_solver as rs
 from diraconf._kernels import _rk4_python, rk4_linear2x2
 from diraconf.ansatz import nu_fine_tuned
 from diraconf.coulomb import dirac_coulomb_energy
-from diraconf.fw_effective import antiparticle_spectrum_airy
 from diraconf.radial_solver import (
-    airy_grid,
+    airy_ladder,
+    coulomb_bracket,
     coulomb_grid,
     coulomb_plus_linear,
     coulomb_potential,
     find_bound_state,
-    solve_schrodinger_radial,
 )
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -264,29 +263,16 @@ def test_self_check_covers_a_rescale():
 def _dirac_n2(monkeypatch, backend):
     _use_backend(monkeypatch, backend)
     lam, m, kappa, n = 0.5, 1.0, -1, 2
-    e_ref = dirac_coulomb_energy(n, kappa, lam, m)
-    gap = lam * lam * m * (1.0 / n**2 - 1.0 / (n + 1) ** 2) / 2.0
     state = find_bound_state(coulomb_potential(lam), kappa, m,
                              coulomb_grid(lam, n, kappa, m, 2000),
-                             (e_ref - 0.25 * gap, e_ref + 0.25 * gap), n - 1)
+                             coulomb_bracket(n, kappa, lam, m), n - 1)
     return [state.energy.hex(), state.residual.hex()], [state.f, state.g]
 
 
 def _airy_ladder(monkeypatch, backend):
     _use_backend(monkeypatch, backend)
-    mu, m = 0.3, 1.0
-    slope = 2.0 * mu
-    refs = antiparticle_spectrum_airy(mu, m, count=4)
-
-    def v(r):
-        return slope * np.asarray(r, dtype=float)
-
-    grid = airy_grid(v, slope, refs[2], m, 1500)
     energies, arrays = [], []
-    for k in range(3):
-        lo = refs[k] - 0.45 * (refs[k] - (refs[k - 1] if k else m))
-        hi = refs[k] + 0.45 * (refs[k + 1] - refs[k])
-        state = solve_schrodinger_radial(v, 0, m, grid, (lo, hi), k)
+    for state in airy_ladder(0.3, 1.0, 3, 0.0, 1500)[2]:
         energies += [state.energy.hex(), state.residual.hex()]
         arrays += [state.u, state.du]
     return energies, arrays
@@ -448,18 +434,13 @@ def _solved(system_kind):
             yield ((f, g, grid.r, system._v0, system._v1, system._v2, energy,
                     m, kappa, system._h), residual)
         return
-    refs = antiparticle_spectrum_airy(0.3, m, count=4)
-
-    def v(r):
-        return 0.6 * np.asarray(r, dtype=float)
-
-    grid = airy_grid(v, 0.6, refs[2], m, 1500)
-    system = rs._SchrodingerSystem(v, 0, m, grid)
-    for k in range(3):
-        lo = refs[k] - 0.45 * (refs[k] - (refs[k - 1] if k else m))
-        hi = refs[k] + 0.45 * (refs[k + 1] - refs[k])
-        energy, u, du, _, residual = rs._shoot(system, (lo, hi), k)
-        yield (u, du, grid.r, system._v_eff, energy, m, system._h), residual
+    _, grid, levels = airy_ladder(0.3, m, 3, 0.0, 1500)
+    # the residual's tables, from a system of the ladder's slope and grid
+    system = rs._SchrodingerSystem(lambda r: 0.6 * np.asarray(r, dtype=float),
+                                   0, m, grid)
+    for st in levels:
+        yield ((st.u, st.du, grid.r, system._v_eff, st.energy, m, system._h),
+               st.residual)
 
 
 @pytest.mark.parametrize("system", ["dirac", "schrodinger"])

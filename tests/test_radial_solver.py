@@ -19,6 +19,8 @@ from diraconf.quantum_numbers import radial_nodes
 from diraconf.radial_solver import (
     RadialGrid,
     airy_grid,
+    airy_ladder,
+    coulomb_bracket,
     coulomb_grid,
     coulomb_plus_linear,
     coulomb_potential,
@@ -130,6 +132,11 @@ class TestGrid:
         with pytest.raises(DomainError, match="lam must be positive"):
             coulomb_grid(lam, 1, -1)
 
+    def test_airy_ladder_needs_a_level(self):
+        # states = 0 would take the grid of refs[-1] and solve nothing
+        with pytest.raises(DomainError, match="states must be >= 1"):
+            airy_ladder(0.3, 1.0, 0, 0.0, 200)
+
     def test_arrays(self):
         g = RadialGrid(1e-3, 10.0, 101)
         assert g.r[0] == pytest.approx(1e-3, rel=1e-12)
@@ -237,10 +244,9 @@ class TestFindBoundState:
         m = 1.0
         e_ref = dirac_coulomb_energy(n, kappa, lam, m)
         grid = coulomb_grid(lam, n, kappa)
-        gap = lam * lam * m * (1.0 / n**2 - 1.0 / (n + 1) ** 2) / 2.0
-        half = 0.25 * gap
         state = find_bound_state(coulomb_potential(lam), kappa, m, grid,
-                                 (e_ref - half, e_ref + half), radial_nodes(n, kappa))
+                                 coulomb_bracket(n, kappa, lam, m),
+                                 radial_nodes(n, kappa))
         assert state.energy == pytest.approx(e_ref, rel=1e-8)
 
     def test_normalization_and_tail(self):
@@ -275,12 +281,9 @@ class TestFindBoundState:
         lam, kappa, m = 0.5, -1, 1.0
         energies = []
         for n in (1, 2, 3):
-            e_ref = dirac_coulomb_energy(n, kappa, lam, m)
             grid = coulomb_grid(lam, n, kappa, points=12000)
-            gap = lam * lam * m * (1.0 / n**2 - 1.0 / (n + 1) ** 2) / 2.0
             state = find_bound_state(coulomb_potential(lam), kappa, m, grid,
-                                     (e_ref - 0.25 * gap, e_ref + 0.25 * gap),
-                                     n - 1)
+                                     coulomb_bracket(n, kappa, lam, m), n - 1)
             energies.append(state.energy)
         assert energies[0] < energies[1] < energies[2]
 
@@ -521,7 +524,8 @@ class TestEigenvalueSearch:
     def test_match_point_with_no_allowed_node(self):
         # the bracket's midpoint lies below the potential minimum, so no
         # node is classically allowed there: the match point falls back to
-        # the node nearest to being allowed
+        # the node nearest to being allowed (hence a bracket of its own,
+        # not the ladder's)
         v, grid, refs = _airy_case(mu=0.1, count=2, points=4001)
         bracket = (-1.2, refs[0] + 0.45 * (refs[1] - refs[0]))
         system = rs._SchrodingerSystem(v, 0, 1.0, grid)
@@ -740,14 +744,7 @@ class TestSchrodinger:
 
     @pytest.mark.parametrize("mu", [0.1, 0.5])
     def test_linear_confinement_airy(self, mu):
-        m = 1.0
-        slope = 2.0 * mu
-        refs = antiparticle_spectrum_airy(mu, m, count=2)
-        v = lambda r: slope * r
-        grid = airy_grid(v, slope, refs[1], m, 16000)
-        lo = m + 0.3 * (refs[0] - m)
-        hi = refs[0] + 0.45 * (refs[1] - refs[0])
-        state = solve_schrodinger_radial(v, 0, m, grid, (lo, hi), 0)
+        refs, _, (state,) = airy_ladder(mu, 1.0, 1, 0.0, 16000)
         assert state.energy == pytest.approx(refs[0], rel=1e-7)
 
     def test_repulsive_core_positive_shift(self):
@@ -756,6 +753,9 @@ class TestSchrodinger:
         refs = antiparticle_spectrum_airy(mu, m, count=2)
         v0 = lambda r: slope * r
         v1 = lambda r: slope * r + lam / r
+        # both solves keep their own bracket and share the bare slope's
+        # grid, so that the shift is a difference on one grid; the core's
+        # bracket is widened for its upward shift
         grid = airy_grid(v0, slope, refs[1], m, 16000)
         lo = m + 0.3 * (refs[0] - m)
         hi = refs[0] + 0.45 * (refs[1] - refs[0])
