@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from diraconf.ansatz import build_ansatz, evaluate_spinor, radial_residual
 from diraconf.coulomb import dirac_coulomb_energy, dirac_coulomb_ground_state
 from diraconf.errors import (
     ConditionViolationError,
+    ConvergenceError,
     DomainError,
     NormalizationError,
 )
@@ -234,3 +236,49 @@ class TestBagModel:
     def test_sign_constraint(self):
         with pytest.raises(DomainError):
             bag_model_case(A=-1.0, r0=10.0, M=20, lam=0.5, kappa0=-1)
+
+
+# bytes of bag_model_case(A=1, r0=10, lam=0.5, kappa0=-1) at 20,000 points:
+# sha256 of profile.h, residual.hex(), energy.hex()
+_BAG_PINS = {
+    20: ("1d21b20c28b035a00c5ab7eeb71c08e80ba309e2c16e6daba731172511df8d34",
+         "0x1.ab9a65710fdf8p-51", "0x1.bb67ae8584caap-1"),
+    50: ("e47c5d42a958ea2a034f2179ee78c3cddeacc0a9ec5856a9006c3dae97f4e5e6",
+         "0x1.6f2271e64fc72p-51", "0x1.bb67ae8584caap-1"),
+    100: ("31094d8e01dec2fba3deb72e5def44596fc96bed23769ceab1257609c338690f",
+          "0x1.796dc1225b474p-51", "0x1.bb67ae8584caap-1"),
+    1000: ("df6f32affba5c8eea451a32b4997a6dc9da2a3c15e6e5995228ef99064cbea8c",
+           "0x1.b8478f8d006a1p-52", "0x1.bb67ae8584caap-1"),
+}
+
+
+class TestBagPins:
+    """Every bit of the bag solve, pinned so a faster path cannot move one."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("M", sorted(_BAG_PINS))
+    def test_profile_residual_and_energy_bytes(self, M):
+        case = bag_model_case(A=1.0, r0=10.0, M=M, lam=0.5, kappa0=-1,
+                              points=20000)
+        h_hash, residual, energy = _BAG_PINS[M]
+        assert hashlib.sha256(case.profile.h.tobytes()).hexdigest() == h_hash
+        assert case.residual.hex() == residual
+        assert case.energy.hex() == energy
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_wall_with_no_live_node(self):
+        # A e^0 = 1e300 everywhere: the residual has nothing to measure
+        case = bag_model_case(A=1e300, r0=1e-300, M=0, lam=0.5, kappa0=-1,
+                              points=200)
+        assert case.residual == math.inf
+        assert hashlib.sha256(case.profile.h.tobytes()).hexdigest() == (
+            "6f69c619c854fe11d9f1c08ccf273f5c518c0e458b12d80026caf8cde21be944")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_saturating_wall_message(self):
+        with pytest.raises(ConvergenceError) as err:
+            bag_model_case(A=6.38540964788881e+16, r0=10.0, M=266,
+                           lam=0.99999, kappa0=-2, m=1.1754943508222875e-38,
+                           points=702)
+        assert str(err.value) == (
+            "could not find a classically forbidden tail below r = 1e9")
