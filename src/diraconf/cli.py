@@ -230,7 +230,7 @@ def _solve_coulomb(args):
         row.update({"energy": state.energy, "energy_ref": e_ref,
                     "defect": abs(state.energy - e_ref)})
     row.update({"nodes": state.nodes_f, "residual": state.residual})
-    return [row], {"r": grid.r, "f": state.f, "g": state.g}
+    return [row], lambda: {"r": grid.r, "f": state.f, "g": state.g}
 
 
 def _solve_bag(args):
@@ -239,10 +239,14 @@ def _solve_bag(args):
     e_ref = dirac_coulomb_energy(-args.kappa0, args.kappa0, args.lam, args.mass)
     row = {"M": args.M, "A": args.A, "r0": args.r0, "energy": case.energy,
            "energy_ref": e_ref, "residual": case.residual}
-    r = case.grid.r
-    scale = np.exp(case.profile.h - np.max(case.profile.h))
-    return [row], {"r": r, "f": case.ground.f(r) * scale,
-                   "g": case.ground.g(r) * scale}
+
+    def wavefunction():
+        r = case.grid.r
+        scale = np.exp(case.profile.h - np.max(case.profile.h))
+        return {"r": r, "f": case.ground.f(r) * scale,
+                "g": case.ground.g(r) * scale}
+
+    return [row], wavefunction
 
 
 def _solve_antiparticle(args):
@@ -253,10 +257,11 @@ def _solve_antiparticle(args):
              "energy_airy": ref if not args.lam else None,
              "nodes": state.nodes, "residual": state.residual}
             for k, (ref, state) in enumerate(zip(refs, levels), 1)]
-    return rows, {"r": grid.r, "u": levels[-1].u}
+    return rows, lambda: {"r": grid.r, "u": levels[-1].u}
 
 
-# each family maps the parsed flags to (table rows, wavefunction columns)
+# each family maps the parsed flags to (table rows, a function that builds
+# the wavefunction columns, called only for --dump-wavefunction)
 _SOLVE_FAMILIES = {
     "coulomb": _solve_coulomb,
     "coulomb-linear": _solve_coulomb,
@@ -269,8 +274,9 @@ def cmd_solve(args) -> int:
     rows, wavefunction = _SOLVE_FAMILIES[args.family](args)
     _emit(rows, args.format, args.output)
     if args.dump_wavefunction:
-        _emit([dict(zip(wavefunction, values))
-               for values in zip(*wavefunction.values())],
+        columns = wavefunction()
+        _emit([dict(zip(columns, values))
+               for values in zip(*columns.values())],
               "csv", args.dump_wavefunction)
     return EXIT_OK
 

@@ -20,6 +20,13 @@ large even M it yields a bag-like state cut off at r0, still with the
 unshifted Coulomb eigenvalue.  Only the decaying branch of h gives a
 normalizable state; the branch choice is explicit and the '+' branch is
 reported as non-normalizable by the norm check.
+
+h is integrated over the grid in blocks of ``_BLOCK`` intervals, so the
+temporaries of one block (64 kB each) are all that is held at a time, and
+the running sum carries from block to block: the bits are those of one
+cumulative sum over the whole grid.  The bag case samples its wall once
+per quadrature point and once per residual node, taking V2 as the same
+factor times those samples.
 """
 from __future__ import annotations
 
@@ -71,37 +78,72 @@ class RescaleProfile:
         return sign * root
 
 
+# grid intervals per block of the h quadrature: 4 Gauss points each, so one
+# block's temporaries are 8,192 floats (64 kB) and stay in cache
+_BLOCK = 2048
+
+
+def _integrate_blocks(sample: Callable, rn: np.ndarray,
+                      branch: str) -> np.ndarray:
+    """h on the nodes rn, anchored h[0] = 0, from sample(pts) -> (V1, V2).
+
+    The intervals are integrated ``_BLOCK`` at a time, in order, with
+    4-point Gauss-Legendre; ``sample`` sees each quadrature point once.
+    Each block's running sum starts from the last h of the block before,
+    so h is bit for bit the one-shot cumulative sum (the first block is a
+    plain cumsum, which keeps a -0.0 increment as -0.0), and a violation
+    is reported at the same first radius.
+    """
+    sign = 1.0 if branch == "+" else -1.0
+    gl_x, gl_w = _gauss_legendre(4)
+    intervals = rn.size - 1
+    h = np.empty(rn.size)
+    h[0] = 0.0
+    for lo in range(0, intervals, _BLOCK):
+        hi = min(lo + _BLOCK, intervals)
+        left, right = rn[lo:hi], rn[lo + 1:hi + 1]
+        half = 0.5 * (right - left)
+        mid = 0.5 * (right + left)
+        pts = mid[:, None] + half[:, None] * gl_x[None, :]
+        w1, w2 = sample(pts)
+        integrand2, vals = _diff_of_squares(w1, w2)
+        # a violation beyond rounding needs V1^2 - V2^2 < 0 somewhere, so a
+        # block with none (every block of a fine-tuned pair) skips the test
+        if np.any(integrand2 < 0.0):
+            with np.errstate(over="ignore"):
+                bad = integrand2 < -1e-14 * (w1 * w1 + w2 * w2 + 1e-300)
+            if np.any(bad):
+                first = np.argwhere(bad)
+                r_bad = float(pts[first[0][0], first[0][1]])
+                raise ConditionViolationError(
+                    f"V1^2 < V2^2 first violated near r = {r_bad!r}",
+                    radius=r_bad)
+        with np.errstate(over="ignore"):
+            increments = sign * (half * (vals @ gl_w))
+        if lo:
+            increments[0] += h[lo]
+        np.cumsum(increments, out=h[lo + 1:hi + 1])
+    return h
+
+
 def h_profile(v1: Callable, v2: Callable, grid: RadialGrid,
               branch: str = "-") -> RescaleProfile:
     """Cumulative integral of +/- sqrt(V1^2 - V2^2) over the grid.
 
     Each grid interval is integrated with 4-point Gauss-Legendre, so the
-    accumulated h is accurate to well beyond fourth order.  Raises
+    accumulated h is accurate to well beyond fourth order.  The intervals
+    go in blocks of ``_BLOCK`` (64 kB per temporary at any grid size); the
+    bits are those of one cumulative sum over all of them.  Raises
     ConditionViolationError naming the first radius where V1^2 < V2^2.
     """
     if branch not in ("+", "-"):
         raise DomainError(f"branch must be '+' or '-', got {branch!r}")
-    rn = grid.r
-    sign = 1.0 if branch == "+" else -1.0
-    # quadrature nodes for every interval at once
-    half = 0.5 * np.diff(rn)
-    mid = 0.5 * (rn[1:] + rn[:-1])
-    gl_x, gl_w = _gauss_legendre(4)
-    pts = mid[:, None] + half[:, None] * gl_x[None, :]
-    w1 = np.asarray(v1(pts), dtype=float)
-    w2 = np.asarray(v2(pts), dtype=float)
-    integrand2, vals = _diff_of_squares(w1, w2)
-    with np.errstate(over="ignore"):
-        bad = integrand2 < -1e-14 * (w1 * w1 + w2 * w2 + 1e-300)
-    if np.any(bad):
-        first = np.argwhere(bad)
-        r_bad = float(pts[first[0][0], first[0][1]])
-        raise ConditionViolationError(
-            f"V1^2 < V2^2 first violated near r = {r_bad!r}", radius=r_bad
-        )
-    with np.errstate(over="ignore"):
-        increments = half * (vals @ gl_w)
-    h = np.concatenate(([0.0], np.cumsum(sign * increments)))
+
+    def sample(pts):
+        return (np.asarray(v1(pts), dtype=float),
+                np.asarray(v2(pts), dtype=float))
+
+    h = _integrate_blocks(sample, grid.r, branch)
     return RescaleProfile(grid=grid, h=h, branch=branch, v1=v1, v2=v2)
 
 
@@ -149,11 +191,16 @@ def check_ratio_condition(f0: np.ndarray, g0: np.ndarray, v1: Callable,
     )
 
 
-def fine_tune_v2(v1: Callable, gamma: float) -> Callable:
-    """The unique V2 compatible with ratio -gamma: V2 = -(1-g^2)/(1+g^2) V1."""
+def _v2_coef(gamma: float) -> float:
+    """The factor c of the fine-tuned V2 = c V1: -(1-g^2)/(1+g^2)."""
     if not math.isfinite(gamma):
         raise DomainError("gamma must be finite")
-    coef = -(1.0 - gamma * gamma) / (1.0 + gamma * gamma)
+    return -(1.0 - gamma * gamma) / (1.0 + gamma * gamma)
+
+
+def fine_tune_v2(v1: Callable, gamma: float) -> Callable:
+    """The unique V2 compatible with ratio -gamma: V2 = -(1-g^2)/(1+g^2) V1."""
+    coef = _v2_coef(gamma)
 
     def v2(r):
         return coef * np.asarray(v1(r), dtype=float)
@@ -249,6 +296,7 @@ def bag_model_case(A: float, r0: float, M: int, lam: float, kappa0: int,
         r = np.asarray(r, dtype=float)
         return A * np.exp(np.minimum(M * np.log(r / r0), cap))
 
+    coef = _v2_coef(ground.gamma)
     v2 = fine_tune_v2(v1, ground.gamma)
     r_min = 1e-6 / (lam * m)
     pot = PotentialSpec(v0=lambda r: -lam / r, v1=v1, v2=v2,
@@ -256,17 +304,27 @@ def bag_model_case(A: float, r0: float, M: int, lam: float, kappa0: int,
     r_max = suggest_rmax(pot, kappa0, ground.energy, m,
                          r_start=max(2.0 / (lam * m), 0.5 * r0))
     grid = RadialGrid(r_min=r_min, r_max=r_max, count=points)
-    profile = h_profile(v1, v2, grid, branch="-")
+
+    # V2 = coef V1 bit for bit, so the wall is sampled once per point
+    def sample(r):
+        w1 = v1(r)
+        return w1, coef * w1
+
+    h = _integrate_blocks(sample, grid.r, "-")
+    profile = RescaleProfile(grid=grid, h=h, branch="-", v1=v1, v2=v2)
 
     # defect per unit f: 1/f is a common factor of every term, so the
     # relative defect needs no e^h and arbitrarily steep walls cannot
     # overflow; measured where f = e^h f0 is above 1e-8 of its peak
-    log_f = profile.h + (ground.b - 1.0) * np.log(grid.r) - ground.a * grid.r
+    log_f = h + (ground.b - 1.0) * np.log(grid.r) - ground.a * grid.r
     rn = grid.r[log_f >= np.max(log_f) + math.log(1e-8)]
+    w1, w2 = sample(rn)
     one = np.ones_like(rn)
-    dlog_f = profile.h_prime(rn) + (ground.b - 1.0) / rn - ground.a
+    # the first term is profile.h_prime(rn), bit for bit, from w1 and w2
+    dlog_f = (-1.0 * _diff_of_squares(w1, w2)[1]
+              + (ground.b - 1.0) / rn - ground.a)
     gam = ground.gamma
     residual = dirac_residual(one, dlog_f, -gam * one, -gam * dlog_f, rn,
-                              ground.energy, kappa0, m, -lam / rn, v1(rn), v2(rn))
+                              ground.energy, kappa0, m, -lam / rn, w1, w2)
     return BagCase(v1=v1, v2=v2, energy=ground.energy, residual=residual,
                    grid=grid, profile=profile, ground=ground)

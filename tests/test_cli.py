@@ -530,6 +530,7 @@ class TestInputBoundary:
         # the work of bag_model_case, which checks lam before it
         monkeypatch.setattr(rescale, "suggest_rmax", ran)
         monkeypatch.setattr(rescale, "h_profile", ran)
+        monkeypatch.setattr(rescale, "_integrate_blocks", ran)
         code, out, err = run_cli(capsys, *_KEY_ARGV[key], f"{flag}={value!r}")
         assert code == 2
         assert out == ""

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,11 +16,13 @@ from diraconf.errors import (
 )
 from diraconf.radial_solver import (
     RadialGrid,
+    _diff_of_squares,
     coulomb_potential,
     find_bound_state,
     suggest_rmax,
 )
 from diraconf.rescale import (
+    _BLOCK,
     bag_model_case,
     build_rescaled_state,
     check_ratio_condition,
@@ -27,6 +31,7 @@ from diraconf.rescale import (
     h_profile,
     rescaled_residual,
 )
+from diraconf.special_functions import _gauss_legendre
 
 
 def _linear_pair(lam, kappa0, mu, m=1.0):
@@ -78,6 +83,116 @@ class TestHProfile:
         v1 = lambda r: np.asarray(r, dtype=float)
         with pytest.raises(DomainError):
             h_profile(v1, v1, RadialGrid(0.1, 1.0, 32), branch="x")
+
+
+def _one_shot_h(v1, v2, grid, branch="-"):
+    """h_profile's sum over the whole grid at once: the reference bits."""
+    rn = grid.r
+    sign = 1.0 if branch == "+" else -1.0
+    half = 0.5 * np.diff(rn)
+    mid = 0.5 * (rn[1:] + rn[:-1])
+    gl_x, gl_w = _gauss_legendre(4)
+    pts = mid[:, None] + half[:, None] * gl_x[None, :]
+    w1 = np.asarray(v1(pts), dtype=float)
+    w2 = np.asarray(v2(pts), dtype=float)
+    integrand2, vals = _diff_of_squares(w1, w2)
+    with np.errstate(over="ignore"):
+        bad = integrand2 < -1e-14 * (w1 * w1 + w2 * w2 + 1e-300)
+    if np.any(bad):
+        first = np.argwhere(bad)
+        r_bad = float(pts[first[0][0], first[0][1]])
+        raise ConditionViolationError("violated", radius=r_bad)
+    with np.errstate(over="ignore"):
+        increments = half * (vals @ gl_w)
+    return np.concatenate(([0.0], np.cumsum(sign * increments))), pts
+
+
+# interval counts on both sides of each block edge
+_INTERVALS = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
+
+
+def _grid(intervals):
+    """Log-spaced nodes on [1e-3, 6]; below RadialGrid's 16-node floor, only
+    the nodes, which are all h_profile reads of a grid."""
+    if intervals + 1 < 16:
+        return SimpleNamespace(r=np.geomspace(1e-3, 6.0, intervals + 1))
+    return RadialGrid(1e-3, 6.0, intervals + 1)
+
+
+class TestHProfileBlocks:
+    """The blocked quadrature against the one-shot sum, byte for byte."""
+
+    @pytest.mark.parametrize("intervals", _INTERVALS)
+    @pytest.mark.parametrize("branch", ["+", "-"])
+    def test_bytes_match_one_shot(self, intervals, branch):
+        A, r0, M, c = 0.7, 5.0, 40, -0.6
+        v1 = lambda r: A * np.exp(M * np.log(np.asarray(r, dtype=float) / r0))
+        v2 = lambda r: c * v1(r)
+        grid = _grid(intervals)
+        expected, _ = _one_shot_h(v1, v2, grid, branch)
+        assert h_profile(v1, v2, grid, branch).h.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("intervals", _INTERVALS)
+    def test_zero_potentials_keep_negative_zero(self, intervals):
+        zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
+        grid = _grid(intervals)
+        h = h_profile(zero, zero, grid).h
+        assert math.copysign(1.0, h[1]) == -1.0
+        assert h.tobytes() == _one_shot_h(zero, zero, grid)[0].tobytes()
+
+    def test_rounding_level_shortfall_is_no_violation(self):
+        # V2 one ulp steeper than V1: V1^2 - V2^2 < 0 only by rounding
+        v1 = lambda r: 0.3 * np.asarray(r, dtype=float)
+        v2 = lambda r: -(1.0 + 2.0**-52) * v1(r)
+        grid = _grid(3 * _BLOCK + 7)
+        assert np.all(v1(grid.r) ** 2 - v2(grid.r) ** 2 < 0.0)
+        expected, _ = _one_shot_h(v1, v2, grid)
+        assert h_profile(v1, v2, grid).h.tobytes() == expected.tobytes()
+
+    def test_violation_in_third_block_names_the_same_radius(self):
+        grid = _grid(3 * _BLOCK + 7)
+        r_on = grid.r[2 * _BLOCK + 100]  # inside the third block
+        v1 = lambda r: np.ones_like(np.asarray(r, dtype=float))
+        v2 = lambda r: np.where(np.asarray(r) > r_on, 2.0, 0.5)
+        with pytest.raises(ConditionViolationError) as expected:
+            _one_shot_h(v1, v2, grid)
+        with pytest.raises(ConditionViolationError) as err:
+            h_profile(v1, v2, grid)
+        assert r_on < err.value.radius
+        assert err.value.radius.hex() == expected.value.radius.hex()
+
+    @pytest.mark.parametrize("intervals", _INTERVALS)
+    def test_each_point_sampled_once(self, intervals):
+        seen = {"v1": [], "v2": []}
+
+        def counting(key):
+            def v(r):
+                seen[key].append(np.array(r))
+                return 0.1 * np.asarray(r, dtype=float)
+            return v
+
+        grid = _grid(intervals)
+        h_profile(counting("v1"), counting("v2"), grid)
+        _, pts = _one_shot_h(lambda r: r, lambda r: r, grid)
+        for calls in seen.values():
+            assert sum(c.size for c in calls) == 4 * intervals
+            assert max(c.size for c in calls) <= 4 * _BLOCK
+            assert np.concatenate([c.ravel() for c in calls]).tobytes() == (
+                pts.ravel().tobytes())
+
+    def test_memory_stays_at_one_block(self):
+        v1 = lambda r: 0.3 * np.asarray(r, dtype=float)
+        v2 = lambda r: -0.2 * np.asarray(r, dtype=float)
+        grid = RadialGrid(1e-5, 60.0, 20000)
+        h_profile(v1, v2, grid)  # warm the caches of the quadrature rule
+        tracemalloc.start()
+        try:
+            h_profile(v1, v2, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one-shot, the 80,000-point temporaries peaked at about 4.8 MB
+        assert peak < 1_000_000
 
 
 class TestFineTuning:
