@@ -83,7 +83,6 @@ from .rescale import (
 from .special_functions import (
     QuadratureResult,
     airy_negative_zeros,
-    gamma_fn,
     integrate_adaptive,
     kummer_U,
 )

@@ -20,7 +20,10 @@ Parameter values (general kappa0 < 0):
            = alpha2/(mu - nu) = (mu + nu)/alpha2
 
 All six gamma expressions must coincide; ``AnsatzParams.gamma_deviations``
-reports their spread and the test suite pins it at the 1e-12 level.  Note
+reports their spread and the test suite pins it at the 1e-12 level.
+``build_ansatz`` takes b, a, gamma and E from the pure Coulomb ground state
+(``coulomb.dirac_coulomb_ground_state``), whose gamma is the stable form
+lam/(|kappa0| + b): (|kappa0| - b)/lam cancels as lam -> 0.  Note
 the exponent is sqrt(kappa0^2 - lam^2), not sqrt(1 - lam^2/kappa0^2): only
 the former satisfies the full set of relations once |kappa0| > 1 (the two
 agree for kappa0 = -1).
@@ -32,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coulomb import CouplingSet
+from .coulomb import CouplingSet, dirac_coulomb_ground_state
 from .errors import DomainError
 from .radial_solver import RadialGrid, dirac_residual
-from .special_functions import gamma_fn, kummer_U
+from .special_functions import kummer_U
 
 __all__ = [
     "AnsatzParams",
@@ -106,38 +109,33 @@ def build_ansatz(lam: float, mu: float, kappa0: int, m: float = 1.0) -> AnsatzPa
 
     Requires mu > 0: the Gaussian width is alpha2 = mu lam/|kappa0|, and only
     a positive scalar slope gives a decaying (normalizable) profile.  The
-    fine-tuned nu is computed internally.
+    fine-tuned nu is computed internally; b, a, gamma and the energy are
+    those of ``dirac_coulomb_ground_state(lam, kappa0, m)``.
     """
-    _check_couplings(lam, kappa0)
-    if not lam > 0:
-        raise DomainError(f"lam must be positive, got {lam}")
+    ground = dirac_coulomb_ground_state(lam, kappa0, m)
     if not m > 0:
         raise DomainError(f"m must be positive, got {m}")
-    ak = abs(kappa0)
-    alpha2 = mu * lam / ak
+    alpha2 = mu * lam / abs(kappa0)
     if not alpha2 > 0:
         raise DomainError(
             f"alpha2 = mu*lam/|kappa0| = {alpha2} must be positive for a "
             "normalizable state; use mu > 0"
         )
     nu = nu_fine_tuned(mu, lam, kappa0)
-    b = math.sqrt(kappa0 * kappa0 - lam * lam)
-    a = m * lam / ak
-    gamma = (ak - b) / lam
-    energy = m * math.sqrt(1.0 - lam * lam / (kappa0 * kappa0))
+    b, a, gamma = ground.b, ground.a, ground.gamma
     norm = (
         2.0 ** (-2.0 * b)
         * a
         * b
         * (1.0 + gamma * gamma)
         * alpha2 ** (-1.0 - b)
-        * gamma_fn(2.0 * b)
+        * math.gamma(2.0 * b)
         * kummer_U(1.0 + b, 1.5, a * a / alpha2)
     ) ** (-0.5)
     return AnsatzParams(
         couplings=CouplingSet(mass=m, lam=lam, mu=mu, nu=nu),
         kappa0=kappa0, b=b, a=a, alpha2=alpha2, gamma=gamma,
-        energy=energy, norm=norm,
+        energy=ground.energy, norm=norm,
     )
 
 

@@ -11,8 +11,8 @@ Exit codes: 0 success, 2 domain error (including bad flags, a NaN or
 infinite number, a flag outside its bound, and an (n, kappa) pair that
 names no state), 3 physics claim violation (``scan`` found an unexpected
 solution), 4 numerical failure (non-convergence, overflow or division by
-zero, or a result with a NaN or infinite field, in which case nothing is
-written).
+zero, a result with a NaN or infinite field, or a closed-form norm that
+fails its quadrature check, in which case nothing is written).
 
 Before any command runs, ``main`` checks every float flag finite and the
 bounds of ``_BOUNDS``: ``--mass > 0``, ``shift --n-max >= 1``, ``solve``
@@ -185,6 +185,12 @@ def _norm_integrand(params):
     return integrand
 
 
+# the largest |quadrature of (f^2 + g^2) r^2 - 1| an ``ansatz`` report may
+# carry: above it the closed-form norm is wrong (or the quadrature is), and
+# the run is a numerical failure rather than a report
+_NORM_DEFECT_BOUND = 1e-8
+
+
 def cmd_ansatz(args) -> int:
     params = build_ansatz(args.lam, args.mu, args.kappa0, args.mass)
     if args.detune_nu != 0.0:
@@ -195,13 +201,18 @@ def cmd_ansatz(args) -> int:
         )
     resid = radial_residual(params, residual_grid(params))
     quad = integrate_adaptive(_norm_integrand(params), 0.0, math.inf, tol=1e-11)
+    norm_defect = abs(quad.value - 1.0)
+    if not norm_defect <= _NORM_DEFECT_BOUND:
+        raise ConvergenceError(
+            f"closed-form norm fails its quadrature check: defect "
+            f"{norm_defect:.3e} above {_NORM_DEFECT_BOUND:g}")
     devs = params.gamma_deviations()
     rows = [{"quantity": name, "value": value} for name, value in [
         ("b", params.b), ("a", params.a), ("alpha2", params.alpha2),
         ("gamma", params.gamma), ("nu", params.couplings.nu),
         ("energy", params.energy), ("norm", params.norm),
         *((f"gamma_dev_{k}", dev) for k, dev in enumerate(devs, 1)),
-        ("norm_quadrature_defect", abs(quad.value - 1.0)),
+        ("norm_quadrature_defect", norm_defect),
         ("max_radial_residual", resid),
     ]]
     _emit(rows, args.format, args.output)

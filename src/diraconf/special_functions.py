@@ -1,12 +1,13 @@
-"""Self-contained special functions: gamma, Kummer U, quadrature, Airy zeros.
+"""Self-contained special functions: Kummer U, quadrature, Airy zeros.
 
-Everything here is implemented from scratch on purpose, so that the
+Everything here but the gamma function (the standard library's
+``math.gamma``) is implemented from scratch on purpose, so that the
 closed-form normalization constant and the linear-potential spectrum can be
 checked against a code path that shares nothing with the numerical solvers:
 
-* ``gamma_fn``          Lanczos approximation (g = 7, 9 coefficients).
 * ``kummer_U``          Laplace integral representation, evaluated with the
-                        adaptive quadrature below.
+                        adaptive quadrature below; its integrand is one
+                        array expression per panel.
 * ``integrate_adaptive``  globally adaptive Gauss-Legendre 7/15 pair;
                         semi-infinite ranges are mapped through u/(1-u).
                         The integrand takes arrays: ``f`` maps a float64
@@ -32,7 +33,6 @@ from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "QuadratureResult",
-    "gamma_fn",
     "kummer_U",
     "integrate_adaptive",
     "airy_ai",
@@ -45,36 +45,6 @@ class QuadratureResult:
     value: float
     abs_error_estimate: float
     evaluations: int
-
-
-# Lanczos, g = 7, 9 coefficients.  Relative error below 1e-13 for x > 0.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function for x > 0."""
-    if not x > 0:
-        raise DomainError(f"gamma_fn requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the Lanczos core on arguments >= 0.5
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
 
 
 @functools.cache
@@ -186,32 +156,29 @@ def kummer_U(a: float, b: float, z: float) -> float:
     light mass alike.  For z >= 1 the factor (1 + s/z)^{b-a-1} is taken
     as it stands; for z < 1 it is written z^{a+1-b} (z + s)^{b-a-1}, so
     the integrand stays O(1) as z -> 0 and the prefactor is
-    z^{1-b}/Gamma(a).  The integrands stay scalar ``math`` code,
-    node by node, so the z >= 1 branch keeps every bit it had when the
-    quadrature called them one node at a time.
+    z^{1-b}/Gamma(a).
     """
     if not (a > 0 and z > 0):
         raise DomainError(f"kummer_U requires a > 0 and z > 0, got a={a}, z={z}")
     c = b - a - 1.0
     if z >= 1.0:
         def integrand(s):
-            return math.exp(-s + (a - 1.0) * math.log(s) + c * math.log1p(s / z))
+            return np.exp(-s + (a - 1.0) * np.log(s) + c * np.log1p(s / z))
 
         scale = z ** (-a)
     else:
         def integrand(s):
-            return math.exp(-s + (a - 1.0) * math.log(s) + c * math.log(z + s))
+            return np.exp(-s + (a - 1.0) * np.log(s) + c * np.log(z + s))
 
         scale = z ** (1.0 - b)
-    res = integrate_adaptive(lambda s: [integrand(x) for x in s], 0.0,
-                             math.inf, tol=1e-13)
-    return scale / gamma_fn(a) * res.value
+    res = integrate_adaptive(integrand, 0.0, math.inf, tol=1e-13)
+    return scale / math.gamma(a) * res.value
 
 
 # -- Airy function on the negative real axis ---------------------------------
 
-_AI0 = 3.0 ** (-2.0 / 3.0) / gamma_fn(2.0 / 3.0)      # Ai(0)
-_AIP0 = -(3.0 ** (-1.0 / 3.0)) / gamma_fn(1.0 / 3.0)  # Ai'(0)
+_AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)      # Ai(0)
+_AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)  # Ai'(0)
 
 
 def _airy_series(x: float) -> float:

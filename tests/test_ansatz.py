@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,7 +15,11 @@ from diraconf.ansatz import (
     radial_residual,
     residual_grid,
 )
-from diraconf.coulomb import CouplingSet, dirac_coulomb_energy
+from diraconf.coulomb import (
+    CouplingSet,
+    dirac_coulomb_energy,
+    dirac_coulomb_ground_state,
+)
 from diraconf.errors import DomainError
 from diraconf.special_functions import integrate_adaptive
 
@@ -72,6 +77,21 @@ class TestBuildAnsatz:
         p = build_ansatz(lam, mu, kappa0)
         assert p.energy == pytest.approx(
             dirac_coulomb_energy(-kappa0, kappa0, lam), rel=5e-16)
+
+    @pytest.mark.parametrize("kappa0", [-1, -2, -3])
+    @pytest.mark.parametrize("lam", [1e-8, 1e-4, 0.1, 0.5, 0.9])
+    def test_parameters_are_the_coulomb_ground_state(self, lam, kappa0):
+        p = build_ansatz(lam, 1e-4, kappa0, 2.0)
+        ground = dirac_coulomb_ground_state(lam, kappa0, 2.0)
+        assert [x.hex() for x in (p.b, p.a, p.gamma, p.energy)] == [
+            x.hex() for x in (ground.b, ground.a, ground.gamma, ground.energy)]
+        # gamma = lam/(|kappa0| + b) does not cancel as lam -> 0, where
+        # (|kappa0| - b)/lam loses about log2(kappa0^2/lam^2) bits
+        with mpmath.workdps(40):
+            exact = lam / (abs(kappa0) + mpmath.sqrt(kappa0**2
+                                                      - mpmath.mpf(lam)**2))
+            ulps = abs(p.gamma - exact) / math.ulp(p.gamma)
+        assert ulps <= 2
 
     def test_small_mu_approaches_coulomb_shape(self):
         # Gaussian factor goes to 1, leaving the r^(b-1) e^{-ar} profile

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from diraconf import cli, radial_solver, rescale
 from diraconf.cli import main
+from diraconf.special_functions import QuadratureResult
 
 
 def run_cli(capsys, *argv):
@@ -385,7 +386,8 @@ class TestNumericalFailure:
          "--n-max", "1"),
         # OverflowError in the norm
         ("ansatz", "--lambda", "1e-300", "--mu", "1", "--kappa0", "-3"),
-        # ZeroDivisionError: gamma underflows to 0
+        # the state lives near r ~ 1e12, where the norm quadrature finds
+        # none of it: the norm fails its check (defect 1.0)
         ("ansatz", "--lambda", "1e-12", "--mu", "1e-12", "--kappa0", "-3"),
         # (m + v1)^2 and (E - v0 - v2)^2 leave the float range in the
         # allowed region and the inward seed; the sweep then overflows
@@ -398,6 +400,19 @@ class TestNumericalFailure:
         assert code == 4
         assert out == ""
         assert "numerical failure" in err
+
+    def test_norm_just_above_its_bound_writes_nothing(self, capsys,
+                                                       monkeypatch):
+        # a norm quadrature of 1 + 2e-8 is 2e-8 from 1, above the 1e-8 bound
+        def off_by_2e_8(f, lo, hi, tol):
+            return QuadratureResult(1.0 + 2e-8, 0.0, 22)
+
+        monkeypatch.setattr(cli, "integrate_adaptive", off_by_2e_8)
+        code, out, err = run_cli(capsys, "ansatz", "--lambda", "0.5",
+                                 "--mu", "1e-4", "--kappa0", "-1")
+        assert code == 4
+        assert out == ""
+        assert "norm fails its quadrature check" in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_sweeps_give_a_clean_bracket_error(self, capsys):
@@ -751,7 +766,11 @@ class TestDeterminism:
 # the --dump-wavefunction file of each solve family, recorded from the
 # output before the solve families shared one code path; the ansatz and bag
 # stdout were re-pinned when their residual became the solver's relative
-# defect (only the residual field changed)
+# defect (only the residual field changed).  The ansatz stdout was re-pinned
+# once more when build_ansatz took gamma from the ground state's stable
+# lam/(|kappa0| + b): gamma moved by 2 ulp, from 1.81 to 0.19 ulp off the
+# exact value, so the gamma_dev rows and the residual (3.2e-16 -> 4.7e-16)
+# moved with it
 GOLDEN = {
     "energy --lambda 0.5 --n 1 --kappa -1":
         ("479e547d12329227eb6388957eebe6af743dfb301922f36a80e48a5d7de0a976",
@@ -770,8 +789,8 @@ GOLDEN = {
          "f389f7ff77329aab6c403d2aa27494c0702c2de04d8970ccb5dc29169291cc45",
          None),
     "ansatz --lambda 0.5 --mu 1e-4 --kappa0 -1":
-        ("f148b3e116380f87957d1739f7519ff08d3ff431a063108986eee755a762465b",
-         "283a25e7ee724d2c3c9293b0a6e570e8b219d73d49654b5bee643cad6f90becc",
+        ("91afa624fb7bd37b5040945feec95a7949ccb677d87ae6b3f247638e0bd32d64",
+         "bd05ff8d31abc428c98ec7c102ead82bac4831bc416973893c5fa7f0a572eb97",
          None),
     "solve --family coulomb --lambda 0.5 --n 1 --kappa -1":
         ("27fd2b1b2d50faa0d4a3d847a1f13dab5a159d5547d59eedc25bfe40d9e46e9d",
