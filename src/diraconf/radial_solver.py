@@ -8,15 +8,13 @@ and a bispinor with upper radial part f and lower radial part g, are
     -g'(r) + (kappa-1)/r g = (E - m - V1 - V0 - V2) f
 
 so the time-like pieces always enter as E - V0 - V2 and the scalar piece
-shifts the mass, m + V1.  Each trial energy is swept outward from a
-power-series start at r_min and inward from a WKB-seeded tail at r_max,
-both from one build of the coefficient tables and each only as far as the
-match window: the nodes between the outer turning points at the bracket's
-ends and midpoint.  A bracketed Brent iteration drives the mismatch of g/f
-at an interior matching radius (the midpoint's turning point) to the
-rounding floor, and the state is the final energy's pair glued inside the
-window, with no further sweep; only a glue node outside the window sweeps
-that energy once more across the whole grid.  A fourth-order Runge-Kutta
+shifts the mass, m + V1.  One match point serves a whole solve: the outer
+turning point of the bracket's midpoint.  Each trial energy is swept
+outward from a power-series start at r_min to the match point and inward
+from a WKB-seeded tail at r_max to it, both from one build of the
+coefficient tables.  A bracketed Brent iteration drives the mismatch of
+g/f there to the rounding floor, and the state is the final energy's pair
+glued at that same node, with no further sweep.  A fourth-order Runge-Kutta
 kernel steps in t = ln r, on a logarithmic ``RadialGrid`` that resolves
 the power-law start at the origin from the first step.  The kernel and the
 systems' residuals (``_dirac_fd_residual``, ``_schrodinger_fd_residual``)
@@ -30,14 +28,14 @@ Work is split by how often it is needed.  Per system (one
 ``_DiracSystem``/``_SchrodingerSystem``): every potential table in one
 guarded sampling pass (``_sampled``), the constant kernel tables and -r,
 the potentials at the nodes, r^2 for the density, the centrifugal term of
-the match point, and the seeds' inputs as plain floats.  Per energy (``_sweep_pair``): the off-diagonal tables,
-written into two buffers the system reuses (no sweep keeps them), the two
-seeds in plain-float arithmetic, two kernel calls across the match window
-into new output arrays (about N + (hi - lo) RK4 steps instead of 2(N - 1))
-and the matching defect.  Per solve: the match window, the glue, the norm
-and the node count, each in as few array passes as keep the per-element
-order of operations, and the residual in one compiled call, so every
-output bit is unchanged.
+the match point, and the seeds' inputs as plain floats.  Per energy
+(``_sweep_pair``): the off-diagonal tables, written into two buffers the
+system reuses (no sweep keeps them), the two seeds in plain-float
+arithmetic, two kernel calls that meet at the match point, into new output
+arrays (N - 1 RK4 steps in all), and the matching defect.  Per solve: the
+match point, the glue, the norm and the node count, each in as few array
+passes as keep the per-element order of operations, and the residual in
+one compiled call.
 
 A radial Schroedinger solver built on the same machinery handles the
 nonrelativistic confining problems (single component u(r), with
@@ -511,7 +509,7 @@ def _matching_defect(pair, i: int) -> float:
     radius as E varies across the bracket.  Each sweep is first scaled by
     an exact power of two, so the cross products cannot overflow.
     """
-    (f_out, g_out, _), (f_in, g_in, _), _ = pair
+    (f_out, g_out, _), (f_in, g_in, _) = pair
     fo, go, fi, gi = f_out.item(i), g_out.item(i), f_in.item(i), g_in.item(i)
     k_out = math.frexp(max(abs(fo), abs(go)))[1]
     k_in = math.frexp(max(abs(fi), abs(gi)))[1]
@@ -526,57 +524,30 @@ def _log_peak(y1, y2, logscale) -> float:
     return float((np.log(np.where(mag > 0, mag, 1e-320)) + logscale).max())
 
 
-def _glue_node(pair, im: int):
-    """The first node from im outward, inside the pair's window, where both
-    sweeps are nonzero; None if im lies below the window or there is none."""
-    (f_out, _, _), (f_in, _, _), (lo, hi) = pair
-    if im < lo:
-        return None
-    while im <= hi:
-        if f_out[im] != 0.0 and f_in[im] != 0.0:
-            return im
-        im += 1
-    return None
-
-
-def _merge_and_scale(system, E: float, pair):
-    """The sweep pair at E glued at the match point, peak ~ 1.
-
-    The glue node is the match point at E, moved outward past nodes where
-    either sweep is zero.  If it leaves the pair's window, the energy is
-    swept again across the whole grid; the window's samples are the same
-    floats, so the result is that of full sweeps either way.
-    """
-    n = system.grid.count
-    whole = (0, n - 1)
-    im = _match_index(system, E)
-    glue = _glue_node(pair, im)
-    if glue is None and pair[2] != whole:
-        pair = _sweep_pair(system, E, im, whole)[1]
-        glue = _glue_node(pair, im)
-    if glue is None:
+def _merge_and_scale(pair, i_match: int):
+    """The sweep pair glued at node i_match, where the matching condition
+    was solved, peak ~ 1; ConvergenceError if either sweep is 0 there."""
+    (f_out, g_out, so), (f_in, g_in, si) = pair
+    fo, fi = f_out.item(i_match), f_in.item(i_match)
+    if fo == 0.0 or fi == 0.0:
         raise ConvergenceError(
-            f"no radius beyond the match point where both sweeps are "
-            f"nonzero (E={E!r})"
-        )
-    (f_out, g_out, so), (f_in, g_in, si), _ = pair
-    im = glue
-    k = im + 1
+            f"a sweep is zero at the match point (node {i_match})")
+    n = f_out.size
+    k = i_match + 1
     ref = _log_peak(f_out[:k], g_out[:k], so[:k])
     f = np.empty(n)
     g = np.empty(n)
     scale = np.exp(so[:k] - ref)
     np.multiply(f_out[:k], scale, out=f[:k])
     np.multiply(g_out[:k], scale, out=g[:k])
-    fo, fi = f_out.item(im), f_in.item(im)
-    glue_log = (math.log(abs(fo)) + so.item(im) - ref
-                - math.log(abs(fi)) - si.item(im))
+    glue_log = (math.log(abs(fo)) + so.item(i_match) - ref
+                - math.log(abs(fi)) - si.item(i_match))
     sign_c = math.copysign(1.0, fo) * math.copysign(1.0, fi)
-    scale = np.minimum(si[im:] + glue_log, 100.0)
+    scale = np.minimum(si[i_match:] + glue_log, 100.0)
     np.exp(scale, out=scale)
     scale *= sign_c
-    np.multiply(f_in[im:], scale, out=f[im:])
-    np.multiply(g_in[im:], scale, out=g[im:])
+    np.multiply(f_in[i_match:], scale, out=f[i_match:])
+    np.multiply(g_in[i_match:], scale, out=g[i_match:])
     return f, g
 
 
@@ -643,17 +614,16 @@ _EPS = sys.float_info.epsilon
 _MAX_DEFECT_EVALS = 300
 
 
-def _sweep_pair(system, E: float, i_match: int, window):
+def _sweep_pair(system, E: float, i_match: int):
     """The outward and inward sweeps at E from one coefficient build, the
     solver's unit of work per energy: (matching defect at i_match, pair).
 
-    Both sweeps cover the window (lo, hi) of nodes, which holds i_match:
-    the outward sweep stops at hi and the inward one at lo, about
-    N + (hi - lo) RK4 steps in all.  The pair is (outward, inward, window).
+    The outward sweep stops at node i_match and the inward one starts
+    there, N - 1 RK4 steps in all.  The pair is (outward, inward).
     """
     tables = system.coefficients(E)
-    pair = (_propagate(system, E, tables, False, window[1]),
-            _propagate(system, E, tables, True, window[0]), window)
+    pair = (_propagate(system, E, tables, False, i_match),
+            _propagate(system, E, tables, True, i_match))
     d = _matching_defect(pair, i_match)
     if not math.isfinite(d):
         raise ConvergenceError(f"non-finite matching defect {d!r} at E={E!r}")
@@ -661,7 +631,9 @@ def _sweep_pair(system, E: float, i_match: int, window):
 
 
 def _solve_eigenvalue(system, E_bracket):
-    """(root, its sweep pair) of the matching defect by bracketed Brent.
+    """(root, its sweep pair, match node) of the matching defect by
+    bracketed Brent, the defect taken at the match point of the bracket's
+    midpoint.
 
     Inverse-quadratic or secant steps, with bisection whenever they would
     not shrink the sign-change bracket fast enough.  The iteration runs to
@@ -672,17 +644,12 @@ def _solve_eigenvalue(system, E_bracket):
     # fa, pa: the matching defect and sweep pair at a (likewise b, c)
     a, b = sorted(float(e) for e in E_bracket)
     i_match = _match_index(system, 0.5 * (a + b))
-    # each energy is swept only across the match points of the bracket's
-    # ends and midpoint; the merge sweeps the whole grid again in the rare
-    # case its glue node falls outside
-    ends = (_match_index(system, a), _match_index(system, b))
-    window = (min(i_match, *ends), max(i_match, *ends))
-    fa, pa = _sweep_pair(system, a, i_match, window)
-    fb, pb = _sweep_pair(system, b, i_match, window)
+    fa, pa = _sweep_pair(system, a, i_match)
+    fb, pb = _sweep_pair(system, b, i_match)
     if fa == 0.0:
-        return a, pa
+        return a, pa, i_match
     if fb == 0.0:
-        return b, pb
+        return b, pb, i_match
     if fa * fb > 0:
         raise BracketError(
             f"matching defect does not change sign on [{a}, {b}] "
@@ -700,7 +667,7 @@ def _solve_eigenvalue(system, E_bracket):
         tol1 = 2.0 * _EPS * abs(b)
         half = 0.5 * (c - b)
         if fb == 0.0 or abs(half) <= tol1 or math.nextafter(b, c) == c:
-            return b, pb
+            return b, pb, i_match
         if abs(last_step) >= tol1 and abs(fa) > abs(fb):
             s = fb / fa
             if a == c:  # secant
@@ -724,7 +691,7 @@ def _solve_eigenvalue(system, E_bracket):
         a, fa, pa = b, fb, pb
         b_next = b + step if abs(step) > tol1 else b + math.copysign(tol1, half)
         b = b_next if b_next != b else math.nextafter(b, c)
-        fb, pb = _sweep_pair(system, b, i_match, window)
+        fb, pb = _sweep_pair(system, b, i_match)
     raise ConvergenceError(
         f"eigenvalue search did not converge in {_MAX_DEFECT_EVALS} steps; "
         f"bracket [{min(b, c)!r}, {max(b, c)!r}]",
@@ -739,8 +706,8 @@ def _shoot(system, E_bracket, target_nodes: int):
     y1 > 0 as it rises from the origin; a node count of y1 other than
     ``target_nodes`` raises WrongStateError.
     """
-    energy, pair = _solve_eigenvalue(system, E_bracket)
-    y1, y2 = _merge_and_scale(system, energy, pair)
+    energy, pair, i_match = _solve_eigenvalue(system, E_bracket)
+    y1, y2 = _merge_and_scale(pair, i_match)
     norm = math.sqrt(system.grid.integrate(system.density(y1, y2)))
     y1 /= norm
     y2 /= norm
@@ -926,11 +893,12 @@ def coulomb_bracket(n: int, kappa: int, lam: float, m: float):
     """Energy bracket of the Coulomb level |n, kappa>: its Sommerfeld
     energy plus or minus a quarter of the nonrelativistic gap
     lam^2 m (1/n^2 - 1/(n+1)^2)/2 to the next level of the same kappa,
-    and at least 1e-7 m.  It serves the bare level and the preserved one,
-    which keeps the Sommerfeld energy under fine-tuned confinement."""
+    with no floor: at small lam a fixed floor would reach past m into the
+    continuum.  It serves the bare level and the preserved one, which
+    keeps the Sommerfeld energy under fine-tuned confinement."""
     e_ref = dirac_coulomb_energy(n, kappa, lam, m)
     gap = lam * lam * m * (1.0 / (n * n) - 1.0 / ((n + 1) * (n + 1))) / 2.0
-    half = max(0.25 * gap, 1e-7 * m)
+    half = 0.25 * gap
     return e_ref - half, e_ref + half
 
 

@@ -97,7 +97,8 @@ def integrate_adaptive(
     hi: float,
     tol: float = 1e-12,
 ) -> QuadratureResult:
-    """Adaptive quadrature of ``f`` on (lo, hi); ``hi`` may be math.inf.
+    """Adaptive quadrature of ``f`` on (lo, hi), lo finite and hi > lo;
+    ``hi`` may be math.inf (DomainError for any other range).
 
     ``f`` maps a float64 array of nodes to the array of its values.
     Splits the interval with the largest local error estimate until the
@@ -106,7 +107,9 @@ def integrate_adaptive(
     The integrand is never evaluated at the endpoints, so integrable
     endpoint singularities are allowed.
     """
-    if math.isinf(hi):
+    if not (math.isfinite(lo) and hi > lo):
+        raise DomainError(f"need finite lo and hi > lo, got [{lo}, {hi}]")
+    if hi == math.inf:
         g = f
 
         def f(u, _g=g, _lo=lo):
@@ -119,8 +122,6 @@ def integrate_adaptive(
             return np.where(at_inf, 0.0, y)
 
         lo, hi = 0.0, 1.0
-    if not hi > lo:
-        raise DomainError(f"need hi > lo, got [{lo}, {hi}]")
 
     val, err, n_eval = _panel(f, lo, hi)
     intervals = [(err, lo, hi, val)]

@@ -98,8 +98,7 @@ def _bisect_to_floor(system, E_bracket):
     i_match = rs._match_index(system, 0.5 * (lo + hi))
 
     def defect(E):
-        return rs._sweep_pair(system, E, i_match,
-                              (0, system.grid.count - 1))[0]
+        return rs._sweep_pair(system, E, i_match)[0]
 
     d_lo = defect(lo)
     d_hi = defect(hi)
@@ -248,6 +247,22 @@ class TestFindBoundState:
                                  coulomb_bracket(n, kappa, lam, m),
                                  radial_nodes(n, kappa))
         assert state.energy == pytest.approx(e_ref, rel=1e-8)
+
+    @pytest.mark.parametrize("lam", [1e-6, 1e-4, 1e-3, 1e-2])
+    @pytest.mark.parametrize("n,kappa", [(1, -1), (2, -1), (2, 1), (3, -3)])
+    def test_weak_coupling_stays_bound(self, lam, n, kappa):
+        # a quarter of the gap is below 1e-7 m here; a bracket widened to
+        # that floor would reach into the continuum (E = 1.00000005 > m for
+        # lam = 1e-6, n = 1).  Only the energy is checked: next to m its
+        # rounding sets the residual, not the state
+        m = 1.0
+        e_ref = dirac_coulomb_energy(n, kappa, lam, m)
+        state = find_bound_state(coulomb_potential(lam), kappa, m,
+                                 coulomb_grid(lam, n, kappa, m),
+                                 coulomb_bracket(n, kappa, lam, m),
+                                 radial_nodes(n, kappa))
+        assert state.energy < m
+        assert abs(state.energy - e_ref) <= 4 * math.ulp(e_ref)
 
     def test_normalization_and_tail(self):
         lam, n, kappa, m = 0.5, 2, -1, 1.0
@@ -419,19 +434,17 @@ class TestHotPath:
             system = rs._SchrodingerSystem(v, 0, 1.0, grid)
             e1, e2 = refs[0] - 0.05, refs[1]
         i = rs._match_index(system, e1)
-        window = (i - 10, i + 10)
 
         def sweeps_bytes(pair):
-            return [a.tobytes() for sweep in pair[:2] for a in sweep]
+            return [a.tobytes() for sweep in pair for a in sweep]
 
-        d1, pair1 = rs._sweep_pair(system, e1, i, window)
+        d1, pair1 = rs._sweep_pair(system, e1, i)
         before = sweeps_bytes(pair1)
-        d2, pair2 = rs._sweep_pair(system, e2, i, window)
-        assert pair1[2] == pair2[2] == window
+        d2, pair2 = rs._sweep_pair(system, e2, i)
         assert d1 != d2
         assert sweeps_bytes(pair1) == before
         tables = system.coefficients(e1)
-        arrays = [a for sweep in pair1[:2] + pair2[:2] for a in sweep]
+        arrays = [a for sweep in pair1 + pair2 for a in sweep]
         assert not any(np.shares_memory(a, b)
                        for k, a in enumerate(arrays)
                        for b in arrays[k + 1:] + list(tables))
@@ -497,11 +510,20 @@ class TestEigenvalueSearch:
         assert sweep_calls["coefficients"] == defect_calls[0]
 
     @pytest.mark.parametrize("equation", ["dirac", "schrodinger"])
-    def test_each_energy_swept_across_the_window(self, sweep_calls,
-                                                 equation):
-        # the outward sweep stops at the window's upper node and the inward
-        # one at its lower node: hi + (n - 1 - lo) RK4 steps per energy,
-        # not 2 (n - 1); the merge sweeps nothing more
+    def test_each_energy_swept_across_the_window(self, monkeypatch,
+                                                 sweep_calls, equation):
+        # the match point is found once per solve, at the bracket's
+        # midpoint; the outward sweep stops there and the inward one
+        # starts there: n - 1 RK4 steps per energy, not 2 (n - 1), and the
+        # merge sweeps nothing more
+        match_calls = []
+        match_index = rs._match_index
+
+        def counted(system, E):
+            match_calls.append(E)
+            return match_index(system, E)
+
+        monkeypatch.setattr(rs, "_match_index", counted)
         if equation == "dirac":
             pot, grid, e_ref = _preserved_case()
             bracket = (e_ref - 0.4e-4, e_ref + 0.6e-4)
@@ -512,14 +534,12 @@ class TestEigenvalueSearch:
             bracket = (refs[0] - 0.08, refs[0] + 0.12)
             system = rs._SchrodingerSystem(v, 0, 1.0, grid)
             solve_schrodinger_radial(v, 0, 1.0, grid, bracket, 0)
+        assert match_calls == [0.5 * sum(bracket)]
         n = grid.count
-        ends = [rs._match_index(system, e)
-                for e in (bracket[0], 0.5 * sum(bracket), bracket[1])]
-        lo, hi = min(ends), max(ends)
+        i_match = match_index(system, match_calls[0])
         evaluations = sweep_calls["kernel"] // 2
         assert evaluations > 2
-        assert sweep_calls["steps"] == [hi, n - 1 - lo] * evaluations
-        assert hi + (n - 1 - lo) <= 1.02 * n < 2 * (n - 1)
+        assert sweep_calls["steps"] == [i_match, n - 1 - i_match] * evaluations
 
     def test_match_point_with_no_allowed_node(self):
         # the bracket's midpoint lies below the potential minimum, so no
@@ -598,46 +618,36 @@ class TestEigenvalueSearch:
             find_bound_state(pot, -2, 1.0, grid,
                              (e_ref - 0.4e-4, e_ref + 0.6e-4), 0)
 
-    def test_merge_without_live_match_point_raises(self, monkeypatch):
-        # all-zero sweeps, on the whole grid or on a window whose glue
-        # node search runs past it into whole-grid sweeps, all zeros again
-        pot, grid, e_ref = _preserved_case()
-        system = rs._DiracSystem(pot, -2, 1.0, grid)
-        zeros = np.zeros(grid.count)
-        monkeypatch.setattr(rs, "_match_index", lambda *args: 8)
-        monkeypatch.setattr(rs, "_propagate",
-                            lambda *args: (zeros, zeros, zeros))
-        for window in ((0, grid.count - 1), (8, 12)):
-            pair = ((zeros, zeros, zeros), (zeros, zeros, zeros), window)
-            with pytest.raises(ConvergenceError):
-                rs._merge_and_scale(system, e_ref, pair)
+    def test_merge_without_live_match_point_raises(self):
+        # either sweep exactly 0 at the match point: no ratio glues them
+        n = 64
+        ones, zeros = np.ones(n), np.zeros(n)
+        for f_out, f_in in ((zeros, zeros), (ones, zeros), (zeros, ones)):
+            pair = ((f_out, ones, zeros), (f_in, ones, zeros))
+            with pytest.raises(ConvergenceError,
+                               match="zero at the match point"):
+                rs._merge_and_scale(pair, 8)
 
-    @pytest.mark.parametrize("case", ["above", "below", "zero-at-edge"])
-    def test_glue_outside_the_window_sweeps_the_whole_grid(
-            self, monkeypatch, sweep_calls, case):
-        # the glue node of the final energy leaves the match window: the
-        # merge sweeps that energy again across the whole grid and glues
-        # exactly as a merge of full sweeps does
-        pot, grid, e_ref = _preserved_case()
-        system = rs._DiracSystem(pot, -2, 1.0, grid)
-        energy, pair = rs._solve_eigenvalue(system, (e_ref - 0.4e-4,
-                                                     e_ref + 0.6e-4))
-        lo, hi = pair[2]
-        glue = {"above": hi + 3, "below": lo - 3, "zero-at-edge": hi}[case]
-        if case == "zero-at-edge":
-            # a zero of the inward sweep at the window's last node moves
-            # the glue node one past it
-            f_in = pair[1][0].copy()
-            f_in[hi] = 0.0
-            pair = (pair[0], (f_in,) + pair[1][1:], pair[2])
-        monkeypatch.setattr(rs, "_match_index", lambda *args: glue)
-        full = rs._sweep_pair(system, energy, glue, (0, grid.count - 1))[1]
-        calls = sweep_calls["kernel"]
-        merged = rs._merge_and_scale(system, energy, pair)
-        assert sweep_calls["kernel"] == calls + 2
-        assert sweep_calls["steps"][-2:] == [grid.count - 1] * 2
-        expected = rs._merge_and_scale(system, energy, full)
-        assert sweep_calls["kernel"] == calls + 2
+    @pytest.mark.parametrize("equation", ["dirac", "schrodinger"])
+    def test_partial_sweeps_merge_as_whole_grid_sweeps(self, equation):
+        # the sweeps stop at the match node, and a sweep is sequential: the
+        # whole-grid sweeps of the root hold the same floats on the nodes
+        # the merge reads, so the glued state has the same bytes
+        if equation == "dirac":
+            pot, grid, e_ref = _preserved_case()
+            system = rs._DiracSystem(pot, -2, 1.0, grid)
+            bracket = (e_ref - 0.4e-4, e_ref + 0.6e-4)
+        else:
+            v, grid, refs = _airy_case()
+            system = rs._SchrodingerSystem(v, 0, 1.0, grid)
+            bracket = (refs[1] - 0.1, refs[1] + 0.1)
+        energy, pair, i_match = rs._solve_eigenvalue(system, bracket)
+        assert 8 <= i_match <= grid.count - 9
+        tables = system.coefficients(energy)
+        whole = (rs._propagate(system, energy, tables, False, grid.count - 1),
+                 rs._propagate(system, energy, tables, True, 0))
+        merged = rs._merge_and_scale(pair, i_match)
+        expected = rs._merge_and_scale(whole, i_match)
         assert [a.tobytes() for a in merged] == [a.tobytes() for a in expected]
 
 

@@ -117,6 +117,20 @@ class TestQuadrature:
         with pytest.raises(DomainError):
             integrate_adaptive(lambda t: t, 1.0, 0.5)
 
+    @pytest.mark.parametrize("lo,hi", [
+        (0.0, -math.inf), (-math.inf, 0.0), (-math.inf, math.inf),
+        (math.inf, math.inf), (math.nan, 1.0), (0.0, math.nan),
+    ])
+    def test_range_is_finite_lo_below_hi(self, lo, hi):
+        # only hi = +inf is mapped: hi = -inf must not be mapped as +inf
+        # (1.0 for exp(-x) on (0, -inf)), nor lo = -inf run NaN panels
+        # until ConvergenceError; no bad range reaches the integrand
+        def never(t):
+            raise AssertionError(f"integrand evaluated at {t!r}")
+
+        with pytest.raises(DomainError, match="need finite lo and hi > lo"):
+            integrate_adaptive(never, lo, hi)
+
     def test_nodes_built_on_first_use(self):
         # a program that only shoots never imports numpy.polynomial
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
