@@ -166,16 +166,16 @@ def cmd_scan(args) -> int:
 
 def _norm_integrand(params):
     """The norm density (f^2 + g^2) r^2 in x = s r, on an array of x, with
-    s = max(m, sqrt(alpha2)) the larger of the state's two inverse lengths.
+    s = max(a, sqrt(alpha2)) the larger of the state's two inverse lengths:
+    the exponential decay rate a = m lam/|kappa0| and the inverse Gaussian
+    width.
 
-    In x the density's scale is that of the couplings, whatever the mass,
-    so the quadrature's absolute tolerance means the same at any m.  Where
-    the Gaussian width 1/sqrt(alpha2) is the shorter length (a light
-    mass), x in r = 1/m units would put the whole density between the
-    first panel's nodes; in units of the width it lies on them.  At
-    s = m = 1 both divisions are exact and the integrand is the one in r.
+    In x the density lies at x ~ 1 whatever the couplings and the mass, so
+    the quadrature's absolute tolerance means the same everywhere.  In units
+    of any other length (1/m at weak coupling, where a << m) the whole
+    density could fall between the first panel's nodes.
     """
-    s = max(params.couplings.mass, math.sqrt(params.alpha2))
+    s = max(params.a, math.sqrt(params.alpha2))
 
     def integrand(x):
         r = x / s

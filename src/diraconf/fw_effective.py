@@ -27,6 +27,7 @@ E_k = m + |a_k| ((2 mu)^2 / 2m)^(1/3).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .coulomb import (
@@ -207,6 +208,8 @@ def antiparticle_spectrum_airy(mu: float, m: float = 1.0,
     """
     if not mu > 0:
         raise DomainError("mu must be positive for a confining slope")
+    if not (math.isfinite(m) and m > 0):
+        raise DomainError(f"m must be finite and positive, got {m!r}")
     if not 1 <= count <= 20:
         raise DomainError("count must be in [1, 20]")
     scale = ((2.0 * mu) ** 2 / (2.0 * m)) ** (1.0 / 3.0)

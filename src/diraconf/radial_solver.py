@@ -984,6 +984,9 @@ def shift_convergence_study(n: int, kappa: int, kappa0: int, lam: float,
     can cancel the O(mu) curvature of the slopes.  All solves reuse one
     grid, which cancels most of the discretization bias in the differences.
     """
+    if kappa0 == 0 or not abs(lam) < abs(kappa0):
+        raise DomainError(f"need kappa0 != 0 and |lam| < |kappa0|, got "
+                          f"lam={lam!r}, kappa0={kappa0!r}")
     mu_values = [float(mu) for mu in mu_sequence]
     if len(mu_values) < 2:
         raise DomainError("need at least two mu values")

@@ -1,9 +1,10 @@
 """Self-contained special functions: Kummer U, quadrature, Airy zeros.
 
 Everything here but the gamma function (the standard library's
-``math.gamma``) is implemented from scratch on purpose, so that the
-closed-form normalization constant and the linear-potential spectrum can be
-checked against a code path that shares nothing with the numerical solvers:
+``math.gamma``) and the Airy zeros (standard constants) is implemented from
+scratch on purpose, so that the closed-form normalization constant and the
+linear-potential spectrum can be checked against a code path that shares
+nothing with the numerical solvers:
 
 * ``kummer_U``          Laplace integral representation, evaluated with the
                         adaptive quadrature below; its integrand is one
@@ -14,9 +15,8 @@ checked against a code path that shares nothing with the numerical solvers:
                         array of nodes to an array (or list) of values of
                         the same length, and is called once per panel, on
                         the 7 + 15 = 22 nodes of the pair.
-* ``airy_negative_zeros``  bisection on an independent Ai evaluation
-                        (Maclaurin series for |x| <= 8, the standard
-                        negative-axis asymptotic expansion beyond).
+* ``airy_negative_zeros``  the first 20 zeros of Ai, a table of the
+                        correctly rounded constants (DLMF Table 9.9.1).
 
 Only positive real arguments are supported; that is all the package needs.
 """
@@ -35,7 +35,6 @@ __all__ = [
     "QuadratureResult",
     "kummer_U",
     "integrate_adaptive",
-    "airy_ai",
     "airy_negative_zeros",
 ]
 
@@ -176,96 +175,24 @@ def kummer_U(a: float, b: float, z: float) -> float:
     return scale / math.gamma(a) * res.value
 
 
-# -- Airy function on the negative real axis ---------------------------------
+# -- Airy zeros ----------------------------------------------------------------
 
-_AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)      # Ai(0)
-_AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)  # Ai'(0)
-
-
-def _airy_series(x: float) -> float:
-    # Ai = Ai(0) f(x) + Ai'(0) g(x) with f'' = x f series pair
-    x3 = x * x * x
-    tf = 1.0
-    tg = x
-    f = tf
-    g = tg
-    for k in range(0, 60):
-        tf *= x3 / ((3 * k + 2) * (3 * k + 3))
-        tg *= x3 / ((3 * k + 3) * (3 * k + 4))
-        f += tf
-        g += tg
-        if abs(tf) < 1e-18 * abs(f) and abs(tg) < 1e-18 * max(abs(g), 1e-30):
-            break
-    return _AI0 * f + _AIP0 * g
-
-
-def _airy_asymptotic_neg(x: float) -> float:
-    # DLMF 9.7.9 oscillatory expansion, truncated at the smallest term
-    t = -x
-    zeta = 2.0 / 3.0 * t ** 1.5
-    u = 1.0
-    terms = [u]
-    for k in range(1, 16):
-        u *= (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / ((2 * k - 1) * 216.0 * k)
-        terms.append(u)
-    p = 0.0
-    q = 0.0
-    sign = 1.0
-    prev = math.inf
-    for k in range(0, 8):
-        tk = terms[2 * k] / zeta ** (2 * k)
-        if abs(tk) > prev:  # expansion started diverging
-            break
-        p += sign * tk
-        q += sign * terms[2 * k + 1] / zeta ** (2 * k + 1)
-        sign = -sign
-        prev = abs(tk)
-    phase = zeta - 0.25 * math.pi
-    return (math.cos(phase) * p + math.sin(phase) * q) / (
-        math.sqrt(math.pi) * t ** 0.25
-    )
-
-
-def airy_ai(x: float) -> float:
-    """Ai(x) for x <= 0 (series core, asymptotic tail)."""
-    if x > 0:
-        raise DomainError("airy_ai is implemented for x <= 0 only")
-    if x >= -8.0:
-        return _airy_series(x)
-    return _airy_asymptotic_neg(x)
+# a_1 .. a_20, the negative zeros of Ai (DLMF 9.9, Table 9.9.1), each the
+# double nearest the true zero (float(mpmath.airyaizero(k)) at 40 digits)
+_AIRY_ZEROS = (
+    -2.338107410459767, -4.08794944413097, -5.520559828095551,
+    -6.786708090071759, -7.944133587120853, -9.02265085334098,
+    -10.040174341558085, -11.008524303733262, -11.936015563236262,
+    -12.828776752865757, -13.691489035210719, -14.527829951775335,
+    -15.340755135977997, -16.132685156945772, -16.90563399742994,
+    -17.66130010569706, -18.401132599207116, -19.126380474246954,
+    -19.8381298917215, -20.537332907677566,
+)
 
 
 def airy_negative_zeros(k: int) -> list[float]:
-    """First ``k`` zeros of Ai on the negative axis (as negative numbers).
-
-    Each zero is computed once per process; every call returns a new list.
-    """
+    """First ``k`` zeros of Ai on the negative axis (as negative numbers),
+    1 <= k <= 20; every call returns a new list."""
     if not 1 <= k <= 20:
         raise DomainError(f"k must be in [1, 20], got {k}")
-    return [_airy_zero(n) for n in range(1, k + 1)]
-
-
-@functools.cache
-def _airy_zero(n: int) -> float:
-    """The n-th negative zero of Ai: bisection from the asymptotic estimate."""
-    t = 3.0 * math.pi * (4 * n - 1) / 8.0
-    guess = -(t ** (2.0 / 3.0)) * (1.0 + 5.0 / (48.0 * t * t))
-    lo, hi = guess - 0.2, guess + 0.2
-    flo, fhi = airy_ai(lo), airy_ai(hi)
-    width = 0.2
-    while flo * fhi > 0:
-        width *= 1.5
-        lo, hi = guess - width, guess + width
-        flo, fhi = airy_ai(lo), airy_ai(hi)
-        if width > 2.0:
-            raise ConvergenceError(f"could not bracket Airy zero #{n}")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm = airy_ai(mid)
-        if flo * fm <= 0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-        if hi - lo < 1e-13:
-            break
-    return 0.5 * (lo + hi)
+    return list(_AIRY_ZEROS[:k])

@@ -111,6 +111,8 @@ class TestBuildAnsatz:
             build_ansatz(0.0, 1e-4, -1)    # lam = 0 unbound
         with pytest.raises(DomainError):
             build_ansatz(1.5, 1e-4, -1)    # lam >= |kappa0|
+        with pytest.raises(DomainError):
+            build_ansatz(0.5, 1e-4, -1, 0.0)   # m must be positive
 
 
 class TestSpinor:

@@ -189,7 +189,7 @@ class TestAnsatzCmd:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("mass", ["1e-8", "1e-6", "1e4", "1e6"])
     def test_norm_quadrature_holds_at_any_mass(self, capsys, mass):
-        # the norm is integrated in x = max(m, sqrt(alpha2)) r, so neither
+        # the norm is integrated in x = max(a, sqrt(alpha2)) r, so neither
         # a heavy mass shrinks the density below the quadrature's absolute
         # tolerance nor a light one leaves it between the first nodes
         code, out, _ = run_cli(capsys, "ansatz", "--lambda", "0.5",
@@ -198,6 +198,19 @@ class TestAnsatzCmd:
         assert code == 0
         vals = {r["quantity"]: float(r["value"]) for r in csv_rows(out)}
         assert vals["norm_quadrature_defect"] <= 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lam, mu, kappa0", [
+        ("1e-8", "1e-8", "-1"), ("1e-12", "1e-12", "-3")])
+    def test_norm_quadrature_holds_at_weak_coupling(self, capsys, lam, mu,
+                                                    kappa0):
+        # the state lives at r ~ 1/a = |kappa0|/(m lam), far beyond 1/m: in
+        # x = m r the quadrature found none of it (defect 1.0)
+        code, out, _ = run_cli(capsys, "ansatz", "--lambda", lam,
+                               "--mu", mu, "--kappa0", kappa0)
+        assert code == 0
+        vals = {r["quantity"]: float(r["value"]) for r in csv_rows(out)}
+        assert vals["norm_quadrature_defect"] <= 1e-8
 
     def test_detuned_nu_blows_up_residual(self, capsys):
         code, out, _ = run_cli(capsys, "ansatz", "--lambda", "0.5",
@@ -386,9 +399,9 @@ class TestNumericalFailure:
          "--n-max", "1"),
         # OverflowError in the norm
         ("ansatz", "--lambda", "1e-300", "--mu", "1", "--kappa0", "-3"),
-        # the state lives near r ~ 1e12, where the norm quadrature finds
-        # none of it: the norm fails its check (defect 1.0)
-        ("ansatz", "--lambda", "1e-12", "--mu", "1e-12", "--kappa0", "-3"),
+        # the same overflow on the positive-kappa0 branch of shift
+        ("shift", "--lambda", "1e300", "--mu", "0.1", "--kappa0", "2",
+         "--n-max", "1"),
         # (m + v1)^2 and (E - v0 - v2)^2 leave the float range in the
         # allowed region and the inward seed; the sweep then overflows
         ("solve", "--family", "coulomb-linear", "--lambda", "0.5",
@@ -681,6 +694,11 @@ class TestFormats:
         assert code == 0
         assert "scan --n-max 50 --N-max 10" in out
 
+    def test_no_subcommand_prints_help(self, capsys):
+        code, out, _ = run_cli(capsys)
+        assert code == 2
+        assert out.startswith("usage:")
+
     def test_entry_point_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "diraconf.cli", "energy",
@@ -775,7 +793,14 @@ class TestDeterminism:
 # was solved, not at the turning point of the final energy: every energy
 # keeps its bits, the states move by rounding beyond their glue nodes (the
 # dump of k = 3 from line 18,380 on), and the k = 2 residual moved with
-# its state (2.3136088747927660e-02 -> 2.2300392234971527e-02)
+# its state (2.3136088747927660e-02 -> 2.2300392234971527e-02), and once
+# more when the Airy zeros became the correctly rounded constants: only the
+# energy_airy column moved, from 3.8, 6.9 and 1.3 ulp off the exact ladder
+# to 0.2, 0.1 and 0.3 ulp, and the dump kept its bytes.  The ansatz stdout
+# was re-pinned when the norm quadrature took its length unit from the
+# state's own inverse lengths, max(a, sqrt(alpha2)), rather than from
+# max(m, sqrt(alpha2)): only norm_quadrature_defect moved, at rounding
+# level (2.4535928844215960e-14 -> 2.4646951146678475e-14)
 GOLDEN = {
     "energy --lambda 0.5 --n 1 --kappa -1":
         ("479e547d12329227eb6388957eebe6af743dfb301922f36a80e48a5d7de0a976",
@@ -794,8 +819,8 @@ GOLDEN = {
          "f389f7ff77329aab6c403d2aa27494c0702c2de04d8970ccb5dc29169291cc45",
          None),
     "ansatz --lambda 0.5 --mu 1e-4 --kappa0 -1":
-        ("91afa624fb7bd37b5040945feec95a7949ccb677d87ae6b3f247638e0bd32d64",
-         "bd05ff8d31abc428c98ec7c102ead82bac4831bc416973893c5fa7f0a572eb97",
+        ("ef8bfb0f769de0fa6b1de170870253e8f3d07ab452029e66cf46ce1134d0bb95",
+         "096d709c6850b6110adfa05b2ba10c36afa6e1e7aee149726d11ce37bdc73338",
          None),
     "solve --family coulomb --lambda 0.5 --n 1 --kappa -1":
         ("27fd2b1b2d50faa0d4a3d847a1f13dab5a159d5547d59eedc25bfe40d9e46e9d",
@@ -807,8 +832,8 @@ GOLDEN = {
          "f8c931152cb6a4d678bed6ad597f87df91d4e0f8017e5e1768846c0b05967a22",
          "4f4f23066a52f774725593400308e75d21fb812418171ebfca84322aa6f27ee2"),
     "solve --family antiparticle-linear --mu 0.5 --states 3":
-        ("a856f10168b0a486c36ed980432560e3aa1e4e541863bfb78a5343aa4a33790a",
-         "56390eb030288406524b8d86ff82eed329a577ebd48013cf9c9c29a9e12b2c2c",
+        ("a367bc586ec2a9af9bc0eed16e0cabb12fad47f7f48aed9c465451218a5cb3b5",
+         "d567e61103309420f51657c49c88fc4f6c20a6f9e6de5a4ab41e1b91d82e8b85",
          "0d522e1c8d22851685afdc61f5710b7363a0bb8e9265b047d583990e592634be"),
     "solve --family bag --lambda 0.5 --kappa0 -1 --A 1.0 --r0 10.0 --M 20":
         ("9b1381aaadfde51975ef564c771b76f8df70505525372446fe4f8410ba9b97aa",

@@ -93,6 +93,14 @@ class TestExpectations:
             expectation_r(1, -1, 0.0, 1.0)
         with pytest.raises(DomainError):
             expectation_anticomm_p2_r(1, -1, 0.0, 1.0)
+        with pytest.raises(DomainError):
+            expectation_inv_r(1, 0.0, 1.0)
+
+    def test_n_zero_rejected(self):
+        with pytest.raises(DomainError):
+            schrodinger_energy(0, 0.2, 1.0)
+        with pytest.raises(DomainError):
+            expectation_inv_r(0, 0.5, 1.0)
 
     @pytest.mark.parametrize("n,ell", [(1, 0), (2, 0), (2, 1), (3, 1), (5, 4)])
     def test_r_moments_by_quadrature(self, n, ell):
@@ -155,6 +163,8 @@ class TestRadialWavefunction:
     def test_domain(self):
         with pytest.raises(DomainError):
             radial_wavefunction(2, 2, 1.0, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            radial_wavefunction(1, 0, 0.0, 1.0, 1.0)
 
     def test_radii_required(self):
         # np.asarray(None, dtype=float) is NaN: without radii, R must raise

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from scipy.special import ai_zeros
 
@@ -76,6 +78,10 @@ class TestReferenceCancellation:
     def test_exact_zero(self, n0):
         assert reference_cancellation(n0, 0.44, 1e-3) == 0.0
 
+    def test_n0_zero_rejected(self):
+        with pytest.raises(DomainError):
+            reference_cancellation(0, 0.44, 1e-3)
+
     def test_matches_general_formula_structure(self):
         # the factored numerator equals the general shift at (n0, -n0)
         for n0 in (1, 2, 4):
@@ -132,6 +138,10 @@ class TestAntiparticle:
         assert pot.coulomb_strength == 0.0
         assert pot.linear_coefficient == pytest.approx(4e-4)
 
+    def test_kappa0_zero_rejected(self):
+        with pytest.raises(DomainError):
+            antiparticle_effective(2e-4, 0.5, 0)
+
     def test_airy_spectrum_against_independent_zeros(self):
         # oracle: scipy's Airy zeros in the same closed formula
         for mu in (0.1, 0.5):
@@ -160,3 +170,10 @@ class TestAntiparticle:
             antiparticle_spectrum_airy(-0.1)
         with pytest.raises(DomainError):
             antiparticle_spectrum_airy(0.5, count=25)
+
+    @pytest.mark.parametrize("m", [-1.0, 0.0, math.nan, math.inf])
+    def test_mass_must_be_finite_and_positive(self, m):
+        # m < 0 gave complex energies, m = 0 a ZeroDivisionError and
+        # m = nan NaN energies
+        with pytest.raises(DomainError, match="m must be finite and positive"):
+            antiparticle_spectrum_airy(0.3, m, 2)

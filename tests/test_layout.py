@@ -1,13 +1,14 @@
-"""Layout rules of the package source: no private name without a caller."""
+"""Layout rules of the package source: no private name without a caller,
+no exported name without a definition."""
 import ast
 import pathlib
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "diraconf"
 
 
-def _defined(tree):
-    """The module-level private names a module defines: functions,
-    classes and assigned names."""
+def _module_names(tree):
+    """The names a module binds at module level: functions, classes,
+    assigned names and imports."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -19,8 +20,27 @@ def _defined(tree):
             for target in targets:
                 names.update(n.id for n in ast.walk(target)
                              if isinstance(n, ast.Name))
-    return {name for name in names
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0]
+                         for a in node.names)
+    return names
+
+
+def _defined(tree):
+    """The module-level private names a module binds.  (A private name it
+    imports with ``from`` is read by that import.)"""
+    return {name for name in _module_names(tree)
             if name.startswith("_") and not name.startswith("__")}
+
+
+def _exported(tree):
+    """The strings of a module's ``__all__`` (empty without one)."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return {e.value for e in node.value.elts}
+    return set()
 
 
 def _referenced(tree):
@@ -46,11 +66,27 @@ def unreferenced(sources):
                   for name in _defined(tree) - read)
 
 
-def test_every_private_name_has_a_caller():
+def stale_exports(sources):
+    """(module, name) of each ``__all__`` entry of ``sources`` (module
+    name -> source text) that its module does not bind at module level."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    return sorted((module, name) for module, tree in trees.items()
+                  for name in _exported(tree) - _module_names(tree))
+
+
+def _package_sources():
     sources = {path.stem: path.read_text()
                for path in sorted(PACKAGE.glob("*.py"))}
     assert len(sources) > 5
-    assert unreferenced(sources) == []
+    return sources
+
+
+def test_every_private_name_has_a_caller():
+    assert unreferenced(_package_sources()) == []
+
+
+def test_every_export_is_defined():
+    assert stale_exports(_package_sources()) == []
 
 
 def test_a_leftover_helper_is_caught():
@@ -64,3 +100,17 @@ def test_a_leftover_helper_is_caught():
                "x = _merge(solver._TABLE)\n",
     }
     assert unreferenced(sources) == [("solver", "_glue_node")]
+
+
+def test_a_stale_export_is_caught():
+    # an export whose definition was deleted, next to a function, a class,
+    # an assigned table and an import, all still bound
+    sources = {
+        "special": "import math\nfrom .errors import DomainError\n"
+                   "__all__ = ['zeros', 'Result', 'TABLE', 'math',\n"
+                   "           'DomainError', 'airy_ai']\n"
+                   "TABLE = (1.0,)\n"
+                   "class Result:\n    pass\n"
+                   "def zeros(k):\n    return list(TABLE[:k])\n",
+    }
+    assert stale_exports(sources) == [("special", "airy_ai")]

@@ -65,6 +65,11 @@ def test_sigma_dot_L_plus_one(kappa, upper, expected):
     assert sigma_dot_L_plus_one_eigenvalue(kappa, upper) == expected
 
 
+def test_sigma_dot_L_kappa_zero_rejected():
+    with pytest.raises(DomainError):
+        sigma_dot_L_plus_one_eigenvalue(0)
+
+
 def test_sigma_dot_L_antisymmetry():
     for kappa in range(-20, 21):
         if kappa == 0:

@@ -136,6 +136,11 @@ class TestGrid:
         with pytest.raises(DomainError, match="states must be >= 1"):
             airy_ladder(0.3, 1.0, 0, 0.0, 200)
 
+    def test_airy_ladder_needs_a_positive_mass(self):
+        # m < 0 made the Airy energies complex: a TypeError in the grid
+        with pytest.raises(DomainError, match="m must be finite and positive"):
+            airy_ladder(0.3, -1.0, 1, 0.0, 300)
+
     def test_arrays(self):
         g = RadialGrid(1e-3, 10.0, 101)
         assert g.r[0] == pytest.approx(1e-3, rel=1e-12)
@@ -232,6 +237,13 @@ class TestIntegrateRadial:
         with pytest.raises(DomainError):
             integrate_radial(coulomb_potential(0.5), -1, 0.9, 1.0,
                              RadialGrid(1e-6, 10, 100), "sideways")
+
+    @pytest.mark.parametrize("lam, kappa", [(0.5, 0), (1.5, -1)])
+    def test_state_validation(self, lam, kappa):
+        # kappa = 0 names no state; |lam| >= |kappa| has no regular series
+        with pytest.raises(DomainError):
+            integrate_radial(coulomb_potential(lam), kappa, 0.9, 1.0,
+                             RadialGrid(1e-6, 10, 100))
 
 
 class TestFindBoundState:
@@ -699,10 +711,13 @@ class TestSuggestRmax:
         case = bag_model_case(A, r0, M, lam, kappa0, points=64)
         assert case.grid.r_max.hex() == expected
 
+    # the last two re-pinned once when the Airy zeros became the correctly
+    # rounded constants: r_start = 2 (E_top - m)/slope moved with E_top
+    # (0x1.286766b7d5d17p+5 and 0x1.ec1eab7642554p+3 before)
     @pytest.mark.parametrize("mu, count, core, expected", [
         (0.5, 3, 0.0, "0x1.118da88d780dfp+4"),
-        (0.1, 6, 0.0, "0x1.286766b7d5d17p+5"),
-        (0.5, 2, 0.05, "0x1.ec1eab7642554p+3"),
+        (0.1, 6, 0.0, "0x1.286766b7d5d2bp+5"),
+        (0.5, 2, 0.05, "0x1.ec1eab7642560p+3"),
     ])
     def test_airy_rmax_pinned(self, mu, count, core, expected):
         slope = 2.0 * mu
@@ -777,6 +792,11 @@ class TestSchrodinger:
         predicted = lam * grid.integrate(base.u**2 / grid.r)
         assert shift == pytest.approx(predicted, rel=0.1)
 
+    def test_negative_ell_rejected(self):
+        with pytest.raises(DomainError, match="ell"):
+            solve_schrodinger_radial(lambda r: r, -1, 1.0,
+                                     RadialGrid(1e-3, 10.0, 100), (1.0, 2.0), 0)
+
 
 class TestShiftStudy:
     def test_n2_coefficient(self):
@@ -823,6 +843,22 @@ class TestShiftStudy:
         assert all(type(e) is float for e in study.energies)
         assert (study.base_energy.hex(), [e.hex() for e in study.energies],
                 study.richardson.hex()) == expected
+
+    def test_increasing_sequence_gives_the_same_study(self):
+        # the sequence is put in decreasing order before any solve
+        study = shift_convergence_study(2, -1, -1, 0.1, 1.0,
+                                        [4e-6, 2e-6, 1e-6], points=1000)
+        assert shift_convergence_study(2, -1, -1, 0.1, 1.0,
+                                       [1e-6, 2e-6, 4e-6],
+                                       points=1000) == study
+
+    @pytest.mark.parametrize("n, kappa, kappa0, lam", [
+        (2, -1, 0, 0.1),     # was a ZeroDivisionError
+        (2, -2, -1, 1.5),    # |lam| >= |kappa0|: was a math domain error
+    ])
+    def test_rejects_bad_couplings(self, n, kappa, kappa0, lam):
+        with pytest.raises(DomainError, match="kappa0"):
+            shift_convergence_study(n, kappa, kappa0, lam, 1.0, [2e-6, 1e-6])
 
     def test_rejects_bad_sequences(self):
         with pytest.raises(DomainError):

@@ -205,6 +205,8 @@ class TestFineTuning:
         v1 = lambda r: np.asarray(r, dtype=float)
         assert fine_tune_v2(v1, 0.0)(2.0) == pytest.approx(-2.0)
         assert fine_tune_v2(v1, 1.0)(2.0) == pytest.approx(0.0)
+        with pytest.raises(DomainError):
+            fine_tune_v2(v1, math.inf)
 
     def test_gamma_energy_relation_examples(self):
         gs = dirac_coulomb_ground_state(0.5, -1)
@@ -214,6 +216,8 @@ class TestFineTuning:
         gs = dirac_coulomb_ground_state(0.3, -2)
         assert gamma_energy_relation(gs.gamma) == pytest.approx(
             math.sqrt(1 - 0.09 / 4), rel=1e-12)
+        with pytest.raises(DomainError):
+            gamma_energy_relation(-0.1)
 
     @pytest.mark.parametrize("kappa0", [-1, -2, -3])
     @pytest.mark.parametrize("lam_frac", [0.1, 0.5, 0.9])
