@@ -27,6 +27,9 @@ lam/(|kappa0| + b): (|kappa0| - b)/lam cancels as lam -> 0.  Note
 the exponent is sqrt(kappa0^2 - lam^2), not sqrt(1 - lam^2/kappa0^2): only
 the former satisfies the full set of relations once |kappa0| > 1 (the two
 agree for kappa0 = -1).
+
+``residual_grid`` spans 1e-4/s to the e^-34 point of the solver's tail
+walk, in the state's own length 1/s (``AnsatzParams.inverse_length``).
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ import numpy as np
 
 from .coulomb import CouplingSet, dirac_coulomb_ground_state
 from .errors import DomainError
-from .radial_solver import RadialGrid, dirac_residual
+from .radial_solver import RadialGrid, _tail_radius, dirac_residual
 from .special_functions import kummer_U
 
 __all__ = [
@@ -85,6 +88,12 @@ class AnsatzParams:
     gamma: float
     energy: float
     norm: float
+
+    @property
+    def inverse_length(self) -> float:
+        """s = max(a, sqrt(alpha2)): the larger of the decay rate a and the
+        inverse Gaussian width; the density lies at s r ~ 1."""
+        return max(self.a, math.sqrt(self.alpha2))
 
     def gamma_candidates(self) -> tuple[float, ...]:
         """The six independent expressions that must all equal gamma."""
@@ -173,34 +182,15 @@ def radial_residual(params: AnsatzParams, grid) -> float:
                           -c.lam / r, c.mu * r, c.nu * r)
 
 
-_WALK_GROWTH = 1.05
-_WALK_CHUNK = 64  # radii per evaluation; the walk is typically 40-80 steps
-
-
 def residual_grid(params: AnsatzParams) -> np.ndarray:
-    """2001 geometric radii for ``radial_residual``: from well inside the
-    power-law region (1e-4 Bohr radii) out to where f has fallen below
-    1e-13 of its value at max(b, 1)/a, or at the Gaussian width
-    1/sqrt(alpha2) where that is smaller.
+    """2001 geometric radii for ``radial_residual``, from 1e-4/s (inside
+    the power-law region) to where f has decayed by e^-34: the solver's
+    tail walk (``_tail_radius``) in x = s r from x = 1, on the decay rate
+    -d ln f/dx = (a + alpha2 x/s)/s - (b - 1)/x."""
+    s = params.inverse_length
+    a, alpha2, b = params.a, params.alpha2, params.b
 
-    The outer radius is the first r_peak * 1.05^k at which f is not above
-    that threshold.  The walk is taken in chunks of running products (one
-    ``evaluate_spinor`` call each), so each radius is the same float a
-    step-by-step ``r *= 1.05`` loop gives.
-    """
-    r_peak = min(max(params.b / params.a, 1.0 / params.a),
-                 1.0 / math.sqrt(params.alpha2))
-    f_peak, _ = evaluate_spinor(params, r_peak)
-    threshold = 1e-13 * f_peak
-    growth = np.full(_WALK_CHUNK, _WALK_GROWTH)
-    r_hi = r_peak
-    while True:
-        radii = np.multiply.accumulate(np.concatenate(([r_hi], growth)))
-        f, _ = evaluate_spinor(params, radii[:-1])
-        stop = np.flatnonzero(~(f > threshold))
-        if stop.size:
-            r_hi = float(radii[stop[0]])
-            break
-        r_hi = float(radii[-1])
-    c = params.couplings
-    return np.geomspace(1e-4 / (c.lam * c.mass), r_hi, 2001)
+    def rate(x):
+        return (a + alpha2 * x / s) / s - (b - 1.0) / x
+
+    return np.geomspace(1e-4 / s, _tail_radius(rate, 1.0) / s, 2001)

@@ -166,16 +166,14 @@ def cmd_scan(args) -> int:
 
 def _norm_integrand(params):
     """The norm density (f^2 + g^2) r^2 in x = s r, on an array of x, with
-    s = max(a, sqrt(alpha2)) the larger of the state's two inverse lengths:
-    the exponential decay rate a = m lam/|kappa0| and the inverse Gaussian
-    width.
+    s = ``params.inverse_length``.
 
     In x the density lies at x ~ 1 whatever the couplings and the mass, so
     the quadrature's absolute tolerance means the same everywhere.  In units
     of any other length (1/m at weak coupling, where a << m) the whole
     density could fall between the first panel's nodes.
     """
-    s = max(params.a, math.sqrt(params.alpha2))
+    s = params.inverse_length
 
     def integrand(x):
         r = x / s

@@ -206,11 +206,17 @@ def antiparticle_spectrum_airy(mu: float, m: float = 1.0,
     E_k = m + |a_k| ((2 mu)^2 / (2 m))^(1/3) with a_k the Airy zeros; the
     relativistic p^4 correction is dropped (relative O(lam^2) here).
     """
-    if not mu > 0:
-        raise DomainError("mu must be positive for a confining slope")
+    if not (math.isfinite(mu) and mu > 0):
+        raise DomainError(
+            f"mu must be finite and positive for a confining slope, got {mu!r}")
     if not (math.isfinite(m) and m > 0):
         raise DomainError(f"m must be finite and positive, got {m!r}")
     if not 1 <= count <= 20:
         raise DomainError("count must be in [1, 20]")
-    scale = ((2.0 * mu) ** 2 / (2.0 * m)) ** (1.0 / 3.0)
+    try:
+        scale = ((2.0 * mu) ** 2 / (2.0 * m)) ** (1.0 / 3.0)
+    except OverflowError:  # (2 mu)^2: take mu = mu' 2^(3k) apart exactly
+        k = math.frexp(mu)[1] // 3
+        mu = math.ldexp(mu, -3 * k)
+        scale = math.ldexp(((2.0 * mu) ** 2 / (2.0 * m)) ** (1.0 / 3.0), 2 * k)
     return [m + abs(z) * scale for z in airy_negative_zeros(count)]

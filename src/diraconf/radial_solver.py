@@ -44,12 +44,13 @@ nonrelativistic confining problems (single component u(r), with
 tables, seeds, norm density and equation residual; one pipeline
 (``_shoot``) searches, merges, normalizes, fixes the sign, checks the node
 count and measures the residual for both.  One tail walk
-(``_tail_radius``) places r_max for both from their WKB decay rates;
-``coulomb_grid`` and ``airy_grid`` build the grids of the Coulomb levels and
-of the linear-slope ladders, and next to them live the two closed-form
-bracket rules: ``coulomb_bracket`` (a quarter of the gap to the next level
-around the Sommerfeld energy) and ``airy_ladder`` (0.45 of the Airy level
-spacing, every level of a ladder solved on one system).
+(``_tail_radius``) places r_max for both from their WKB decay rates, and
+ends ``ansatz.residual_grid``; ``coulomb_grid`` and ``airy_grid`` build the
+grids of the Coulomb levels and of the linear-slope ladders, and next to
+them live the two closed-form bracket rules: ``coulomb_bracket`` (a quarter
+of the gap to the next level around the Sommerfeld energy, also the shift
+study's) and ``airy_ladder`` (0.45 of the Airy level spacing, every level of
+a ladder solved on one system).
 """
 from __future__ import annotations
 
@@ -831,28 +832,30 @@ def _tail_radius(rate: Callable, r_start: float) -> float:
     accumulated WKB exponent sum rate(r_mid) dr reaches ``_DECAY_TARGET``.
 
     ``rate`` maps interval midpoints (an array) to local decay rates; only
-    positive rates accumulate.  The walk is taken in chunks; both running
-    products and running sums are sequential accumulations, so the result
-    is the same float a step-by-step loop gives.
+    positive rates accumulate; past min(1e9 r_start, 1e300) it gives up
+    (ConvergenceError).  The walk is taken in chunks; both running products
+    and running sums are sequential accumulations, so the result is the
+    same float a step-by-step loop gives.
     """
     r = float(r_start)
     if not (math.isfinite(r) and r > 0):
         raise DomainError(f"r_start must be finite and positive, got {r!r}")
+    r_limit = min(1e9 * r, 1e300)
     acc = 0.0
     growth = np.full(_TAIL_CHUNK, _TAIL_GROWTH)
     while acc < _DECAY_TARGET:
-        radii = np.multiply.accumulate(np.concatenate(([r], growth)))
+        with np.errstate(over="ignore"):  # an inf radius is past the limit
+            radii = np.multiply.accumulate(np.concatenate(([r], growth)))
         w = np.asarray(rate(0.5 * (radii[:-1] + radii[1:])), dtype=float)
         with np.errstate(over="ignore"):  # an inf step reaches the target
             steps = np.where(w > 0, w * (radii[1:] - radii[:-1]), 0.0)
         sums = np.add.accumulate(np.concatenate(([acc], steps)))[1:]
-        stop = np.nonzero(~(sums < _DECAY_TARGET) | (radii[1:] > 1e9))[0]
+        stop = np.nonzero(~(sums < _DECAY_TARGET) | (radii[1:] > r_limit))[0]
         k = stop[0] if stop.size else _TAIL_CHUNK - 1
         r, acc = float(radii[k + 1]), float(sums[k])
-        if r > 1e9:
-            raise ConvergenceError(
-                "could not find a classically forbidden tail below r = 1e9"
-            )
+        if r > r_limit:
+            raise ConvergenceError("could not find a classically forbidden "
+                                   f"tail below r = {r_limit:.3g}")
     return r
 
 
@@ -982,7 +985,8 @@ def shift_convergence_study(n: int, kappa: int, kappa0: int, lam: float,
 
     The sequence must be geometric (constant ratio) so the Richardson step
     can cancel the O(mu) curvature of the slopes.  All solves reuse one
-    grid, which cancels most of the discretization bias in the differences.
+    grid, which cancels most of the discretization bias in the differences,
+    and one bracket, ``coulomb_bracket`` unless ``bracket_halfwidth`` is set.
     """
     if kappa0 == 0 or not abs(lam) < abs(kappa0):
         raise DomainError(f"need kappa0 != 0 and |lam| < |kappa0|, got "
@@ -1001,15 +1005,11 @@ def shift_convergence_study(n: int, kappa: int, kappa0: int, lam: float,
         q = 1.0 / q
 
     root = math.sqrt(1.0 - lam * lam / (kappa0 * kappa0))
-    e_ref = dirac_coulomb_energy(n, kappa, lam, m)
     if bracket_halfwidth is None:
-        # wide enough for every shifted level, narrower than the distance
-        # to the neighboring unperturbed levels of the same kappa; the level
-        # above is the nearer one, since E = m x / sqrt(x^2 + lam^2) with
-        # x = n - |kappa| + sqrt(kappa^2 - lam^2) is concave in n
-        scale = abs(mu_values[0] * lam) * (3.0 * n * n + abs(kappa) * (abs(kappa) + 1))
-        gap = dirac_coulomb_energy(n + 1, kappa, lam, m) - e_ref
-        bracket_halfwidth = min(max(20.0 * scale, 1e-9 * m), 0.25 * gap)
+        bracket = coulomb_bracket(n, kappa, lam, m)
+    else:
+        e_ref = dirac_coulomb_energy(n, kappa, lam, m)
+        bracket = (e_ref - bracket_halfwidth, e_ref + bracket_halfwidth)
     target_nodes = radial_nodes(n, kappa)
     grid = coulomb_grid(lam, n, kappa, m, points)
 
@@ -1018,9 +1018,7 @@ def shift_convergence_study(n: int, kappa: int, kappa0: int, lam: float,
             pot = coulomb_potential(lam)
         else:
             pot = coulomb_plus_linear(lam, mu, -mu * root)
-        state = find_bound_state(pot, kappa, m, grid,
-                                 (e_ref - bracket_halfwidth, e_ref + bracket_halfwidth),
-                                 target_nodes)
+        state = find_bound_state(pot, kappa, m, grid, bracket, target_nodes)
         return state.energy
 
     base = solve_at(0.0)

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from diraconf import ansatz
+import diraconf.radial_solver as rs
 from diraconf.ansatz import (
     AnsatzParams,
     build_ansatz,
@@ -150,19 +150,37 @@ class TestResidual:
 
     @pytest.mark.parametrize("lam,kappa0,mu", [*SWEEP, (0.9, -1, 1e-4)])
     def test_grid_end_matches_a_step_by_step_walk(self, lam, kappa0, mu):
-        # the chunked walk gives the float of the scalar r *= 1.05 loop
+        # the grid ends where a scalar x *= 1.005 walk in x = s r, from
+        # x = 1, has summed e^-34 of decay of f: the solver's tail walk
         p = build_ansatz(lam, mu, kappa0)
-        r_peak = min(max(p.b / p.a, 1.0 / p.a), 1.0 / math.sqrt(p.alpha2))
-        f_peak, _ = evaluate_spinor(p, r_peak)
-        r_hi, steps = r_peak, 0
-        while evaluate_spinor(p, r_hi)[0] > 1e-13 * f_peak:
-            r_hi *= 1.05
-            steps += 1
+        s = max(p.a, math.sqrt(p.alpha2))
+        assert p.inverse_length == s
+        x, acc, steps = 1.0, 0.0, 0
+        while acc < 34.0:
+            x_next = x * 1.005
+            mid = 0.5 * (x + x_next)
+            rate = (p.a + p.alpha2 * mid / s) / s - (p.b - 1.0) / mid
+            if rate > 0:
+                acc += rate * (x_next - x)
+            x, steps = x_next, steps + 1
         grid = residual_grid(p)
-        assert float(grid[-1]).hex() == r_hi.hex()
-        assert np.array_equal(grid, np.geomspace(1e-4 / lam, r_hi, 2001))
-        if kappa0 == -1:
-            assert steps > ansatz._WALK_CHUNK  # the walk takes two chunks
+        assert float(grid[-1]).hex() == (x / s).hex()
+        assert np.array_equal(grid, np.geomspace(1e-4 / s, x / s, 2001))
+        assert steps > rs._TAIL_CHUNK  # the walk takes more than one chunk
+
+    @pytest.mark.parametrize("mass", [1e-8, 1.0, 1e6])
+    @pytest.mark.parametrize("lam,kappa0,mu", SWEEP)
+    def test_grid_follows_the_state(self, lam, kappa0, mu, mass):
+        # both ends are in the state's own length 1/s, so the grid rises
+        # from inside the power-law region to where f has decayed, at any
+        # mass (at m = 1e-8 a start of 1e-4/(lam m) lay past the Gaussian)
+        p = build_ansatz(lam, mu, kappa0, mass)
+        grid = residual_grid(p)
+        assert np.all(np.diff(grid) > 0)
+        assert grid[0] < 1.0 / max(p.a, math.sqrt(p.alpha2))
+        f, _ = evaluate_spinor(p, grid)
+        assert f[-1] < 1e-13 * np.max(f)
+        assert radial_residual(p, grid) <= 1e-10
 
     def test_grid_ends_before_f_underflows(self):
         # a weak Coulomb tail: max(b, 1)/a = 1e4 lies far beyond the

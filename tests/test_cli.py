@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from diraconf import cli, radial_solver, rescale
 from diraconf.cli import main
+from diraconf.coulomb import dirac_coulomb_energy
 from diraconf.special_functions import QuadratureResult
 
 
@@ -230,6 +231,21 @@ class TestSolve:
         row = csv_rows(out)[0]
         assert float(row["defect"]) < 1e-8
 
+    @pytest.mark.parametrize("lam, n, kappa, mass", [
+        ("0.5", 1, -1, "1e-8"),
+        ("0.3", 2, 1, "1e-12"),
+    ])
+    def test_coulomb_at_light_mass(self, capsys, lam, n, kappa, mass):
+        # the tail walk gives up nine decades past its start, not at a
+        # fixed r = 1e9, which is a few Bohr radii at these masses
+        code, out, _ = run_cli(capsys, "solve", "--family", "coulomb",
+                               "--lambda", lam, "--n", str(n), "--kappa",
+                               str(kappa), "--mass", mass)
+        assert code == 0
+        energy = float(csv_rows(out)[0]["energy"])
+        ref = dirac_coulomb_energy(n, kappa, float(lam), float(mass))
+        assert abs(energy - ref) <= 4 * math.ulp(ref)
+
     def test_coulomb_linear_preserved(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--family", "coulomb-linear",
                                "--lambda", "0.5", "--kappa0", "-1",
@@ -443,8 +459,9 @@ class TestNumericalFailure:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bag_wall_height_stays_finite(self, capsys):
-        # A e^700 would overflow; the state's radius (~1e38) is beyond the
-        # 1e9 limit of the tail walk, whose steps there overflow to inf
+        # A e^700 would overflow; the tail walk reaches the state's radius
+        # (~1e38, in units of 1/m), where the saturated wall's defect is not
+        # finite, so the run is a numerical failure with no output
         code, out, err = run_cli(capsys, "solve", "--family", "bag",
                                  "--A", "6.38540964788881e+16",
                                  "--mass", "1.1754943508222875e-38",
@@ -452,7 +469,7 @@ class TestNumericalFailure:
                                  "--points", "702", "--r0", "10", "--M", "266")
         assert code == 4
         assert out == ""
-        assert "forbidden tail below r = 1e9" in err
+        assert "non-finite residual = inf" in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_underflowed_tail_is_not_a_failure(self, capsys):
@@ -800,7 +817,10 @@ class TestDeterminism:
 # was re-pinned when the norm quadrature took its length unit from the
 # state's own inverse lengths, max(a, sqrt(alpha2)), rather than from
 # max(m, sqrt(alpha2)): only norm_quadrature_defect moved, at rounding
-# level (2.4535928844215960e-14 -> 2.4646951146678475e-14)
+# level (2.4535928844215960e-14 -> 2.4646951146678475e-14), and once more
+# when the residual grid ended where the solver's tail walk says, in the
+# state's own length: only max_radial_residual moved, at rounding level
+# (4.7020085929804186e-16 -> 4.0453918603747709e-16)
 GOLDEN = {
     "energy --lambda 0.5 --n 1 --kappa -1":
         ("479e547d12329227eb6388957eebe6af743dfb301922f36a80e48a5d7de0a976",
@@ -819,8 +839,8 @@ GOLDEN = {
          "f389f7ff77329aab6c403d2aa27494c0702c2de04d8970ccb5dc29169291cc45",
          None),
     "ansatz --lambda 0.5 --mu 1e-4 --kappa0 -1":
-        ("ef8bfb0f769de0fa6b1de170870253e8f3d07ab452029e66cf46ce1134d0bb95",
-         "096d709c6850b6110adfa05b2ba10c36afa6e1e7aee149726d11ce37bdc73338",
+        ("b785c8183c2803841e7c67386185fe464563d500040d455e2c300558d082990f",
+         "65cff874f37424c4f242fb171dd6abb3ef468ec674fd230d4085649bb3718f9a",
          None),
     "solve --family coulomb --lambda 0.5 --n 1 --kappa -1":
         ("27fd2b1b2d50faa0d4a3d847a1f13dab5a159d5547d59eedc25bfe40d9e46e9d",

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from scipy.special import ai_zeros
 
@@ -170,6 +171,22 @@ class TestAntiparticle:
             antiparticle_spectrum_airy(-0.1)
         with pytest.raises(DomainError):
             antiparticle_spectrum_airy(0.5, count=25)
+
+    @pytest.mark.parametrize("mu", [1e154, 1e200, 1e300])
+    def test_airy_spectrum_at_huge_slopes(self, mu):
+        # (2 mu)^2 overflows from mu ~ 1.3e154 on; every level is finite
+        got = antiparticle_spectrum_airy(mu, 1.0, count=3)
+        with mpmath.workdps(40):
+            scale = mpmath.cbrt((2 * mpmath.mpf(mu)) ** 2 / 2)
+            for k, e in enumerate(got, 1):
+                exact = 1 + abs(mpmath.airyaizero(k)) * scale
+                assert abs(e - exact) <= 2 * math.ulp(e)
+
+    @pytest.mark.parametrize("mu", [math.inf, math.nan])
+    def test_mu_must_be_finite(self, mu):
+        # mu = inf returned inf levels
+        with pytest.raises(DomainError, match="mu must be finite and positive"):
+            antiparticle_spectrum_airy(mu, 1.0, 2)
 
     @pytest.mark.parametrize("m", [-1.0, 0.0, math.nan, math.inf])
     def test_mass_must_be_finite_and_positive(self, m):

@@ -18,6 +18,7 @@ from diraconf.fw_effective import antiparticle_spectrum_airy, first_order_shift
 from diraconf.quantum_numbers import radial_nodes
 from diraconf.radial_solver import (
     RadialGrid,
+    ShiftStudy,
     airy_grid,
     airy_ladder,
     coulomb_bracket,
@@ -824,11 +825,13 @@ class TestShiftStudy:
                                                                     abs=0.01)
 
     # float.hex of (base_energy, energies, richardson) with the default
-    # bracket half-width on 1000 points, as recorded before the study's
-    # bracket took the Sommerfeld energies from dirac_coulomb_energy
+    # bracket on 1000 points, as recorded before the study's bracket took
+    # the Sommerfeld energies from dirac_coulomb_energy; re-pinned once when
+    # the default bracket became coulomb_bracket's: energies[0] of (2, 1)
+    # moved one ulp (0x1.ff5bc353dd4c6p-1 before)
     @pytest.mark.parametrize("n, kappa, expected", [
         (2, 1, ("0x1.ff5ba531f825dp-1",
-                ["0x1.ff5bc353dd4c6p-1", "0x1.ff5bb4438aaafp-1",
+                ["0x1.ff5bc353dd4c5p-1", "0x1.ff5bb4438aaafp-1",
                  "0x1.ff5bacbae96d2p-1"], "0x1.cbeed9037c900p-3")),
         (2, -1, ("0x1.ff5ba531f8587p-1",
                  ["0x1.ff5bc85edf57ep-1", "0x1.ff5bb6c928970p-1",
@@ -843,6 +846,28 @@ class TestShiftStudy:
         assert all(type(e) is float for e in study.energies)
         assert (study.base_energy.hex(), [e.hex() for e in study.energies],
                 study.richardson.hex()) == expected
+
+    @pytest.mark.parametrize("n, kappa", [(2, 1), (2, -1), (3, -2)])
+    def test_default_bracket_is_coulomb_bracket(self, n, kappa):
+        lam, m, mus = 0.1, 1.0, [4e-6, 2e-6, 1e-6]
+        study = shift_convergence_study(n, kappa, -1, lam, m, mus,
+                                        points=1000)
+        grid = coulomb_grid(lam, n, kappa, m, 1000)
+        bracket = coulomb_bracket(n, kappa, lam, m)
+        root = math.sqrt(1.0 - lam * lam)
+
+        def energy(pot):
+            return find_bound_state(pot, kappa, m, grid, bracket,
+                                    radial_nodes(n, kappa)).energy
+
+        base = energy(coulomb_potential(lam))
+        energies = [energy(coulomb_plus_linear(lam, mu, -mu * root))
+                    for mu in mus]
+        slopes = [(e - base) / mu for e, mu in zip(energies, mus)]
+        assert study == ShiftStudy(
+            n=n, kappa=kappa, kappa0=-1, lam=lam, mass=m, mu_values=mus,
+            energies=energies, base_energy=base, slopes=slopes,
+            richardson=2.0 * slopes[-1] - slopes[-2])  # ratio q = 2
 
     def test_increasing_sequence_gives_the_same_study(self):
         # the sequence is put in decreasing order before any solve

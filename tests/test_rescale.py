@@ -10,7 +10,6 @@ from diraconf.ansatz import build_ansatz, evaluate_spinor, radial_residual
 from diraconf.coulomb import dirac_coulomb_energy, dirac_coulomb_ground_state
 from diraconf.errors import (
     ConditionViolationError,
-    ConvergenceError,
     DomainError,
     NormalizationError,
 )
@@ -395,9 +394,9 @@ class TestBagPins:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_saturating_wall_message(self):
-        with pytest.raises(ConvergenceError) as err:
-            bag_model_case(A=6.38540964788881e+16, r0=10.0, M=266,
-                           lam=0.99999, kappa0=-2, m=1.1754943508222875e-38,
-                           points=702)
-        assert str(err.value) == (
-            "could not find a classically forbidden tail below r = 1e9")
+        # the tail walk reaches the state's radius, ~1e38 in units of 1/m,
+        # and the saturated wall's defect there is not finite
+        case = bag_model_case(A=6.38540964788881e+16, r0=10.0, M=266,
+                              lam=0.99999, kappa0=-2, m=1.1754943508222875e-38,
+                              points=702)
+        assert case.residual == math.inf

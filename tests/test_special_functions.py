@@ -112,6 +112,32 @@ class TestQuadrature:
         res = integrate_adaptive(lambda x: (1.0 + x) ** -1.7, 0.0, math.inf)
         assert res.value == pytest.approx(1.0 / 0.7, rel=1e-10)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_slow_tail_reports_its_unsampled_mass(self):
+        # past the last float below u = 1 (x ~ 9e15) no node samples the
+        # mapped integrand (1 - u)^-0.5; the estimate was 1e-12 against a
+        # true error of 2.2e-8
+        res = integrate_adaptive(lambda x: (1.0 + x) ** -1.5, 0.0, math.inf)
+        assert 2.0 - res.value > 1e-8
+        assert res.abs_error_estimate >= 2.0 - res.value
+
+    def test_exponential_tails_keep_their_bits(self, monkeypatch):
+        # the kummer_U and ansatz-norm integrands have underflowed at the
+        # nodes nearest u = 1: the unsampled mass adds nothing to them
+        cases = ([(_kummer_integrand(a, b, z), 1e-13)
+                  for a, b, z in _KUMMER_CASES]
+                 + [(cli._norm_integrand(build_ansatz(*case)), 1e-11)
+                    for case in _NORM_CASES])
+
+        def run():
+            return [_bits(integrate_adaptive(f, 0.0, math.inf, tol=tol))
+                    for f, tol in cases]
+
+        bits = run()
+        monkeypatch.setattr(special_functions, "_unsampled_mass",
+                            lambda edge: 0.0)
+        assert run() == bits
+
     def test_domain(self):
         with pytest.raises(DomainError):
             integrate_adaptive(lambda t: t, 1.0, 0.5)
@@ -157,8 +183,11 @@ class TestQuadrature:
 def _scalar_quadrature(f, lo, hi, tol=1e-12, max_intervals=4000):
     """Reference: the adaptive GL7/GL15 quadrature with one call of a
     scalar ``f`` per node, as the package evaluated it before integrands
-    took arrays.  The array form must reproduce it bit for bit."""
-    if math.isinf(hi):
+    took arrays, plus the package's ``_unsampled_mass`` of the panels that
+    end at u = 1 on (lo, inf).  The array form must reproduce it bit for
+    bit."""
+    mapped = math.isinf(hi)
+    if mapped:
         g = f
 
         def f(u, _g=g, _lo=lo):
@@ -176,10 +205,15 @@ def _scalar_quadrature(f, lo, hi, tol=1e-12, max_intervals=4000):
         mid = 0.5 * (a + b)
         x7 = mid + half * t7
         x15 = mid + half * t15
-        i7 = half * sum(w * f(x) for x, w in zip(x7, w7))
-        i15 = half * sum(w * f(x) for x, w in zip(x15, w15))
+        y7 = [f(x) for x in x7]
+        y15 = [f(x) for x in x15]
+        if b == hi:
+            edge.append((np.concatenate((x7, x15)), np.array(y7 + y15)))
+        i7 = half * sum(w * y for y, w in zip(y7, w7))
+        i15 = half * sum(w * y for y, w in zip(y15, w15))
         return i15, abs(i15 - i7), 22
 
+    edge = []
     val, err, n_eval = panel(lo, hi)
     intervals = [(err, lo, hi, val)]
     while True:
@@ -196,6 +230,8 @@ def _scalar_quadrature(f, lo, hi, tol=1e-12, max_intervals=4000):
         n_eval += left[2] + right[2]
         intervals.append((left[1], a, mid, left[0]))
         intervals.append((right[1], mid, b, right[0]))
+    if mapped:
+        total_err += special_functions._unsampled_mass(edge)
     return QuadratureResult(total, total_err, n_eval)
 
 
@@ -213,14 +249,21 @@ def _kummer_integrand(a, b, z):
     return lambda s: np.exp(-s + (a - 1.0) * np.log(s) + c * np.log(z + s))
 
 
+_NORM_CASES = [
+    (0.5, 1e-4, -1, 1.0), (0.1, 1e-6, -1, 1.0), (0.3, 1e-4, -2, 1.0),
+    (0.9, 3e-4, -3, 1.0), (0.5, 1e-4, -1, 1e6), (0.37, 3e-4, -2, 2.0),
+]
+_KUMMER_CASES = [
+    (1.8660254037844386, 1.5, 2500.0), (2.9365, 1.5, 300.0),
+    (1.0, 2.0, 1.0), (0.7, 1.5, 0.5), (1.8660254037844386, 1.5, 0.04),
+]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestArrayIntegrandBits:
     """One integrand call per panel gives the bits of one call per node."""
 
-    @pytest.mark.parametrize("lam, mu, kappa0, m", [
-        (0.5, 1e-4, -1, 1.0), (0.1, 1e-6, -1, 1.0), (0.3, 1e-4, -2, 1.0),
-        (0.9, 3e-4, -3, 1.0), (0.5, 1e-4, -1, 1e6), (0.37, 3e-4, -2, 2.0),
-    ])
+    @pytest.mark.parametrize("lam, mu, kappa0, m", _NORM_CASES)
     def test_cli_norm_integrand(self, lam, mu, kappa0, m):
         p = build_ansatz(lam, mu, kappa0, m)
         s = max(p.a, math.sqrt(p.alpha2))
@@ -235,10 +278,7 @@ class TestArrayIntegrandBits:
         assert _bits(res) == _bits(_scalar_quadrature(scalar, 0.0, math.inf,
                                                       tol=1e-11))
 
-    @pytest.mark.parametrize("a, b, z", [
-        (1.8660254037844386, 1.5, 2500.0), (2.9365, 1.5, 300.0),
-        (1.0, 2.0, 1.0), (0.7, 1.5, 0.5), (1.8660254037844386, 1.5, 0.04),
-    ])
+    @pytest.mark.parametrize("a, b, z", _KUMMER_CASES)
     def test_kummer_integrands(self, monkeypatch, a, b, z):
         results = []
 
