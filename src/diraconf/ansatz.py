@@ -46,7 +46,6 @@ from .special_functions import kummer_U
 __all__ = [
     "AnsatzParams",
     "nu_fine_tuned",
-    "nu_expanded",
     "build_ansatz",
     "evaluate_spinor",
     "radial_residual",
@@ -66,14 +65,6 @@ def nu_fine_tuned(mu: float, lam: float, kappa0: int) -> float:
     reference level: nu = -mu sqrt(1 - lam^2/kappa0^2)."""
     _check_couplings(lam, kappa0)
     return -mu * math.sqrt(1.0 - lam * lam / (kappa0 * kappa0))
-
-
-def nu_expanded(mu: float, lam: float, kappa0: int) -> float:
-    """Weak-coupling expansion of the fine-tuning: -mu + mu lam^2/(2 kappa0^2).
-
-    Differs from ``nu_fine_tuned`` by O(mu lam^4)."""
-    _check_couplings(lam, kappa0)
-    return -mu + mu * lam * lam / (2.0 * kappa0 * kappa0)
 
 
 @dataclass(frozen=True)

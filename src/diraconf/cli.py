@@ -8,8 +8,9 @@ report).  Output is CSV (default) or JSON with every float printed as
 byte-identical.
 
 Exit codes: 0 success, 2 domain error (including bad flags, a NaN or
-infinite number, a flag outside its bound, and an (n, kappa) pair that
-names no state), 3 physics claim violation (``scan`` found an unexpected
+infinite number, a flag outside its bound, an (n, kappa) pair that names
+no state, and an ``--output`` or ``--dump-wavefunction`` path that cannot
+be written), 3 physics claim violation (``scan`` found an unexpected
 solution), 4 numerical failure (non-convergence, overflow or division by
 zero, a result with a NaN or infinite field, or a closed-form norm that
 fails its quadrature check, in which case nothing is written).
@@ -403,6 +404,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except OSError as exc:  # from the writer: the path is a bad flag
+        print(f"cannot write: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (ArithmeticError, BracketError, ConvergenceError, WrongStateError,
             NormalizationError) as exc:

@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DomainError",
+    "ConvergenceError",
+    "BracketError",
+    "WrongStateError",
+    "ConditionViolationError",
+    "NormalizationError",
+]
+
 
 class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""

@@ -42,12 +42,9 @@ from .special_functions import airy_negative_zeros
 __all__ = [
     "EffectiveShift",
     "UniquenessReport",
-    "AntiparticlePotential",
     "first_order_shift",
     "shift_from_expectations",
-    "reference_cancellation",
     "preservation_scan",
-    "antiparticle_effective",
     "antiparticle_spectrum_airy",
 ]
 
@@ -106,22 +103,6 @@ def shift_from_expectations(n: int, kappa: int, kappa0: int, lam: float,
     return tl + ts + tk
 
 
-def reference_cancellation(n0: int, lam: float, mu: float, m: float = 1.0) -> float:
-    """Shift of the reference state written in factored form.
-
-    With kappa0 = -n0 the numerator carries the factor (n0 + kappa0) and the
-    result is exactly zero; the factored numerator is evaluated in integer
-    arithmetic so the zero is exact, not rounded.
-    """
-    if n0 < 1:
-        raise DomainError(f"n0 must be >= 1, got {n0}")
-    kappa0 = -n0
-    numerator = (n0 - kappa0) * (n0 + kappa0) * (3 * n0 * n0 + kappa0 * (kappa0 - 1))
-    if numerator == 0:
-        return 0.0
-    return mu * lam / (4.0 * m) * numerator / (kappa0 * kappa0 * n0 * n0)
-
-
 @dataclass(frozen=True)
 class UniquenessReport:
     """Exhaustive integer scan of the shift-cancellation condition.
@@ -172,33 +153,6 @@ def preservation_scan(n_max: int, N_max: int) -> UniquenessReport:
                             sign_violations=violations)
 
 
-@dataclass(frozen=True)
-class AntiparticlePotential:
-    """Effective radial potential pieces seen by antiparticle states.
-
-    The Coulomb term flips sign (repulsive +lam/r), the two confining
-    slopes add to 2 mu at leading order, and a kinetic correction
-    kinetic_coefficient * {p^2, r} remains.
-    """
-
-    coulomb_strength: float      # coefficient of +1/r
-    linear_coefficient: float    # full O(lam^5)-accurate slope
-    leading_linear_slope: float  # 2 mu
-    kinetic_coefficient: float   # multiplies {p^2, r}
-
-
-def antiparticle_effective(mu: float, lam: float, kappa0: int,
-                           m: float = 1.0) -> AntiparticlePotential:
-    if kappa0 == 0:
-        raise DomainError("kappa0 must be nonzero")
-    return AntiparticlePotential(
-        coulomb_strength=lam,
-        linear_coefficient=2.0 * mu - mu * lam * lam / (2.0 * kappa0 * kappa0),
-        leading_linear_slope=2.0 * mu,
-        kinetic_coefficient=-mu / (4.0 * m * m),
-    )
-
-
 def antiparticle_spectrum_airy(mu: float, m: float = 1.0,
                                count: int = 5) -> list[float]:
     """s-wave energies of the effective linear confinement 2 mu r.
@@ -215,8 +169,14 @@ def antiparticle_spectrum_airy(mu: float, m: float = 1.0,
         raise DomainError("count must be in [1, 20]")
     try:
         scale = ((2.0 * mu) ** 2 / (2.0 * m)) ** (1.0 / 3.0)
-    except OverflowError:  # (2 mu)^2: take mu = mu' 2^(3k) apart exactly
+    except OverflowError:  # (2 mu)^2
+        scale = math.inf
+    if scale == math.inf:
+        # (2 mu)^2, or its quotient by a tiny 2m, left the float range: take
+        # mu = mu' 2^(3k) and m = m' 2^(3j) apart exactly
         k = math.frexp(mu)[1] // 3
-        mu = math.ldexp(mu, -3 * k)
-        scale = math.ldexp(((2.0 * mu) ** 2 / (2.0 * m)) ** (1.0 / 3.0), 2 * k)
+        j = math.frexp(m)[1] // 3
+        mu_, m_ = math.ldexp(mu, -3 * k), math.ldexp(m, -3 * j)
+        scale = math.ldexp(((2.0 * mu_) ** 2 / (2.0 * m_)) ** (1.0 / 3.0),
+                           2 * k - j)
     return [m + abs(z) * scale for z in airy_negative_zeros(count)]

@@ -25,24 +25,12 @@ from __future__ import annotations
 from .errors import DomainError
 
 __all__ = [
-    "kappa_from_lj",
     "decompose_kappa",
     "sigma_dot_L_plus_one_eigenvalue",
     "enumerate_kappa",
     "check_state",
     "radial_nodes",
 ]
-
-
-def kappa_from_lj(ell: int, j_twice: int) -> int:
-    """Combine (l, 2j) into kappa; raises if the pair is inconsistent."""
-    if ell < 0 or j_twice < 1:
-        raise DomainError(f"need ell >= 0 and j_twice >= 1, got ({ell}, {j_twice})")
-    if j_twice == 2 * ell + 1:
-        return -(ell + 1)
-    if j_twice == 2 * ell - 1:
-        return ell
-    raise DomainError(f"(ell={ell}, 2j={j_twice}) is not a valid Dirac pair")
 
 
 def decompose_kappa(kappa: int) -> tuple[int, int]:

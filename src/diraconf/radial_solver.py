@@ -78,7 +78,6 @@ __all__ = [
     "coulomb_potential",
     "coulomb_plus_linear",
     "dirac_residual",
-    "integrate_radial",
     "find_bound_state",
     "solve_schrodinger_radial",
     "shift_convergence_study",
@@ -727,19 +726,6 @@ def _shoot(system, E_bracket, target_nodes: int):
         )
     residual = system.residual(energy, y1, y2)
     return energy, y1, y2, nodes, residual
-
-
-def integrate_radial(potential: PotentialSpec, kappa: int, E: float, m: float,
-                     grid: RadialGrid, direction: str = "outward"):
-    """Raw (f, g) trajectory for one energy, peak magnitude scaled to 1."""
-    if direction not in ("outward", "inward"):
-        raise DomainError(f"direction must be 'outward' or 'inward', got {direction!r}")
-    system = _DiracSystem(potential, kappa, m, grid)
-    inward = direction == "inward"
-    f, g, logscale = _propagate(system, E, system.coefficients(E), inward,
-                                0 if inward else grid.count - 1)
-    scale = np.exp(logscale - _log_peak(f, g, logscale))
-    return f * scale, g * scale
 
 
 def find_bound_state(potential: PotentialSpec, kappa: int, m: float,

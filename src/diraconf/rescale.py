@@ -54,7 +54,6 @@ __all__ = [
     "h_profile",
     "check_ratio_condition",
     "fine_tune_v2",
-    "gamma_energy_relation",
     "build_rescaled_state",
     "rescaled_residual",
     "bag_model_case",
@@ -206,13 +205,6 @@ def fine_tune_v2(v1: Callable, gamma: float) -> Callable:
         return coef * np.asarray(v1(r), dtype=float)
 
     return v2
-
-
-def gamma_energy_relation(gamma: float) -> float:
-    """(1 - gamma^2)/(1 + gamma^2); equals E/m for the preserved states."""
-    if gamma < 0:
-        raise DomainError("gamma must be >= 0")
-    return (1.0 - gamma * gamma) / (1.0 + gamma * gamma)
 
 
 def build_rescaled_state(f0: np.ndarray, g0: np.ndarray,

@@ -10,7 +10,6 @@ from diraconf.ansatz import (
     AnsatzParams,
     build_ansatz,
     evaluate_spinor,
-    nu_expanded,
     nu_fine_tuned,
     radial_residual,
     residual_grid,
@@ -36,19 +35,6 @@ class TestNuFineTuning:
         assert nu_fine_tuned(0.3, 0.0, -2) == pytest.approx(-0.3)
         assert nu_fine_tuned(0.01, 0.3, -3) == pytest.approx(-0.0099498744,
                                                              rel=1e-8)
-
-    def test_expanded_examples(self):
-        assert nu_expanded(1e-4, 0.5, -1) == pytest.approx(-8.75e-5, rel=1e-12)
-        assert nu_expanded(0.2, 0.0, -1) == pytest.approx(-0.2)
-        diff = abs(nu_expanded(1e-4, 0.5, -1) - nu_fine_tuned(1e-4, 0.5, -1))
-        assert diff == pytest.approx(9.0e-7, rel=0.02)
-
-    def test_expansion_is_quartic(self):
-        def gap(lam):
-            return abs(nu_expanded(1e-4, lam, -2) - nu_fine_tuned(1e-4, lam, -2))
-
-        ratio = gap(0.4) / gap(0.2)
-        assert 14.0 < ratio < 18.0
 
     def test_domain(self):
         with pytest.raises(DomainError):

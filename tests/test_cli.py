@@ -379,6 +379,17 @@ class TestSolve:
         assert abs(float(row["energy"]) - float(row["energy_ref"])) < 1e-8
         assert float(row["residual"]) < 1e-8
 
+    def test_antiparticle_at_a_tiny_mass(self, capsys):
+        # (2 mu)^2 / 2m overflowed to inf levels, and the solve exited 2 on
+        # an infinite r_start; the levels are about 6.3e103
+        code, out, err = run_cli(capsys, "solve", "--family",
+                                 "antiparticle-linear", "--mu", "1",
+                                 "--mass", "1e-310", "--states", "2")
+        assert (code, err) == (0, "")
+        for row in csv_rows(out):
+            energy, airy = float(row["energy"]), float(row["energy_airy"])
+            assert abs(energy / airy - 1.0) < 1e-12
+
     def test_dump_wavefunction(self, capsys, tmp_path):
         path = tmp_path / "wf.csv"
         code, _, _ = run_cli(capsys, "solve", "--family", "coulomb",
@@ -705,6 +716,20 @@ class TestFormats:
         text = path.read_text()
         assert text.startswith("n,kappa,E_dirac")
         assert text.endswith("\n")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("energy", *VALID_ARGV["energy"]), "--output"),
+        (("solve", *VALID_ARGV["solve"], "--points", "2000"),
+         "--dump-wavefunction"),
+    ])
+    def test_unwritable_path_exits_2(self, capsys, tmp_path, argv, flag):
+        # one stderr line: an uncaught FileNotFoundError used to end in a
+        # traceback and exit 1
+        path = tmp_path / "missing" / "table.csv"
+        code, _, err = run_cli(capsys, *argv, flag, str(path))
+        assert code == 2
+        assert err == f"cannot write: [Errno 2] No such file or directory: " \
+                      f"{str(path)!r}\n"
 
     def test_seed_defaults(self, capsys):
         code, out, _ = run_cli(capsys, "--seed-defaults")

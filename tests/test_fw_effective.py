@@ -6,11 +6,9 @@ from scipy.special import ai_zeros
 
 from diraconf.errors import DomainError
 from diraconf.fw_effective import (
-    antiparticle_effective,
     antiparticle_spectrum_airy,
     first_order_shift,
     preservation_scan,
-    reference_cancellation,
     shift_from_expectations,
 )
 from diraconf.quantum_numbers import enumerate_kappa
@@ -22,8 +20,11 @@ class TestFirstOrderShift:
         assert s.total == 0.0
 
     def test_reference_states_vanish_up_to_20(self):
-        for n in range(1, 21):
-            assert first_order_shift(n, -n, -n, 0.2, 1e-5).total == 0.0
+        # and on to n0 = 59: both fractions of the bracket are exactly 1 at
+        # kappa = kappa0 = -n0, so the zero is exact, not rounded
+        for lam, mu in ((0.2, 1e-5), (0.44, 1e-3), (0.25, 1e-4)):
+            for n in range(1, 60):
+                assert first_order_shift(n, -n, -n, lam, mu).total == 0.0
 
     def test_known_coefficients(self):
         lam, mu = 0.3, 1e-4
@@ -74,21 +75,6 @@ class TestFirstOrderShift:
             first_order_shift(n, kappa, -1, 0.3, 1e-4)
 
 
-class TestReferenceCancellation:
-    @pytest.mark.parametrize("n0", [1, 2, 3, 5, 9])
-    def test_exact_zero(self, n0):
-        assert reference_cancellation(n0, 0.44, 1e-3) == 0.0
-
-    def test_n0_zero_rejected(self):
-        with pytest.raises(DomainError):
-            reference_cancellation(0, 0.44, 1e-3)
-
-    def test_matches_general_formula_structure(self):
-        # the factored numerator equals the general shift at (n0, -n0)
-        for n0 in (1, 2, 4):
-            assert first_order_shift(n0, -n0, -n0, 0.25, 1e-4).total == 0.0
-
-
 class TestPreservationScan:
     def test_full_scan(self):
         report = preservation_scan(50, 10)
@@ -121,28 +107,6 @@ class TestPreservationScan:
 
 
 class TestAntiparticle:
-    def test_effective_coefficients(self):
-        pot = antiparticle_effective(1e-4, 0.5, -1, 1.0)
-        assert pot.coulomb_strength == pytest.approx(0.5)
-        assert pot.leading_linear_slope == pytest.approx(2e-4)
-        assert pot.linear_coefficient == pytest.approx(2e-4 - 1e-4 * 0.125)
-        assert pot.kinetic_coefficient == pytest.approx(-2.5e-5)
-
-    def test_mu_zero_pure_repulsive(self):
-        pot = antiparticle_effective(0.0, 0.5, -1)
-        assert pot.leading_linear_slope == 0.0
-        assert pot.linear_coefficient == 0.0
-        assert pot.coulomb_strength == 0.5
-
-    def test_lambda_zero_pure_linear(self):
-        pot = antiparticle_effective(2e-4, 0.0, -1)
-        assert pot.coulomb_strength == 0.0
-        assert pot.linear_coefficient == pytest.approx(4e-4)
-
-    def test_kappa0_zero_rejected(self):
-        with pytest.raises(DomainError):
-            antiparticle_effective(2e-4, 0.5, 0)
-
     def test_airy_spectrum_against_independent_zeros(self):
         # oracle: scipy's Airy zeros in the same closed formula
         for mu in (0.1, 0.5):
@@ -172,15 +136,26 @@ class TestAntiparticle:
         with pytest.raises(DomainError):
             antiparticle_spectrum_airy(0.5, count=25)
 
+    @staticmethod
+    def _within_2_ulp_of_mpmath(mu, m):
+        got = antiparticle_spectrum_airy(mu, m, count=3)
+        with mpmath.workdps(40):
+            scale = mpmath.cbrt((2 * mpmath.mpf(mu)) ** 2 / (2 * mpmath.mpf(m)))
+            for k, e in enumerate(got, 1):
+                exact = m + abs(mpmath.airyaizero(k)) * scale
+                assert math.isfinite(e) and abs(e - exact) <= 2 * math.ulp(e)
+
     @pytest.mark.parametrize("mu", [1e154, 1e200, 1e300])
     def test_airy_spectrum_at_huge_slopes(self, mu):
         # (2 mu)^2 overflows from mu ~ 1.3e154 on; every level is finite
-        got = antiparticle_spectrum_airy(mu, 1.0, count=3)
-        with mpmath.workdps(40):
-            scale = mpmath.cbrt((2 * mpmath.mpf(mu)) ** 2 / 2)
-            for k, e in enumerate(got, 1):
-                exact = 1 + abs(mpmath.airyaizero(k)) * scale
-                assert abs(e - exact) <= 2 * math.ulp(e)
+        self._within_2_ulp_of_mpmath(mu, 1.0)
+
+    @pytest.mark.parametrize("mu, m", [(1.0, 1e-310), (1.0, 5e-324),
+                                       (1e200, 1e-300)])
+    def test_airy_spectrum_at_tiny_masses(self, mu, m):
+        # (2 mu)^2 / 2m overflows to inf without raising; every level is
+        # finite
+        self._within_2_ulp_of_mpmath(mu, m)
 
     @pytest.mark.parametrize("mu", [math.inf, math.nan])
     def test_mu_must_be_finite(self, mu):

@@ -1,9 +1,25 @@
 """Layout rules of the package source: no private name without a caller,
-no exported name without a definition."""
+no exported name without a definition, no public name without a caller,
+and one export list, each module's ``__all__``."""
 import ast
+import importlib
+import inspect
 import pathlib
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "diraconf"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "diraconf"
+
+# what reads the public names besides the package: the benchmark, and the
+# acceptance criteria of the paper's results
+READERS = [*sorted((ROOT / "perfbench").glob("*.py")),
+           ROOT / "tests" / "test_acceptance.py"]
+
+# public names kept with no caller in the package or its readers, each with
+# its reason
+UNREAD_EXPORTS = {
+    "radial_wavefunction": "the hydrogenic oracle that tests/test_coulomb.py "
+                           "integrates for <r>, <1/r> and the norm",
+}
 
 
 def _module_names(tree):
@@ -57,6 +73,25 @@ def _referenced(tree):
     return names
 
 
+def _read_outside_definitions(tree):
+    """The names a module reads (``_referenced``), each outside the
+    top-level function or class that defines it."""
+    names = set()
+    for node in tree.body:
+        own = ({node.name} if isinstance(node, (
+            ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else set())
+        names |= _referenced(node) - own
+    return names
+
+
+def _named_by_string(tree):
+    """The identifiers a module spells as string constants, as perfbench's
+    span table names the functions it wraps."""
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.isidentifier()}
+
+
 def unreferenced(sources):
     """(module, name) of each module-level private name that no module of
     ``sources`` (module name -> source text) reads."""
@@ -72,6 +107,21 @@ def stale_exports(sources):
     trees = {module: ast.parse(text) for module, text in sources.items()}
     return sorted((module, name) for module, tree in trees.items()
                   for name in _exported(tree) - _module_names(tree))
+
+
+def unread_exports(sources, readers):
+    """(module, name) of each ``__all__`` entry of ``sources`` (module name
+    -> source text) that no module of ``sources`` but ``__init__`` reads
+    outside the name's own definition, and that no text of ``readers``
+    reads or names by string."""
+    trees = {module: ast.parse(text) for module, text in sources.items()
+             if module != "__init__"}
+    read = set().union(*map(_read_outside_definitions, trees.values()))
+    for text in readers:
+        tree = ast.parse(text)
+        read |= _read_outside_definitions(tree) | _named_by_string(tree)
+    return sorted((module, name) for module, tree in trees.items()
+                  for name in _exported(tree) - read)
 
 
 def _package_sources():
@@ -114,3 +164,45 @@ def test_a_stale_export_is_caught():
                    "def zeros(k):\n    return list(TABLE[:k])\n",
     }
     assert stale_exports(sources) == [("special", "airy_ai")]
+
+
+def test_every_public_name_has_a_caller():
+    readers = [path.read_text() for path in READERS]
+    unread = unread_exports(_package_sources(), readers)
+    assert {name for _, name in unread} == set(UNREAD_EXPORTS)
+
+
+def test_the_modules_all_is_the_one_export_list():
+    # __init__ re-exports each module with a star import and lists nothing
+    # itself, so the package's public names are the union of the __all__
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    for node in init.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert [a.name for a in node.names] == ["*"], ast.unparse(node)
+    assert "__all__" not in _module_names(init)
+    package = importlib.import_module("diraconf")
+    exported = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.stem != "__init__":
+            module = importlib.import_module(f"diraconf.{path.stem}")
+            exported.update(getattr(module, "__all__", ()))
+    public = {name for name, value in vars(package).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == exported
+
+
+def test_an_unread_public_function_is_caught():
+    # a function only its own body and __init__ read, next to one the CLI
+    # calls, a result class only its own module's function reads, and a
+    # function a benchmark script names in its span table
+    sources = {
+        "special": "__all__ = ['Result', 'zeros', 'airy_ai', 'rmax']\n"
+                   "class Result:\n    pass\n"
+                   "def zeros(k):\n    return Result()\n"
+                   "def airy_ai(x):\n    return airy_ai(x - 1)\n"
+                   "def rmax():\n    return 1\n",
+        "cli": "from .special import zeros\nzeros(3)\n",
+        "__init__": "from .special import *\nairy_ai(0)\n",
+    }
+    readers = ["SPANS = [('diraconf.special', 'rmax')]\n"]
+    assert unread_exports(sources, readers) == [("special", "airy_ai")]

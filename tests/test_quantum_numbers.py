@@ -5,30 +5,9 @@ from diraconf.quantum_numbers import (
     check_state,
     decompose_kappa,
     enumerate_kappa,
-    kappa_from_lj,
     radial_nodes,
     sigma_dot_L_plus_one_eigenvalue,
 )
-
-
-@pytest.mark.parametrize("ell,j_twice,expected", [
-    (0, 1, -1),   # S_1/2
-    (1, 1, 1),    # P_1/2
-    (2, 5, -3),   # D_5/2
-    (1, 3, -2),   # P_3/2
-    (2, 3, 2),    # D_3/2
-])
-def test_kappa_from_lj(ell, j_twice, expected):
-    assert kappa_from_lj(ell, j_twice) == expected
-
-
-def test_kappa_from_lj_rejects_inconsistent_pairs():
-    with pytest.raises(DomainError):
-        kappa_from_lj(0, 3)
-    with pytest.raises(DomainError):
-        kappa_from_lj(2, 7)
-    with pytest.raises(DomainError):
-        kappa_from_lj(-1, 1)
 
 
 @pytest.mark.parametrize("kappa,expected", [
@@ -48,11 +27,18 @@ def test_decompose_kappa_zero_rejected():
 
 
 def test_round_trip_decompose_compose():
+    # l = |kappa + 1/2| - 1/2 and 2j = 2|kappa| - 1, and the pair names
+    # kappa alone: j = l + 1/2 for kappa < 0, j = l - 1/2 for kappa > 0
+    named = {}
     for kappa in range(-50, 51):
         if kappa == 0:
             continue
         ell, j_twice = decompose_kappa(kappa)
-        assert kappa_from_lj(ell, j_twice) == kappa
+        assert ell == abs(kappa + 0.5) - 0.5
+        assert j_twice == 2 * abs(kappa) - 1
+        assert j_twice == 2 * ell + (1 if kappa < 0 else -1)
+        named[ell, j_twice] = kappa
+    assert len(named) == 100
 
 
 @pytest.mark.parametrize("kappa,upper,expected", [

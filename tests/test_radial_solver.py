@@ -26,7 +26,6 @@ from diraconf.radial_solver import (
     coulomb_plus_linear,
     coulomb_potential,
     find_bound_state,
-    integrate_radial,
     shift_convergence_study,
     solve_schrodinger_radial,
     suggest_rmax,
@@ -51,6 +50,17 @@ def _airy_case(mu=0.3, m=1.0, count=3, points=1000):
         return slope * np.asarray(r, dtype=float)
 
     return v, airy_grid(v, slope, refs[-1], m, points), refs
+
+
+def _integrate_radial(potential, kappa, E, m, grid, inward=False):
+    """Raw (f, g) of one full-grid ``_propagate`` sweep at energy E, outward
+    from the series start or inward from the WKB tail, peak magnitude
+    scaled to 1."""
+    system = rs._DiracSystem(potential, kappa, m, grid)
+    f, g, logscale = rs._propagate(system, E, system.coefficients(E), inward,
+                                   0 if inward else grid.count - 1)
+    scale = np.exp(logscale - rs._log_peak(f, g, logscale))
+    return f * scale, g * scale
 
 
 @pytest.fixture
@@ -175,13 +185,15 @@ class TestGrid:
 
 
 class TestIntegrateRadial:
+    """Single sweeps of the solver's kernel over a ``_DiracSystem``."""
+
     def test_log_derivative_match_at_eigenvalue(self):
         lam, kappa, m = 0.5, -1, 1.0
         e = dirac_coulomb_energy(1, kappa, lam, m)
         grid = coulomb_grid(lam, 1, kappa)
         pot = coulomb_potential(lam)
-        f_out, g_out = integrate_radial(pot, kappa, e, m, grid, "outward")
-        f_in, g_in = integrate_radial(pot, kappa, e, m, grid, "inward")
+        f_out, g_out = _integrate_radial(pot, kappa, e, m, grid)
+        f_in, g_in = _integrate_radial(pot, kappa, e, m, grid, inward=True)
         i = grid.count // 2
         assert g_out[i] / f_out[i] == pytest.approx(g_in[i] / f_in[i],
                                                     rel=1e-8)
@@ -195,10 +207,9 @@ class TestIntegrateRadial:
         i_match = int(np.searchsorted(grid.r, 3.0))
 
         def defect(energy):
-            f_out, g_out = integrate_radial(pot, kappa, energy, m, grid,
-                                            "outward")
-            f_in, g_in = integrate_radial(pot, kappa, energy, m, grid,
-                                          "inward")
+            f_out, g_out = _integrate_radial(pot, kappa, energy, m, grid)
+            f_in, g_in = _integrate_radial(pot, kappa, energy, m, grid,
+                                           inward=True)
             i = i_match
             return g_out[i] / f_out[i] - g_in[i] / f_in[i]
 
@@ -210,7 +221,8 @@ class TestIntegrateRadial:
         from diraconf.radial_solver import PotentialSpec
         m, e, kappa = 1.0, 0.8, -1
         grid = RadialGrid(0.1, 40.0, 4000)
-        f_in, _ = integrate_radial(PotentialSpec(), kappa, e, m, grid, "inward")
+        f_in, _ = _integrate_radial(PotentialSpec(), kappa, e, m, grid,
+                                    inward=True)
         rate = math.sqrt(m * m - e * e)
         sel = (grid.r > 20.0) & (grid.r < 30.0) & (f_in > 0)
         slope = np.polyfit(grid.r[sel], np.log(f_in[sel] * grid.r[sel]), 1)[0]
@@ -226,7 +238,7 @@ class TestIntegrateRadial:
         from diraconf.radial_solver import PotentialSpec
         m, e = 1.0, 0.8
         grid = RadialGrid(1e-6, 8.0, 4000)
-        f, g = integrate_radial(PotentialSpec(), kappa, e, m, grid, "outward")
+        f, g = _integrate_radial(PotentialSpec(), kappa, e, m, grid)
         k = math.sqrt(m * m - e * e)
         sel = grid.r > 1e-3
         i0, i1 = spherical_in(0, k * grid.r[sel]), spherical_in(1, k * grid.r[sel])
@@ -234,17 +246,12 @@ class TestIntegrateRadial:
                 else (m - e) * i0 / (k * i1))
         np.testing.assert_allclose(g[sel] / f[sel], want, rtol=1e-8)
 
-    def test_direction_validation(self):
-        with pytest.raises(DomainError):
-            integrate_radial(coulomb_potential(0.5), -1, 0.9, 1.0,
-                             RadialGrid(1e-6, 10, 100), "sideways")
-
     @pytest.mark.parametrize("lam, kappa", [(0.5, 0), (1.5, -1)])
     def test_state_validation(self, lam, kappa):
         # kappa = 0 names no state; |lam| >= |kappa| has no regular series
         with pytest.raises(DomainError):
-            integrate_radial(coulomb_potential(lam), kappa, 0.9, 1.0,
-                             RadialGrid(1e-6, 10, 100))
+            _integrate_radial(coulomb_potential(lam), kappa, 0.9, 1.0,
+                              RadialGrid(1e-6, 10, 100))
 
 
 class TestFindBoundState:

@@ -26,7 +26,6 @@ from diraconf.rescale import (
     build_rescaled_state,
     check_ratio_condition,
     fine_tune_v2,
-    gamma_energy_relation,
     h_profile,
     rescaled_residual,
 )
@@ -207,24 +206,16 @@ class TestFineTuning:
         with pytest.raises(DomainError):
             fine_tune_v2(v1, math.inf)
 
-    def test_gamma_energy_relation_examples(self):
-        gs = dirac_coulomb_ground_state(0.5, -1)
-        assert gamma_energy_relation(gs.gamma) == pytest.approx(0.8660254,
-                                                                abs=1e-7)
-        assert gamma_energy_relation(0.0) == 1.0
-        gs = dirac_coulomb_ground_state(0.3, -2)
-        assert gamma_energy_relation(gs.gamma) == pytest.approx(
-            math.sqrt(1 - 0.09 / 4), rel=1e-12)
-        with pytest.raises(DomainError):
-            gamma_energy_relation(-0.1)
-
     @pytest.mark.parametrize("kappa0", [-1, -2, -3])
     @pytest.mark.parametrize("lam_frac", [0.1, 0.5, 0.9])
     def test_gamma_energy_identity_sweep(self, kappa0, lam_frac):
+        # (1 - gamma^2)/(1 + gamma^2) = E/m: the fine-tuned V2 is -(E/m) V1
         lam = lam_frac * abs(kappa0)
-        gs = dirac_coulomb_ground_state(lam, kappa0)
-        assert gamma_energy_relation(gs.gamma) == pytest.approx(
-            math.sqrt(1 - lam**2 / kappa0**2), rel=1e-12)
+        v1 = lambda r: np.asarray(r, dtype=float)
+        for m in (1.0, 3.0):
+            gs = dirac_coulomb_ground_state(lam, kappa0, m)
+            assert fine_tune_v2(v1, gs.gamma)(1.0) == pytest.approx(
+                -gs.energy / m, rel=1e-12)
 
 
 class TestRescaledState:
