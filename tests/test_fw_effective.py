@@ -157,6 +157,13 @@ class TestAntiparticle:
         # finite
         self._within_2_ulp_of_mpmath(mu, m)
 
+    @pytest.mark.parametrize("mu, m", [(1e100, 1.0), (1e150, 1.0),
+                                       (1.0, 1e-300), (1e-100, 1e-250)])
+    def test_airy_spectrum_below_the_overflow_split(self, mu, m):
+        # (2 mu)^2 / 2m is finite but far from 1: a cube root taken as
+        # x ** (1/3) was 19 to 98 ulp off here
+        self._within_2_ulp_of_mpmath(mu, m)
+
     @pytest.mark.parametrize("mu", [math.inf, math.nan])
     def test_mu_must_be_finite(self, mu):
         # mu = inf returned inf levels
