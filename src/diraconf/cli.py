@@ -97,10 +97,10 @@ def _fmt(value, fmt: str = "csv") -> str:
     return f"{float(value):.16e}"
 
 
-def _emit(rows, fmt: str, path: str | None):
-    """Write rows (dicts keyed alike; columns in the first row's key order)
-    as CSV or as a JSON list of objects.  A NaN or infinite field is a
-    numerical failure: it raises ConvergenceError and nothing is written."""
+def _render(rows, fmt: str) -> str:
+    """Rows (dicts keyed alike; columns in the first row's key order) as
+    CSV or as a JSON list of objects.  A NaN or infinite field is a
+    numerical failure: it raises ConvergenceError."""
     columns = list(rows[0])
     for row in rows:
         for c in columns:
@@ -113,12 +113,21 @@ def _emit(rows, fmt: str, path: str | None):
         items = ["{" + ", ".join(f'"{c}": {_fmt(row[c], fmt)}' for c in columns)
                  + "}" for row in rows]
         lines = ["[" + ",\n ".join(items) + "]"]
-    text = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def _write(text: str, path: str | None):
     if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w", newline="") as fh:
             fh.write(text)
+
+
+def _emit(rows, fmt: str, path: str | None):
+    """Write ``_render``'s text of rows to path, or to stdout if it is None;
+    a non-finite field writes nothing."""
+    _write(_render(rows, fmt), path)
 
 
 def cmd_energy(args) -> int:
@@ -282,12 +291,18 @@ _SOLVE_FAMILIES = {
 
 def cmd_solve(args) -> int:
     rows, wavefunction = _SOLVE_FAMILIES[args.family](args)
-    _emit(rows, args.format, args.output)
-    if args.dump_wavefunction:
-        columns = wavefunction()
-        _emit([dict(zip(columns, values))
-               for values in zip(*columns.values())],
-              "csv", args.dump_wavefunction)
+    table = _render(rows, args.format)
+    if not args.dump_wavefunction:
+        _write(table, args.output)
+        return EXIT_OK
+    columns = wavefunction()
+    dump = _render([dict(zip(columns, values))
+                    for values in zip(*columns.values())], "csv")
+    # both outputs are open before either is written: a dump path that
+    # cannot be written leaves no table behind
+    with open(args.dump_wavefunction, "w", newline="") as fh:
+        _write(table, args.output)
+        fh.write(dump)
     return EXIT_OK
 
 

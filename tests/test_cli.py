@@ -401,6 +401,16 @@ class TestSolve:
         assert lines[0] == "r,f,g"
         assert len(lines) == 6001
 
+    def test_unwritable_dump_writes_no_table(self, capsys, tmp_path):
+        # the table was printed in full before the dump path failed
+        path = tmp_path / "missing" / "wf.csv"
+        code, out, err = run_cli(capsys, "solve", "--family", "coulomb",
+                                 "--lambda", "0.5", "--points", "2000",
+                                 "--dump-wavefunction", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("cannot write: ")
+
 
 class TestNonFiniteTables:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
