@@ -12,8 +12,11 @@ shifts the mass, m + V1.  One match point serves a whole solve: the outer
 turning point of the bracket's midpoint.  Each trial energy is swept
 outward from a power-series start at r_min to the match point and inward
 from a WKB-seeded tail at r_max to it, both from one build of the
-coefficient tables.  A bracketed Brent iteration drives the mismatch of
-g/f there to the rounding floor, and the state is the final energy's pair
+coefficient tables.  Newton steps from the bracket's midpoint drive the
+mismatch of g/f there to the rounding floor, each by Cooley's energy
+corrector, whose derivative is the sweeps' own norms (the energy derivative
+of the Wronskian); a step that leaves the narrowing bracket or fails to
+halve hands the bracket to Brent.  The state is the final energy's pair
 glued at that same node, with no further sweep.  A fourth-order Runge-Kutta
 kernel steps in t = ln r, on a logarithmic ``RadialGrid`` that resolves
 the power-law start at the origin from the first step.  The kernel and the
@@ -41,7 +44,8 @@ A radial Schroedinger solver built on the same machinery handles the
 nonrelativistic confining problems (single component u(r), with
 -u''/2m + [v + l(l+1)/(2 m r^2)] u = (E - m) u).  Each equation system
 (``_DiracSystem``, ``_SchrodingerSystem``) supplies only its coefficient
-tables, seeds, norm density and equation residual; one pipeline
+tables, seeds, norm density, the norm's sum and slope constant of the
+energy corrector, and equation residual; one pipeline
 (``_shoot``) searches, merges, normalizes, fixes the sign, checks the node
 count and measures the residual for both.  One tail walk
 (``_tail_radius``) places r_max for both from their WKB decay rates, and
@@ -326,6 +330,7 @@ class _DiracSystem:
             self._mass2 = mass * mass
             self._centrifugal = kappa * (kappa + 1.0) / rn**2
             self._r2 = rn**2
+            self.norm_root = rn * np.sqrt(rn)
         self._r0 = float(rn[0])
         self._h = float(grid.steps[0])
         self._v_start = float(v0[0] + v1[0] + v2[0])
@@ -395,6 +400,18 @@ class _DiracSystem:
     def density(self, f, g):
         return (f * f + g * g) * self._r2
 
+    def norm_sum(self, f, g, root) -> float:
+        """Trapezoid sum of (f^2 + g^2) r^3, the norm's integrand in
+        t = ln r, on nodes where ``root`` is r^(3/2) (``norm_root``) times
+        any common scale of f and g."""
+        return _trapezoid_of_square(f * root) + _trapezoid_of_square(g * root)
+
+    def slope_constant(self, i: int) -> float:
+        """-d(g/f)/dE of a sweep at node i is this times N / f^2, N the
+        sweep's norm, by the Wronskian identity
+        d/dr [r^2 (f1 g2 - g1 f2)] = (E1 - E2) r^2 (f1 f2 + g1 g2)."""
+        return 1.0 / self._r2.item(i)
+
     def residual(self, E: float, f, g) -> float:
         """Relative defect of the two radial equations, derivatives by
         finite differences (``_dirac_fd_residual``)."""
@@ -434,6 +451,7 @@ class _SchrodingerSystem:
         self._r0 = float(rn[0])
         self._h = float(grid.steps[0])
         self._v_eff_end = float(self.v_eff[-1])
+        self.norm_root = np.sqrt(rn)
 
     def coefficients(self, E: float):
         a21 = np.subtract(self.v_eff, E - self.m, out=self._a21)
@@ -458,6 +476,18 @@ class _SchrodingerSystem:
 
     def density(self, u, du):
         return u * u
+
+    def norm_sum(self, u, du, root) -> float:
+        """Trapezoid sum of u^2 r, the norm's integrand in t = ln r, on
+        nodes where ``root`` is r^(1/2) (``norm_root``) times any scale of
+        u."""
+        return _trapezoid_of_square(u * root)
+
+    def slope_constant(self, i: int) -> float:
+        """-d(u'/u)/dE of a sweep is this times N / u^2, N the sweep's norm,
+        by the Wronskian identity
+        d/dr (u1 u2' - u1' u2) = 2m (E1 - E2) u1 u2."""
+        return 2.0 * self.m
 
     def residual(self, E: float, u, du) -> float:
         """Relative defect of -u''/2m + (v_eff - (E-m)) u = 0, u'' by
@@ -609,8 +639,9 @@ def _schrodinger_fd_residual(u, du, r, v_eff, E, m, h) -> float:
 
 
 _EPS = sys.float_info.epsilon
-# Brent needs about 10 evaluations per bracket and never more than a few
-# times the ~60 halvings from a wide bracket to the rounding floor
+# the Newton steps take about 3-6 evaluations per solve and Brent about 10
+# per bracket, never more than a few times the ~60 halvings from a wide
+# bracket to the rounding floor; both searches of a solve share the cap
 _MAX_DEFECT_EVALS = 300
 
 
@@ -630,33 +661,117 @@ def _sweep_pair(system, E: float, i_match: int):
     return d, pair
 
 
+def _trapezoid_of_square(a) -> float:
+    """Trapezoid sum (unit step) of a^2."""
+    first, last = a.item(0), a.item(-1)
+    return float(np.dot(a, a)) - 0.5 * (first * first + last * last)
+
+
+def _energy_step(system, pair, i: int) -> float:
+    """Cooley's energy corrector -D/D' of a sweep pair at node i, where D
+    is y2/y1 of the outward sweep minus y2/y1 of the inward one; NaN or
+    inf where it does not exist.
+
+    D' = -c (N_out / y1_out^2 + N_in / y1_in^2), with c the system's
+    ``slope_constant`` and each N the trapezoid sum in t of the norm's
+    integrand (``norm_sum``) over the sweep's own nodes: the energy
+    derivative of the Wronskian, from the sweeps alone.  Each sweep is
+    scaled by the exact power of two of ``_matching_defect``, and by its
+    logscale relative to node i (at most 1, as a sweep only scales down),
+    so its squares cannot overflow at the match point.
+    """
+    terms = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (y1, y2, logscale), nodes in zip(pair, (slice(i + 1),
+                                                    slice(i, None))):
+            k = -math.frexp(max(abs(y1.item(i)), abs(y2.item(i))))[1]
+            root = np.ldexp(system.norm_root[nodes], k)
+            ls = logscale[nodes]
+            if ls.item(0) != ls.item(-1):  # rescaled along the sweep
+                root *= np.exp(ls - logscale.item(i))
+            norm = system._h * system.norm_sum(y1[nodes], y2[nodes], root)
+            terms.append((math.ldexp(y1.item(i), k),
+                          math.ldexp(y2.item(i), k), norm))
+    (fo, go, no), (fi, gi, ni) = terms
+    if fo == 0.0 or fi == 0.0:
+        return math.nan
+    slope = system.slope_constant(i) * (no / fo / fo + ni / fi / fi)
+    if not (math.isfinite(slope) and slope > 0.0):
+        return math.nan
+    return (go / fo - gi / fi) / slope
+
+
+def _bracket_ends(system, lo: float, hi: float, i_match: int):
+    """The defects and sweep pairs (fa, pa, fb, pb) of the bracket's ends;
+    BracketError if the defect does not change sign between them."""
+    fa, pa = _sweep_pair(system, lo, i_match)
+    fb, pb = _sweep_pair(system, hi, i_match)
+    if fa * fb > 0:
+        raise BracketError(
+            f"matching defect does not change sign on [{lo}, {hi}] "
+            f"(defects {fa:.3e}, {fb:.3e})"
+        )
+    return fa, pa, fb, pb
+
+
 def _solve_eigenvalue(system, E_bracket):
-    """(root, its sweep pair, match node) of the matching defect by
-    bracketed Brent, the defect taken at the match point of the bracket's
-    midpoint.
+    """(root, its sweep pair, match node) of the matching defect, taken at
+    the match point of the bracket's midpoint.
+
+    Newton steps from the midpoint, each by Cooley's corrector
+    (``_energy_step``).  The bracket narrows to the side each step points
+    to; a step must land strictly inside it and be at most half the one
+    before.  The search stops at the first energy whose corrector is at
+    most eps |E|, half of Brent's tolerance, and returns it with its pair:
+    at the rounding floor the corrector itself is off by a few ulp, so a
+    stop at Brent's 2 eps |E| could land 6 ulp from the root.  A step that
+    fails a check, or a corrector that is not finite, hands the caller's
+    bracket to ``_brent`` instead, with the evaluations left.
+    """
+    lo, hi = sorted(float(e) for e in E_bracket)
+    E = 0.5 * (lo + hi)
+    i_match = _match_index(system, E)
+    a, b, last = lo, hi, math.inf
+    for evals in range(1, _MAX_DEFECT_EVALS + 1):
+        d, pair = _sweep_pair(system, E, i_match)
+        step = 0.0 if d == 0.0 else _energy_step(system, pair, i_match)
+        if abs(step) <= _EPS * abs(E):
+            return E, pair, i_match
+        if step > 0:
+            a = E
+        else:
+            b = E
+        if not (abs(step) <= 0.5 * last and a < E + step < b):
+            break
+        E, last = E + step, abs(step)
+    return _brent(system, lo, hi, i_match, _MAX_DEFECT_EVALS - evals, E)
+
+
+def _brent(system, lo: float, hi: float, i_match: int, budget: int,
+           partial: float):
+    """(root, its sweep pair, i_match) of the matching defect on [lo, hi]
+    by bracketed Brent, in at most ``budget`` evaluations (ConvergenceError
+    with ``partial``, or the best estimate so far, past them).
 
     Inverse-quadratic or secant steps, with bisection whenever they would
     not shrink the sign-change bracket fast enough.  The iteration runs to
     the rounding floor (a final bracket of about 4 ulp of E, or adjacent
     floats); the returned energy is the bracket end with the smaller defect.
     """
+    if budget < 2:
+        raise ConvergenceError(
+            f"eigenvalue search did not converge in {_MAX_DEFECT_EVALS} "
+            f"steps; bracket [{lo!r}, {hi!r}]", partial=partial)
     # b: best estimate; c: the other end of the bracket; a: previous b;
     # fa, pa: the matching defect and sweep pair at a (likewise b, c)
-    a, b = sorted(float(e) for e in E_bracket)
-    i_match = _match_index(system, 0.5 * (a + b))
-    fa, pa = _sweep_pair(system, a, i_match)
-    fb, pb = _sweep_pair(system, b, i_match)
+    a, b = lo, hi
+    fa, pa, fb, pb = _bracket_ends(system, a, b, i_match)
     if fa == 0.0:
         return a, pa, i_match
     if fb == 0.0:
         return b, pb, i_match
-    if fa * fb > 0:
-        raise BracketError(
-            f"matching defect does not change sign on [{a}, {b}] "
-            f"(defects {fa:.3e}, {fb:.3e})"
-        )
     c, fc, pc = b, fb, pb
-    for _ in range(_MAX_DEFECT_EVALS):
+    for _ in range(budget - 2):
         if fb * fc > 0:
             c, fc, pc = a, fa, pa
             step = last_step = b - a
@@ -719,6 +834,9 @@ def _shoot(system, E_bracket, target_nodes: int):
     # sign changes among the samples above 1e-10 of the peak magnitude
     nodes = _count_nodes(y1, mag > 1e-10 * peak)
     if nodes != target_nodes:
+        # a root the Newton steps found may lie in a bracket with no sign
+        # change: that is the caller's bracket error
+        _bracket_ends(system, *sorted(float(e) for e in E_bracket), i_match)
         raise WrongStateError(
             f"found a state with {nodes} nodes, wanted {target_nodes} "
             f"(E = {energy!r}); widen or shift the bracket",
@@ -750,8 +868,9 @@ def find_bound_state(potential: PotentialSpec, kappa: int, m: float,
 
     Returns
     -------
-    BoundState with the energy searched to the rounding floor (a final
-    bracket of about 4 ulp of E), f, g normalized to
+    BoundState with the energy searched to the rounding floor (Newton steps
+    until the energy corrector is at most eps |E|, or Brent's final bracket
+    of about 4 ulp of E if a step fails its safeguard), f, g normalized to
     int (f^2 + g^2) r^2 dr = 1 and, in ``residual``, the relative equation
     defect of ``_fd_residual`` (derivatives by finite differences): a
     smoothness check that the sampled state solves the equations, not an

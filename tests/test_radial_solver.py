@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import diraconf.radial_solver as rs
@@ -124,6 +124,13 @@ def _bisect_to_floor(system, E_bracket):
             hi, d_hi = mid, d_mid
         else:
             lo, d_lo = mid, d_mid
+
+
+def _match_gap(system, E, i_match):
+    """D(E) of ``rs._energy_step``: y2/y1 of the outward sweep minus y2/y1
+    of the inward one at the match node."""
+    (fo, go, _), (fi, gi, _) = rs._sweep_pair(system, E, i_match)[1]
+    return go[i_match] / fo[i_match] - gi[i_match] / fi[i_match]
 
 
 class TestGrid:
@@ -503,14 +510,14 @@ class TestEigenvalueSearch:
         state = find_bound_state(pot, -2, 1.0, grid,
                                  (e_ref - 0.4e-4, e_ref + 0.6e-4), 0)
         assert abs(state.energy - e_ref) < 1e-8
-        assert defect_calls[0] <= 10
+        assert defect_calls[0] <= 4
 
     def test_airy_ground_state_evaluation_budget(self, defect_calls):
         v, grid, refs = _airy_case()
         state = solve_schrodinger_radial(v, 0, 1.0, grid,
                                          (refs[0] - 0.08, refs[0] + 0.12), 0)
         assert state.energy == pytest.approx(refs[0], rel=1e-6)
-        assert defect_calls[0] <= 12
+        assert defect_calls[0] <= 6
 
     @pytest.mark.parametrize("equation", ["dirac", "schrodinger"])
     def test_each_energy_swept_once(self, defect_calls, sweep_calls,
@@ -607,6 +614,76 @@ class TestEigenvalueSearch:
             system = rs._SchrodingerSystem(v, 0, m, grid)
         assert abs(energy - _bisect_to_floor(system, bracket)) <= 2e-15 * m
 
+    @pytest.mark.parametrize("equation", ["dirac", "schrodinger"])
+    def test_corrector_is_newton_on_the_match_gap(self, equation):
+        # -D/D' with D' from the sweeps' norms (the energy derivative of the
+        # Wronskian) against D' by a central difference of D
+        if equation == "dirac":
+            pot, grid, e_ref = _preserved_case()
+            system = rs._DiracSystem(pot, -2, 1.0, grid)
+            E, delta = e_ref + 2e-5, 1e-9
+        else:
+            v, grid, refs = _airy_case()
+            system = rs._SchrodingerSystem(v, 0, 1.0, grid)
+            E, delta = refs[1] + 0.03, 1e-5
+        i = rs._match_index(system, E)
+        step = rs._energy_step(system, rs._sweep_pair(system, E, i)[1], i)
+        slope = (_match_gap(system, E + delta, i)
+                 - _match_gap(system, E - delta, i)) / (2.0 * delta)
+        assert step == pytest.approx(-_match_gap(system, E, i) / slope,
+                                     rel=1e-4)
+
+    def test_forced_fallback_matches_bisection(self, monkeypatch):
+        # a corrector that is not finite hands the caller's bracket to Brent
+        brent_calls = []
+        brent = rs._brent
+
+        def counted(*args):
+            brent_calls.append(args[1:3])
+            return brent(*args)
+
+        monkeypatch.setattr(rs, "_energy_step", lambda *args: math.nan)
+        monkeypatch.setattr(rs, "_brent", counted)
+        pot, grid, e_ref = _preserved_case()
+        bracket = (e_ref - 0.3e-4, e_ref + 0.7e-4)
+        energy = find_bound_state(pot, -2, 1.0, grid, bracket, 0).energy
+        assert brent_calls == [bracket]
+        system = rs._DiracSystem(pot, -2, 1.0, grid)
+        assert abs(energy - _bisect_to_floor(system, bracket)) <= 2e-15
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(lam=st.floats(0.05, 0.9), n=st.integers(1, 3),
+           kappa_index=st.integers(0, 5), offset=st.floats(0.1, 0.9))
+    # a stop at 2 eps |E| left this level 6 ulp from bisection
+    @example(lam=0.890625, n=1, kappa_index=0, offset=0.890625)
+    def test_coulomb_levels_match_bisection(self, lam, n, kappa_index,
+                                            offset):
+        kappas = [k for k in range(-n, n) if k != 0]
+        kappa = kappas[kappa_index % len(kappas)]
+        lo, hi = coulomb_bracket(n, kappa, lam, 1.0)
+        e_ref = dirac_coulomb_energy(n, kappa, lam, 1.0)
+        width = hi - lo
+        bracket = (e_ref - width * offset, e_ref + width * (1 - offset))
+        grid = coulomb_grid(lam, n, kappa, 1.0, 1000)
+        pot = coulomb_potential(lam)
+        energy = find_bound_state(pot, kappa, 1.0, grid, bracket,
+                                  radial_nodes(n, kappa)).energy
+        system = rs._DiracSystem(pot, kappa, 1.0, grid)
+        assert abs(energy - _bisect_to_floor(system, bracket)) <= (
+            4 * math.ulp(energy))
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(mu=st.floats(0.05, 1.0), k=st.integers(0, 2),
+           offset=st.floats(0.1, 0.9))
+    def test_airy_levels_match_bisection(self, mu, k, offset):
+        v, grid, refs = _airy_case(mu=mu, count=4)
+        width = 0.5 * (refs[k + 1] - refs[k])
+        bracket = (refs[k] - width * offset, refs[k] + width * (1 - offset))
+        energy = solve_schrodinger_radial(v, 0, 1.0, grid, bracket, k).energy
+        system = rs._SchrodingerSystem(v, 0, 1.0, grid)
+        assert abs(energy - _bisect_to_floor(system, bracket)) <= (
+            4 * math.ulp(energy))
+
     def test_iteration_cap_raises(self, monkeypatch):
         pot, grid, e_ref = _preserved_case()
         monkeypatch.setattr(rs, "_MAX_DEFECT_EVALS", 3)
@@ -624,7 +701,10 @@ class TestEigenvalueSearch:
 
     @pytest.mark.parametrize("bad_call", [0, 1, 4])
     def test_nan_defect_raises(self, monkeypatch, bad_call):
-        # at either bracket end (calls 0, 1) or at an interior iterate
+        # at the bracket's midpoint (call 0), at the first Newton iterate
+        # (call 1), or inside the Brent fallback that a non-finite corrector
+        # forces: after the midpoint and the two bracket ends, call 4 is
+        # Brent's second iterate
         pot, grid, e_ref = _preserved_case()
         calls = [0]
         original = rs._matching_defect
@@ -634,9 +714,12 @@ class TestEigenvalueSearch:
             return math.nan if calls[0] - 1 == bad_call else original(*args)
 
         monkeypatch.setattr(rs, "_matching_defect", poisoned)
-        with pytest.raises(ConvergenceError):
+        if bad_call == 4:
+            monkeypatch.setattr(rs, "_energy_step", lambda *args: math.nan)
+        with pytest.raises(ConvergenceError, match="non-finite matching"):
             find_bound_state(pot, -2, 1.0, grid,
                              (e_ref - 0.4e-4, e_ref + 0.6e-4), 0)
+        assert calls[0] == bad_call + 1
 
     def test_merge_without_live_match_point_raises(self):
         # either sweep exactly 0 at the match point: no ratio glues them
@@ -838,10 +921,12 @@ class TestShiftStudy:
     # bracket on 1000 points, as recorded before the study's bracket took
     # the Sommerfeld energies from dirac_coulomb_energy; re-pinned once when
     # the default bracket became coulomb_bracket's: energies[0] of (2, 1)
-    # moved one ulp (0x1.ff5bc353dd4c6p-1 before)
+    # moved one ulp (0x1.ff5bc353dd4c6p-1 before), and once when the search
+    # became Newton steps from Cooley's corrector: that energy moved back by
+    # +1 ulp (0x1.ff5bc353dd4c5p-1 before), and nothing else moved
     @pytest.mark.parametrize("n, kappa, expected", [
         (2, 1, ("0x1.ff5ba531f825dp-1",
-                ["0x1.ff5bc353dd4c5p-1", "0x1.ff5bb4438aaafp-1",
+                ["0x1.ff5bc353dd4c6p-1", "0x1.ff5bb4438aaafp-1",
                  "0x1.ff5bacbae96d2p-1"], "0x1.cbeed9037c900p-3")),
         (2, -1, ("0x1.ff5ba531f8587p-1",
                  ["0x1.ff5bc85edf57ep-1", "0x1.ff5bb6c928970p-1",
