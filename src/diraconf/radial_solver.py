@@ -9,17 +9,18 @@ and a bispinor with upper radial part f and lower radial part g, are
 
 so the time-like pieces always enter as E - V0 - V2 and the scalar piece
 shifts the mass, m + V1.  One match point serves a whole solve: the outer
-turning point of the bracket's midpoint.  Each trial energy is swept
-outward from a power-series start at r_min to the match point and inward
-from a WKB-seeded tail at r_max to it, both from one build of the
-coefficient tables.  Newton steps from the bracket's midpoint drive the
-mismatch of g/f there to the rounding floor, each by Cooley's energy
-corrector, whose derivative is the sweeps' own norms (the energy derivative
-of the Wronskian); a step that leaves the narrowing bracket or fails to
-halve hands the bracket to Brent.  The state is the final energy's pair
+turning point of the bracket's midpoint.  Each trial energy is swept outward
+from a power-series start at r_min to the match point and inward from a
+WKB-seeded tail at r_max to it, both from one build of the coefficient
+tables.  Newton steps from the bracket's midpoint drive the mismatch of g/f
+there to the rounding floor, each by Cooley's energy corrector, whose
+derivative is the sweeps' own norms (the energy derivative of the
+Wronskian); once a step leaves the narrowing bracket or is more than half
+the step before last, bisection on the sign of the matching defect stands
+in for every step that fails (rtsafe).  The state is the final energy's pair
 glued at that same node, with no further sweep.  A fourth-order Runge-Kutta
-kernel steps in t = ln r, on a logarithmic ``RadialGrid`` that resolves
-the power-law start at the origin from the first step.  The kernel and the
+kernel steps in t = ln r, on a logarithmic ``RadialGrid`` that resolves the
+power-law start at the origin from the first step.  The kernel and the
 systems' residuals (``_dirac_fd_residual``, ``_schrodinger_fd_residual``)
 run as compiled C when ``diraconf._kernels`` builds a module that
 reproduces them bit for bit, and as the Python loop and numpy otherwise.
@@ -639,9 +640,9 @@ def _schrodinger_fd_residual(u, du, r, v_eff, E, m, h) -> float:
 
 
 _EPS = sys.float_info.epsilon
-# the Newton steps take about 3-6 evaluations per solve and Brent about 10
-# per bracket, never more than a few times the ~60 halvings from a wide
-# bracket to the rounding floor; both searches of a solve share the cap
+# the Newton steps take about 3-6 evaluations per solve, and a search that
+# falls back to bisection at most the two bracket ends and ~60 halvings
+# from a wide bracket to the rounding floor; every sweep pair counts
 _MAX_DEFECT_EVALS = 300
 
 
@@ -716,102 +717,71 @@ def _bracket_ends(system, lo: float, hi: float, i_match: int):
 
 def _solve_eigenvalue(system, E_bracket):
     """(root, its sweep pair, match node) of the matching defect, taken at
-    the match point of the bracket's midpoint.
+    the match point of the bracket's midpoint, by Newton steps safeguarded
+    by bisection (rtsafe: Press et al., Numerical Recipes, 9.4).
 
-    Newton steps from the midpoint, each by Cooley's corrector
-    (``_energy_step``).  The bracket narrows to the side each step points
-    to; a step must land strictly inside it and be at most half the one
-    before.  The search stops at the first energy whose corrector is at
-    most eps |E|, half of Brent's tolerance, and returns it with its pair:
-    at the rounding floor the corrector itself is off by a few ulp, so a
-    stop at Brent's 2 eps |E| could land 6 ulp from the root.  A step that
-    fails a check, or a corrector that is not finite, hands the caller's
-    bracket to ``_brent`` instead, with the evaluations left.
+    Each step is Cooley's corrector (``_energy_step``), from the midpoint
+    on, and must land strictly inside the bracket and be at most half the
+    step before last.  The search stops at the first energy whose corrector
+    is at most eps |E|, and returns it with its pair: at the rounding floor
+    the corrector itself is off by a few ulp, so a stop at 2 eps |E| could
+    land 6 ulp from the root.  Until a step fails,
+    the bracket narrows to the side each step points to.  The first failed
+    step, or a corrector that is not finite, sweeps the caller's two ends
+    (``_bracket_ends``) once and goes back to the caller's bracket, which
+    from then on narrows by the sign of the matching defect: the gap whose
+    step the corrector is has a pole wherever a node of the outward sweep
+    crosses the match point, and past it a step can point the wrong way,
+    while the defect has none.  Then a step that fails is replaced by a
+    bisection, and a bracket of adjacent floats or of half-width at most
+    2 eps |E| ends the search at its end with the smaller defect.  Every
+    sweep pair counts against ``_MAX_DEFECT_EVALS`` (ConvergenceError past
+    it, with the next trial energy as ``partial``).
     """
     lo, hi = sorted(float(e) for e in E_bracket)
+    a, b = lo, hi
     E = 0.5 * (lo + hi)
     i_match = _match_index(system, E)
-    a, b, last = lo, hi, math.inf
-    for evals in range(1, _MAX_DEFECT_EVALS + 1):
+    fa = pa = fb = pb = None  # defects and pairs at a and b, once swept
+    last = before = math.inf
+    evals = 0
+    while evals < _MAX_DEFECT_EVALS:
+        evals += 1
         d, pair = _sweep_pair(system, E, i_match)
         step = 0.0 if d == 0.0 else _energy_step(system, pair, i_match)
         if abs(step) <= _EPS * abs(E):
             return E, pair, i_match
-        if step > 0:
-            a = E
-        else:
-            b = E
-        if not (abs(step) <= 0.5 * last and a < E + step < b):
-            break
-        E, last = E + step, abs(step)
-    return _brent(system, lo, hi, i_match, _MAX_DEFECT_EVALS - evals, E)
-
-
-def _brent(system, lo: float, hi: float, i_match: int, budget: int,
-           partial: float):
-    """(root, its sweep pair, i_match) of the matching defect on [lo, hi]
-    by bracketed Brent, in at most ``budget`` evaluations (ConvergenceError
-    with ``partial``, or the best estimate so far, past them).
-
-    Inverse-quadratic or secant steps, with bisection whenever they would
-    not shrink the sign-change bracket fast enough.  The iteration runs to
-    the rounding floor (a final bracket of about 4 ulp of E, or adjacent
-    floats); the returned energy is the bracket end with the smaller defect.
-    """
-    if budget < 2:
-        raise ConvergenceError(
-            f"eigenvalue search did not converge in {_MAX_DEFECT_EVALS} "
-            f"steps; bracket [{lo!r}, {hi!r}]", partial=partial)
-    # b: best estimate; c: the other end of the bracket; a: previous b;
-    # fa, pa: the matching defect and sweep pair at a (likewise b, c)
-    a, b = lo, hi
-    fa, pa, fb, pb = _bracket_ends(system, a, b, i_match)
-    if fa == 0.0:
-        return a, pa, i_match
-    if fb == 0.0:
-        return b, pb, i_match
-    c, fc, pc = b, fb, pb
-    for _ in range(budget - 2):
-        if fb * fc > 0:
-            c, fc, pc = a, fa, pa
-            step = last_step = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-            pa, pb, pc = pb, pc, pb
-        tol1 = 2.0 * _EPS * abs(b)
-        half = 0.5 * (c - b)
-        if fb == 0.0 or abs(half) <= tol1 or math.nextafter(b, c) == c:
-            return b, pb, i_match
-        if abs(last_step) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:  # secant
-                p = 2.0 * half * s
-                q = 1.0 - s
-            else:  # inverse quadratic interpolation
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0:
-                q = -q
+        if fa is None:
+            if step > 0:
+                a = E
             else:
-                p = -p
-            if 2.0 * p < min(3.0 * half * q - abs(tol1 * q), abs(last_step * q)):
-                last_step, step = step, p / q
+                b = E
+            if not (a < E + step < b and abs(step) <= 0.5 * before):
+                if evals + 2 > _MAX_DEFECT_EVALS:
+                    break
+                evals += 2
+                fa, pa, fb, pb = _bracket_ends(system, lo, hi, i_match)
+                if fa == 0.0:
+                    return lo, pa, i_match
+                if fb == 0.0:
+                    return hi, pb, i_match
+                a, b = lo, hi
+        if fa is not None:
+            if d * fa > 0:
+                a, fa, pa = E, d, pair
             else:
-                step = last_step = half
-        else:
-            step = last_step = half
-        a, fa, pa = b, fb, pb
-        b_next = b + step if abs(step) > tol1 else b + math.copysign(tol1, half)
-        b = b_next if b_next != b else math.nextafter(b, c)
-        fb, pb = _sweep_pair(system, b, i_match)
+                b, fb, pb = E, d, pair
+            if (b - a <= 4.0 * _EPS * max(abs(a), abs(b))
+                    or math.nextafter(a, b) == b):
+                if abs(fa) < abs(fb):
+                    return a, pa, i_match
+                return b, pb, i_match
+            if not (a < E + step < b and abs(step) <= 0.5 * before):
+                E, step = a, 0.5 * (b - a)
+        E, before, last = E + step, last, abs(step)
     raise ConvergenceError(
         f"eigenvalue search did not converge in {_MAX_DEFECT_EVALS} steps; "
-        f"bracket [{min(b, c)!r}, {max(b, c)!r}]",
-        partial=b,
-    )
+        f"bracket [{a!r}, {b!r}]", partial=E)
 
 
 def _shoot(system, E_bracket, target_nodes: int):
@@ -868,9 +838,9 @@ def find_bound_state(potential: PotentialSpec, kappa: int, m: float,
 
     Returns
     -------
-    BoundState with the energy searched to the rounding floor (Newton steps
-    until the energy corrector is at most eps |E|, or Brent's final bracket
-    of about 4 ulp of E if a step fails its safeguard), f, g normalized to
+    BoundState with the energy searched to the rounding floor (until the
+    energy corrector is at most eps |E|, or to a bisected bracket of about
+    4 ulp of E once a step fails its safeguard), f, g normalized to
     int (f^2 + g^2) r^2 dr = 1 and, in ``residual``, the relative equation
     defect of ``_fd_residual`` (derivatives by finite differences): a
     smoothness check that the sampled state solves the equations, not an

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from diraconf import cli, radial_solver, rescale
 from diraconf.cli import main
 from diraconf.coulomb import dirac_coulomb_energy
+from diraconf.fw_effective import antiparticle_spectrum_airy
 from diraconf.special_functions import QuadratureResult
 
 
@@ -281,6 +282,27 @@ class TestSolve:
         assert len(csv_rows(out)) == 3
         assert len(built) == 1
 
+    def test_cored_antiparticle_ground_state(self, capsys):
+        # the ladder's bracket [2.02, 6.00] holds more than one sign change
+        # of the matching defect; the search lands on the nodeless level,
+        # bit for bit the solve on a bracket around it alone
+        code, out, _ = run_cli(capsys, "solve", "--family",
+                               "antiparticle-linear", "--mu", "0.5",
+                               "--lambda", "1", "--states", "1",
+                               "--points", "2000")
+        assert code == 0
+        row = csv_rows(out)[0]
+        assert row["nodes"] == "0"
+
+        def v(r):
+            return r + 1.0 / r
+
+        e_top = antiparticle_spectrum_airy(0.5, 1.0, count=2)[0]
+        grid = radial_solver.airy_grid(v, 1.0, e_top, 1.0, 2000)
+        state = radial_solver.solve_schrodinger_radial(
+            v, 0, 1.0, grid, (3.6, 3.9), 0, coulomb_coeff=1.0)
+        assert float(row["energy"]) == state.energy == 3.7541451855665264
+
     def test_bag(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--family", "bag",
                                "--lambda", "0.5", "--kappa0", "-1",
@@ -504,11 +526,12 @@ class TestNumericalFailure:
     def test_wrong_state_message_prints_a_plain_float(self, capsys):
         code, out, err = run_cli(capsys, "solve", "--family",
                                  "antiparticle-linear", "--mu", "0.5",
-                                 "--lambda", "1", "--states", "1",
+                                 "--lambda", "2", "--states", "1",
                                  "--points", "2000")
         assert code == 4
         assert out == ""
-        assert "found a state with 2 nodes, wanted 0 (E = 5.9" in err
+        assert ("found a state with 1 nodes, wanted 0 "
+                "(E = 5.49087362827333)") in err
         assert "np.float64" not in err
 
     def test_non_finite_field_writes_no_file(self, tmp_path):

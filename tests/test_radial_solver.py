@@ -634,20 +634,21 @@ class TestEigenvalueSearch:
                                      rel=1e-4)
 
     def test_forced_fallback_matches_bisection(self, monkeypatch):
-        # a corrector that is not finite hands the caller's bracket to Brent
-        brent_calls = []
-        brent = rs._brent
+        # a corrector that is not finite sweeps the caller's bracket ends
+        # once, and bisection carries the search to the floor
+        end_calls = []
+        bracket_ends = rs._bracket_ends
 
         def counted(*args):
-            brent_calls.append(args[1:3])
-            return brent(*args)
+            end_calls.append(args[1:3])
+            return bracket_ends(*args)
 
         monkeypatch.setattr(rs, "_energy_step", lambda *args: math.nan)
-        monkeypatch.setattr(rs, "_brent", counted)
+        monkeypatch.setattr(rs, "_bracket_ends", counted)
         pot, grid, e_ref = _preserved_case()
         bracket = (e_ref - 0.3e-4, e_ref + 0.7e-4)
         energy = find_bound_state(pot, -2, 1.0, grid, bracket, 0).energy
-        assert brent_calls == [bracket]
+        assert end_calls == [bracket]
         system = rs._DiracSystem(pot, -2, 1.0, grid)
         assert abs(energy - _bisect_to_floor(system, bracket)) <= 2e-15
 
@@ -684,6 +685,55 @@ class TestEigenvalueSearch:
         assert abs(energy - _bisect_to_floor(system, bracket)) <= (
             4 * math.ulp(energy))
 
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(mu=st.floats(0.05, 1.0), core=st.floats(0.005, 0.05),
+           k=st.integers(0, 2), offset=st.floats(0.1, 0.9))
+    def test_cored_airy_levels_match_bisection(self, mu, core, k, offset):
+        # the core lifts a level by less than half of 2 core / r_char (the
+        # ladder's shift_room), and that lift is under a third of the
+        # spacing here: the bracket holds the level and no other
+        slope = 2.0 * mu
+        refs = antiparticle_spectrum_airy(mu, 1.0, count=4)
+
+        def v(r):
+            r = np.asarray(r, dtype=float)
+            return slope * r + core / r
+
+        grid = airy_grid(v, slope, refs[-1], 1.0, 1000)
+        width = 0.5 * (refs[k + 1] - refs[k])
+        lift = 2.0 * core * math.cbrt(2.0 * slope)
+        bracket = (refs[k] - width * offset,
+                   refs[k] + width * (1 - offset) + lift)
+        energy = solve_schrodinger_radial(v, 0, 1.0, grid, bracket, k,
+                                          coulomb_coeff=core).energy
+        system = rs._SchrodingerSystem(v, 0, 1.0, grid, core)
+        assert abs(energy - _bisect_to_floor(system, bracket)) <= (
+            4 * math.ulp(energy))
+
+    def test_wide_bracket_takes_no_fallback(self, monkeypatch, defect_calls):
+        # Newton's second step is 0.65 of its first: a rule of at most half
+        # the last step swept the ends here and took 14 energies, while
+        # rtsafe's rule (half the step before last) takes the step
+        end_calls = []
+        bracket_ends = rs._bracket_ends
+
+        def counted(*args):
+            end_calls.append(args[1:3])
+            return bracket_ends(*args)
+
+        monkeypatch.setattr(rs, "_bracket_ends", counted)
+        lam, n, kappa = 0.35, 3, 2
+        lo, hi = coulomb_bracket(n, kappa, lam, 1.0)
+        e_ref = dirac_coulomb_energy(n, kappa, lam, 1.0)
+        width = hi - lo
+        bracket = (e_ref - 0.2 * width, e_ref + 0.8 * width)
+        grid = coulomb_grid(lam, n, kappa, 1.0, 1000)
+        energy = find_bound_state(coulomb_potential(lam), kappa, 1.0, grid,
+                                  bracket, radial_nodes(n, kappa)).energy
+        assert energy.hex() == "0x1.fc7ab93187fd0p-1"
+        assert defect_calls[0] <= 7
+        assert end_calls == []
+
     def test_iteration_cap_raises(self, monkeypatch):
         pot, grid, e_ref = _preserved_case()
         monkeypatch.setattr(rs, "_MAX_DEFECT_EVALS", 3)
@@ -702,9 +752,9 @@ class TestEigenvalueSearch:
     @pytest.mark.parametrize("bad_call", [0, 1, 4])
     def test_nan_defect_raises(self, monkeypatch, bad_call):
         # at the bracket's midpoint (call 0), at the first Newton iterate
-        # (call 1), or inside the Brent fallback that a non-finite corrector
+        # (call 1), or inside the bisection that a non-finite corrector
         # forces: after the midpoint and the two bracket ends, call 4 is
-        # Brent's second iterate
+        # the second bisection
         pot, grid, e_ref = _preserved_case()
         calls = [0]
         original = rs._matching_defect
