@@ -21,9 +21,14 @@ Parameter values (general kappa0 < 0):
 
 All six gamma expressions must coincide; ``AnsatzParams.gamma_deviations``
 reports their spread and the test suite pins it at the 1e-12 level.
-``build_ansatz`` takes b, a, gamma and E from the pure Coulomb ground state
-(``coulomb.dirac_coulomb_ground_state``), whose gamma is the stable form
-lam/(|kappa0| + b): (|kappa0| - b)/lam cancels as lam -> 0.  Note
+
+``AnsatzParams`` is the one model of this closed form, with one evaluator
+(``f``, ``g`` and ``log_derivative``).  Its mu = nu = 0 member, alpha2 = 0
+and N = 1, is the nodeless Dirac-Coulomb state
+(``dirac_coulomb_ground_state``) that the e^h rescaling of ``rescale``
+starts from; ``build_ansatz`` is that record with alpha2, N, mu and nu set,
+so b, a, gamma and E are the Coulomb ones bit for bit.  Gamma is the stable
+form lam/(|kappa0| + b): (|kappa0| - b)/lam cancels as lam -> 0.  Note
 the exponent is sqrt(kappa0^2 - lam^2), not sqrt(1 - lam^2/kappa0^2): only
 the former satisfies the full set of relations once |kappa0| > 1 (the two
 agree for kappa0 = -1).
@@ -34,17 +39,18 @@ walk, in the state's own length 1/s (``AnsatzParams.inverse_length``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coulomb import CouplingSet, dirac_coulomb_ground_state
+from .coulomb import CouplingSet
 from .errors import DomainError
 from .radial_solver import RadialGrid, _tail_radius, dirac_residual
 from .special_functions import kummer_U
 
 __all__ = [
     "AnsatzParams",
+    "dirac_coulomb_ground_state",
     "nu_fine_tuned",
     "build_ansatz",
     "evaluate_spinor",
@@ -69,7 +75,9 @@ def nu_fine_tuned(mu: float, lam: float, kappa0: int) -> float:
 
 @dataclass(frozen=True)
 class AnsatzParams:
-    """Parameters of the closed-form preserved eigenstate (immutable)."""
+    """The closed-form nodeless state f = N r^(b-1) e^(-a r - alpha2 r^2/2),
+    g = -gamma f (immutable): ``build_ansatz``'s, or at mu = 0 (alpha2 = 0,
+    N = 1) ``dirac_coulomb_ground_state``'s."""
 
     couplings: CouplingSet
     kappa0: int
@@ -86,8 +94,23 @@ class AnsatzParams:
         inverse Gaussian width; the density lies at s r ~ 1."""
         return max(self.a, math.sqrt(self.alpha2))
 
+    def f(self, r):
+        """Upper radial component at r (scalar or array)."""
+        r = np.asarray(r, dtype=float)
+        return (self.norm * r ** (self.b - 1.0)
+                * np.exp(-self.a * r - 0.5 * self.alpha2 * r * r))
+
+    def g(self, r):
+        """Lower radial component, -gamma f."""
+        return -self.gamma * self.f(r)
+
+    def log_derivative(self, r):
+        """d ln f/dr = d ln g/dr = (b - 1)/r - a - alpha2 r."""
+        return (self.b - 1.0) / r - self.a - self.alpha2 * r
+
     def gamma_candidates(self) -> tuple[float, ...]:
-        """The six independent expressions that must all equal gamma."""
+        """The six independent expressions that must all equal gamma; for
+        ``build_ansatz`` records only (at mu = 0 two are 0/0 and raise)."""
         c = self.couplings
         m, e = c.mass, self.energy
         ak = abs(self.kappa0)
@@ -104,17 +127,31 @@ class AnsatzParams:
         return tuple(abs(cand / self.gamma - 1.0) for cand in self.gamma_candidates())
 
 
+def dirac_coulomb_ground_state(lam: float, kappa0: int,
+                               m: float = 1.0) -> AnsatzParams:
+    """The nodeless n = -kappa0 eigenstate of the pure Coulomb problem: the
+    closed form at mu = nu = 0, so alpha2 = 0, unnormalized (N = 1)."""
+    if kappa0 >= 0:
+        raise DomainError(f"kappa0 must be negative, got {kappa0}")
+    if not 0 < lam < abs(kappa0):
+        raise DomainError(f"need 0 < lam < |kappa0|, got lam={lam}")
+    b = math.sqrt(kappa0 * kappa0 - lam * lam)
+    return AnsatzParams(
+        couplings=CouplingSet(mass=m, lam=lam), kappa0=kappa0, b=b,
+        a=m * lam / abs(kappa0), alpha2=0.0, gamma=lam / (abs(kappa0) + b),
+        energy=m * math.sqrt(1.0 - lam * lam / (kappa0 * kappa0)), norm=1.0)
+
+
 def build_ansatz(lam: float, mu: float, kappa0: int, m: float = 1.0) -> AnsatzParams:
     """Construct the preserved eigenstate for couplings (lam, mu) and kappa0 < 0.
 
     Requires mu > 0: the Gaussian width is alpha2 = mu lam/|kappa0|, and only
     a positive scalar slope gives a decaying (normalizable) profile.  The
-    fine-tuned nu is computed internally; b, a, gamma and the energy are
-    those of ``dirac_coulomb_ground_state(lam, kappa0, m)``.
+    fine-tuned nu is computed internally; the state is
+    ``dirac_coulomb_ground_state(lam, kappa0, m)`` with alpha2, the norm N,
+    mu and nu set.
     """
     ground = dirac_coulomb_ground_state(lam, kappa0, m)
-    if not m > 0:
-        raise DomainError(f"m must be positive, got {m}")
     alpha2 = mu * lam / abs(kappa0)
     if not alpha2 > 0:
         raise DomainError(
@@ -132,11 +169,8 @@ def build_ansatz(lam: float, mu: float, kappa0: int, m: float = 1.0) -> AnsatzPa
         * math.gamma(2.0 * b)
         * kummer_U(1.0 + b, 1.5, a * a / alpha2)
     ) ** (-0.5)
-    return AnsatzParams(
-        couplings=CouplingSet(mass=m, lam=lam, mu=mu, nu=nu),
-        kappa0=kappa0, b=b, a=a, alpha2=alpha2, gamma=gamma,
-        energy=ground.energy, norm=norm,
-    )
+    return replace(ground, couplings=replace(ground.couplings, mu=mu, nu=nu),
+                   alpha2=alpha2, norm=norm)
 
 
 def evaluate_spinor(params: AnsatzParams, r):
@@ -144,18 +178,8 @@ def evaluate_spinor(params: AnsatzParams, r):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise DomainError("r must be positive (f ~ r^(b-1) can be singular at 0)")
-    f = (
-        params.norm
-        * r ** (params.b - 1.0)
-        * np.exp(-params.a * r - 0.5 * params.alpha2 * r * r)
-    )
+    f = params.f(r)
     return f, -params.gamma * f
-
-
-def _spinor_with_derivatives(params: AnsatzParams, r: np.ndarray):
-    f, g = evaluate_spinor(params, r)
-    logderiv = (params.b - 1.0) / r - params.a - params.alpha2 * r
-    return f, f * logderiv, g, g * logderiv
 
 
 def radial_residual(params: AnsatzParams, grid) -> float:
@@ -167,10 +191,11 @@ def radial_residual(params: AnsatzParams, grid) -> float:
     lifts it by many orders of magnitude.
     """
     r = grid.r if isinstance(grid, RadialGrid) else np.asarray(grid, dtype=float)
-    f, df, g, dg = _spinor_with_derivatives(params, r)
+    f, g = evaluate_spinor(params, r)
+    logderiv = params.log_derivative(r)
     c = params.couplings
-    return dirac_residual(f, df, g, dg, r, params.energy, params.kappa0, c.mass,
-                          -c.lam / r, c.mu * r, c.nu * r)
+    return dirac_residual(f, f * logderiv, g, g * logderiv, r, params.energy,
+                          params.kappa0, c.mass, -c.lam / r, c.mu * r, c.nu * r)
 
 
 def residual_grid(params: AnsatzParams) -> np.ndarray:

@@ -5,7 +5,10 @@ nonrelativistic limit; the expectation values <r>, <1/r> and <{p^2, r}>
 are the standard Coulomb-Schroedinger matrix elements that feed the
 first-order confining shifts in ``fw_effective``.
 
-The Bohr-like length scale is 1/(lambda m) throughout.
+The Bohr-like length scale is 1/(lambda m) throughout.  The closed-form
+nodeless Dirac-Coulomb state lives with the preserved state it generates:
+it is the mu = 0 member of ``ansatz.AnsatzParams``
+(``ansatz.dirac_coulomb_ground_state``).
 """
 from __future__ import annotations
 
@@ -25,7 +28,6 @@ __all__ = [
     "expectation_inv_r",
     "expectation_anticomm_p2_r",
     "radial_wavefunction",
-    "dirac_coulomb_ground_state",
 ]
 
 
@@ -33,7 +35,7 @@ __all__ = [
 class CouplingSet:
     """Physical parameters of the generalized Dirac problem.
 
-    mass      particle mass m > 0
+    mass      particle mass, finite and m > 0
     lam       dimensionless Coulomb coupling (the -lam/r term)
     mu        scalar (beta-coupled) linear confinement coefficient, energy^2
     nu        time-like linear confinement coefficient, energy^2
@@ -45,8 +47,9 @@ class CouplingSet:
     nu: float = 0.0
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise DomainError(f"mass must be positive, got {self.mass}")
+        if not 0 < self.mass < math.inf:
+            raise DomainError(
+                f"mass must be finite and positive, got {self.mass}")
 
 
 def dirac_coulomb_energy(n: int, kappa: int, lam: float, m: float = 1.0) -> float:
@@ -130,52 +133,3 @@ def radial_wavefunction(n: int, ell: int, lam: float, m: float, r):
             l_next = ((2 * k + 1 + alpha - rho) * lag - (k + alpha) * l_prev) / (k + 1)
             l_prev, lag = lag, l_next
     return norm * rho**ell * np.exp(-rho / 2.0) * lag
-
-
-@dataclass(frozen=True)
-class DiracCoulombGroundState:
-    """Closed-form n = -kappa0 Dirac-Coulomb state (unnormalized radial parts).
-
-    f(r) = r^(b-1) exp(-a r), g(r) = -gamma f(r), with
-    b = sqrt(kappa0^2 - lam^2), a = m lam/|kappa0|, gamma = lam/(|kappa0| + b).
-    """
-
-    lam: float
-    kappa0: int
-    mass: float
-    b: float
-    a: float
-    gamma: float
-    energy: float
-
-    def f(self, r):
-        r = np.asarray(r, dtype=float)
-        return r ** (self.b - 1.0) * np.exp(-self.a * r)
-
-    def df(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.f(r) * ((self.b - 1.0) / r - self.a)
-
-    def g(self, r):
-        return -self.gamma * self.f(r)
-
-    def dg(self, r):
-        return -self.gamma * self.df(r)
-
-
-def dirac_coulomb_ground_state(lam: float, kappa0: int, m: float = 1.0):
-    """The nodeless n = -kappa0 eigenstate of the pure Coulomb problem."""
-    if kappa0 >= 0:
-        raise DomainError(f"kappa0 must be negative, got {kappa0}")
-    if not 0 < lam < abs(kappa0):
-        raise DomainError(f"need 0 < lam < |kappa0|, got lam={lam}")
-    b = math.sqrt(kappa0 * kappa0 - lam * lam)
-    return DiracCoulombGroundState(
-        lam=lam,
-        kappa0=kappa0,
-        mass=m,
-        b=b,
-        a=m * lam / abs(kappa0),
-        gamma=lam / (abs(kappa0) + b),
-        energy=m * math.sqrt(1.0 - lam * lam / (kappa0 * kappa0)),
-    )

@@ -108,10 +108,9 @@ class RadialGrid:
     count: int
 
     def __post_init__(self):
-        if not 0 < self.r_min < self.r_max:
-            raise DomainError(
-                f"need 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]"
-            )
+        if not 0 < self.r_min < self.r_max < math.inf:
+            raise DomainError(f"need 0 < r_min < r_max < inf, got "
+                              f"[{self.r_min}, {self.r_max}]")
         if self.count < 16:
             raise DomainError(f"count must be >= 16, got {self.count}")
 

@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .coulomb import DiracCoulombGroundState, dirac_coulomb_ground_state
+from .ansatz import AnsatzParams, dirac_coulomb_ground_state
 from .errors import ConditionViolationError, DomainError, NormalizationError
 from .radial_solver import (
     PotentialSpec,
@@ -261,7 +261,7 @@ class BagCase:
     residual: float
     grid: RadialGrid
     profile: RescaleProfile
-    ground: DiracCoulombGroundState
+    ground: AnsatzParams
 
 
 def bag_model_case(A: float, r0: float, M: int, lam: float, kappa0: int,
@@ -271,14 +271,15 @@ def bag_model_case(A: float, r0: float, M: int, lam: float, kappa0: int,
     Large M approximates a hard wall at r0 (the MIT-bag-style step).  The
     power is evaluated in the log domain, exp(M log(r/r0)), and the
     relative equation defect (``dirac_residual``) is taken per unit f, so
-    M = 1000 works without overflow.  Requires A > 0, the decaying branch.
+    M = 1000 works without overflow.  Requires a finite A > 0, the decaying
+    branch, and finite r0 > 0 and m > 0.
     """
-    if A <= 0:
-        raise DomainError("A must be positive (decaying e^h branch)")
+    if not 0 < A < math.inf:
+        raise DomainError("A must be finite and positive (decaying e^h branch)")
     if M < 0:
         raise DomainError("M must be >= 0")
-    if r0 <= 0:
-        raise DomainError("r0 must be positive")
+    if not 0 < r0 < math.inf:
+        raise DomainError("r0 must be finite and positive")
     ground = dirac_coulomb_ground_state(lam, kappa0, m)
 
     # the wall saturates at min(A, 1) e^700, finite for any A

@@ -13,11 +13,12 @@ import pytest
 from diraconf import cli
 from diraconf.ansatz import (
     build_ansatz,
+    dirac_coulomb_ground_state,
     evaluate_spinor,
     radial_residual,
     residual_grid,
 )
-from diraconf.coulomb import dirac_coulomb_energy, dirac_coulomb_ground_state
+from diraconf.coulomb import dirac_coulomb_energy
 from diraconf.fw_effective import (
     antiparticle_spectrum_airy,
     first_order_shift,

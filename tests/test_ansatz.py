@@ -9,16 +9,13 @@ import diraconf.radial_solver as rs
 from diraconf.ansatz import (
     AnsatzParams,
     build_ansatz,
+    dirac_coulomb_ground_state,
     evaluate_spinor,
     nu_fine_tuned,
     radial_residual,
     residual_grid,
 )
-from diraconf.coulomb import (
-    CouplingSet,
-    dirac_coulomb_energy,
-    dirac_coulomb_ground_state,
-)
+from diraconf.coulomb import CouplingSet, dirac_coulomb_energy
 from diraconf.errors import DomainError
 from diraconf.special_functions import integrate_adaptive
 
@@ -99,6 +96,26 @@ class TestBuildAnsatz:
             build_ansatz(1.5, 1e-4, -1)    # lam >= |kappa0|
         with pytest.raises(DomainError):
             build_ansatz(0.5, 1e-4, -1, 0.0)   # m must be positive
+
+    def test_infinite_mass_rejected(self):
+        # a = E = inf reached the norm, where inf * 0 warned
+        with pytest.raises(DomainError,
+                           match="mass must be finite and positive"):
+            build_ansatz(0.5, 1e-4, -1, math.inf)
+
+
+class TestCoulombGroundState:
+    @pytest.mark.parametrize("m", [0.0, -1.0, math.nan, math.inf])
+    def test_mass_must_be_finite_and_positive(self, m):
+        # each used to return a record, with a = E = inf at m = inf
+        with pytest.raises(DomainError,
+                           match="mass must be finite and positive"):
+            dirac_coulomb_ground_state(0.5, -1, m)
+
+    def test_gamma_candidates_are_for_the_confined_state(self):
+        # at mu = 0, alpha2/(mu - nu) and (mu + nu)/alpha2 are 0/0
+        with pytest.raises(ZeroDivisionError):
+            dirac_coulomb_ground_state(0.5, -1).gamma_candidates()
 
 
 class TestSpinor:

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from diraconf.ansatz import dirac_coulomb_ground_state
 from diraconf.coulomb import (
     CouplingSet,
     dirac_coulomb_energy,
-    dirac_coulomb_ground_state,
     expectation_anticomm_p2_r,
     expectation_inv_r,
     expectation_r,
@@ -180,6 +180,11 @@ class TestTypes:
             CouplingSet(mass=0.0, lam=0.5)
         c = CouplingSet(mass=1.0, lam=0.5, mu=1e-4, nu=-8.66e-5)
         assert c.lam == 0.5
+
+    @pytest.mark.parametrize("mass", [math.nan, math.inf])
+    def test_coupling_set_needs_a_finite_mass(self, mass):
+        with pytest.raises(DomainError, match="finite and positive"):
+            CouplingSet(mass=mass, lam=0.5)
 
     def test_ground_state_helper(self):
         gs = dirac_coulomb_ground_state(0.5, -1, 1.0)

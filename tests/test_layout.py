@@ -1,6 +1,6 @@
 """Layout rules of the package source: no private name without a caller,
-no exported name without a definition, no public name without a caller,
-and one export list, each module's ``__all__``."""
+no exported name without a definition, no public name or public method
+without a caller, and one export list, each module's ``__all__``."""
 import ast
 import importlib
 import inspect
@@ -20,6 +20,10 @@ UNREAD_EXPORTS = {
     "radial_wavefunction": "the hydrogenic oracle that tests/test_coulomb.py "
                            "integrates for <r>, <1/r> and the norm",
 }
+
+# public methods and properties of public classes (``Class.method``) kept
+# with no caller in the package or its readers, each with its reason
+UNREAD_METHODS = {}
 
 
 def _module_names(tree):
@@ -84,6 +88,21 @@ def _read_outside_definitions(tree):
     return names
 
 
+def _attributes_read_outside_methods(tree):
+    """The attribute names a module reads, each outside the top-level
+    function or method of a top-level class that defines it.  (A method is
+    read as an attribute; a local variable of the same name is not a
+    read.)"""
+    names = set()
+    for node in tree.body:
+        for part in node.body if isinstance(node, ast.ClassDef) else [node]:
+            own = ({part.name} if isinstance(part, (
+                ast.FunctionDef, ast.AsyncFunctionDef)) else set())
+            names |= {n.attr for n in ast.walk(part)
+                      if isinstance(n, ast.Attribute)} - own
+    return names
+
+
 def _named_by_string(tree):
     """The identifiers a module spells as string constants, as perfbench's
     span table names the functions it wraps."""
@@ -122,6 +141,28 @@ def unread_exports(sources, readers):
         read |= _read_outside_definitions(tree) | _named_by_string(tree)
     return sorted((module, name) for module, tree in trees.items()
                   for name in _exported(tree) - read)
+
+
+def unread_methods(sources, readers):
+    """(module, ``Class.method``) of each public method or property of a
+    public module-level class of ``sources`` (module name -> source text)
+    that no module of ``sources`` but ``__init__`` reads as an attribute
+    outside the method's own definition, and that no text of ``readers``
+    reads so or names by string."""
+    trees = {module: ast.parse(text) for module, text in sources.items()
+             if module != "__init__"}
+    read = set().union(*map(_attributes_read_outside_methods,
+                            trees.values()))
+    for text in readers:
+        tree = ast.parse(text)
+        read |= _attributes_read_outside_methods(tree) | _named_by_string(tree)
+    return sorted(
+        (module, f"{node.name}.{part.name}")
+        for module, tree in trees.items() for node in tree.body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        for part in node.body
+        if isinstance(part, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not part.name.startswith("_") and part.name not in read)
 
 
 def _package_sources():
@@ -172,6 +213,12 @@ def test_every_public_name_has_a_caller():
     assert {name for _, name in unread} == set(UNREAD_EXPORTS)
 
 
+def test_every_public_method_has_a_caller():
+    readers = [path.read_text() for path in READERS]
+    unread = unread_methods(_package_sources(), readers)
+    assert {name for _, name in unread} == set(UNREAD_METHODS)
+
+
 def test_the_modules_all_is_the_one_export_list():
     # __init__ re-exports each module with a star import and lists nothing
     # itself, so the package's public names are the union of the __all__
@@ -206,3 +253,23 @@ def test_an_unread_public_function_is_caught():
     }
     readers = ["SPANS = [('diraconf.special', 'rmax')]\n"]
     assert unread_exports(sources, readers) == [("special", "airy_ai")]
+
+
+def test_an_unread_public_method_is_caught():
+    # a method only its own body reads, next to one a sibling method reads,
+    # a method and a property the CLI reads, a private helper, and the
+    # method of a private class
+    sources = {
+        "special": "class State:\n"
+                   "    def f(self, r):\n        return self.f(r - 1)\n"
+                   "    def g(self, r):\n        return -self.f(r)\n"
+                   "    def dg(self, r):\n        return self.dg(r)\n"
+                   "    @property\n"
+                   "    def scale(self):\n        return 1.0\n"
+                   "    def _cache(self):\n        return None\n"
+                   "class _Work:\n"
+                   "    def run(self):\n        return 0\n",
+        "cli": "from .special import State\n"
+               "print(State().scale, State().g(1.0))\n",
+    }
+    assert unread_methods(sources, []) == [("special", "State.dg")]

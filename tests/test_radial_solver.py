@@ -142,6 +142,12 @@ class TestGrid:
         with pytest.raises(DomainError):
             RadialGrid(1e-6, 1.0, 4)
 
+    def test_infinite_r_max_rejected(self):
+        # ln(inf) spaced every node but the first at inf: the first solve
+        # ended in "v0 is not finite at r=nan"
+        with pytest.raises(DomainError, match="r_max < inf"):
+            RadialGrid(1e-6, math.inf, 100)
+
     @pytest.mark.parametrize("lam", [0.0, -0.5, math.nan])
     def test_coulomb_grid_needs_positive_lam(self, lam):
         # both ends of the grid scale with 1/lam: lam = 0 used to divide by
@@ -771,6 +777,63 @@ class TestEigenvalueSearch:
                              (e_ref - 0.4e-4, e_ref + 0.6e-4), 0)
         assert calls[0] == bad_call + 1
 
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_zero_defect_at_a_bracket_end(self, monkeypatch, end):
+        # the first failed step sweeps the caller's ends; a defect of
+        # exactly 0 there is the root, returned with that end's pair
+        pot, grid, e_ref = _preserved_case()
+        bracket = (e_ref - 0.4e-4, e_ref + 0.6e-4)
+        sweep_pair = rs._sweep_pair
+        swept = {}
+
+        def zero_at_end(system, E, i_match):
+            d, pair = sweep_pair(system, E, i_match)
+            swept[E] = pair
+            return (0.0 if E == bracket[end] else d), pair
+
+        monkeypatch.setattr(rs, "_sweep_pair", zero_at_end)
+        monkeypatch.setattr(rs, "_energy_step", lambda *args: math.nan)
+        system = rs._DiracSystem(pot, -2, 1.0, grid)
+        energy, pair, _ = rs._solve_eigenvalue(system, bracket)
+        assert energy == bracket[end]
+        assert pair is swept[bracket[end]]
+        assert len(swept) == 3  # the midpoint and the two ends
+
+    def test_budget_stops_before_the_end_sweeps(self, monkeypatch,
+                                                defect_calls):
+        # a failed first step with no room left for the two end sweeps
+        # raises at once, with the midpoint as the partial result
+        pot, grid, e_ref = _preserved_case()
+        bracket = (e_ref - 0.4e-4, e_ref + 0.6e-4)
+        end_calls = []
+        monkeypatch.setattr(rs, "_bracket_ends",
+                            lambda *args: end_calls.append(args))
+        monkeypatch.setattr(rs, "_energy_step", lambda *args: math.nan)
+        monkeypatch.setattr(rs, "_MAX_DEFECT_EVALS", 2)
+        system = rs._DiracSystem(pot, -2, 1.0, grid)
+        with pytest.raises(ConvergenceError, match="did not converge") as err:
+            rs._solve_eigenvalue(system, bracket)
+        assert err.value.partial == 0.5 * (bracket[0] + bracket[1])
+        assert defect_calls[0] == 1
+        assert end_calls == []
+
+    def test_floor_returns_the_upper_end(self, monkeypatch):
+        # a defect that jumps from -2 to +1 at e_ref: bisection closes on
+        # the jump, and the end with the smaller defect is the upper one
+        pot, grid, e_ref = _preserved_case()
+        bracket = (e_ref - 0.4e-4, e_ref + 0.6e-4)
+        sweep_pair = rs._sweep_pair
+
+        def step_defect(system, E, i_match):
+            return (1.0 if E > e_ref else -2.0), sweep_pair(system, E,
+                                                            i_match)[1]
+
+        monkeypatch.setattr(rs, "_sweep_pair", step_defect)
+        monkeypatch.setattr(rs, "_energy_step", lambda *args: math.nan)
+        system = rs._DiracSystem(pot, -2, 1.0, grid)
+        energy, _, _ = rs._solve_eigenvalue(system, bracket)
+        assert e_ref < energy <= e_ref + 4.0 * rs._EPS * energy
+
     def test_merge_without_live_match_point_raises(self):
         # either sweep exactly 0 at the match point: no ratio glues them
         n = 64
@@ -1021,6 +1084,20 @@ class TestShiftStudy:
         assert shift_convergence_study(2, -1, -1, 0.1, 1.0,
                                        [1e-6, 2e-6, 4e-6],
                                        points=1000) == study
+
+    @pytest.mark.parametrize("n, kappa", [(2, 1), (3, -2)])
+    def test_coulomb_half_width_gives_the_default_study(self, n, kappa):
+        # a quarter of the gap, given as bracket_halfwidth, makes the same
+        # two floats as coulomb_bracket, so every field is the same
+        lam, m, mus = 0.1, 1.0, [4e-6, 2e-6, 1e-6]
+        gap = lam * lam * m * (1.0 / (n * n) - 1.0 / ((n + 1) * (n + 1))) / 2.0
+        e_ref = dirac_coulomb_energy(n, kappa, lam, m)
+        assert (e_ref - 0.25 * gap, e_ref + 0.25 * gap) == coulomb_bracket(
+            n, kappa, lam, m)
+        study = shift_convergence_study(n, kappa, -1, lam, m, mus, points=1000,
+                                        bracket_halfwidth=0.25 * gap)
+        assert study == shift_convergence_study(n, kappa, -1, lam, m, mus,
+                                                points=1000)
 
     @pytest.mark.parametrize("n, kappa, kappa0, lam", [
         (2, -1, 0, 0.1),     # was a ZeroDivisionError

@@ -6,8 +6,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from diraconf.ansatz import build_ansatz, evaluate_spinor, radial_residual
-from diraconf.coulomb import dirac_coulomb_energy, dirac_coulomb_ground_state
+from diraconf.ansatz import (
+    build_ansatz,
+    dirac_coulomb_ground_state,
+    evaluate_spinor,
+    radial_residual,
+)
+from diraconf.coulomb import dirac_coulomb_energy
 from diraconf.errors import (
     ConditionViolationError,
     DomainError,
@@ -259,7 +264,8 @@ class TestRescaledState:
         grid = RadialGrid(1e-4, 80.0, 4001)
         prof = h_profile(v1, v2, grid)
         rn = grid.r
-        resid = rescaled_residual(gs.f(rn), gs.df(rn), gs.g(rn), gs.dg(rn),
+        resid = rescaled_residual(gs.f(rn), gs.f(rn) * gs.log_derivative(rn),
+                                  gs.g(rn), gs.g(rn) * gs.log_derivative(rn),
                                   prof, lambda r: -lam / r, gs.energy,
                                   kappa0, m)
         assert resid < 1e-8
@@ -274,7 +280,8 @@ class TestRescaledState:
         prof = h_profile(v1, v2, grid, branch="-")
         rn = grid.r
         assert radial_residual(build_ansatz(lam, mu, kappa0, m), grid) <= 1e-13
-        resid = rescaled_residual(gs.f(rn), gs.df(rn), gs.g(rn), gs.dg(rn),
+        resid = rescaled_residual(gs.f(rn), gs.f(rn) * gs.log_derivative(rn),
+                                  gs.g(rn), gs.g(rn) * gs.log_derivative(rn),
                                   prof, lambda r: -lam / r, gs.energy,
                                   kappa0, m)
         assert resid <= 1e-13
@@ -345,6 +352,26 @@ class TestBagModel:
     def test_sign_constraint(self):
         with pytest.raises(DomainError):
             bag_model_case(A=-1.0, r0=10.0, M=20, lam=0.5, kappa0=-1)
+
+    @pytest.mark.parametrize("A", [math.nan, math.inf])
+    def test_wall_height_must_be_finite(self, A):
+        # both passed an A <= 0 check and ended in a ConvergenceError about
+        # the tail walk, A = inf after a run of RuntimeWarnings
+        with pytest.raises(DomainError, match="A must be finite and positive"):
+            bag_model_case(A=A, r0=10.0, M=20, lam=0.5, kappa0=-1)
+
+    @pytest.mark.parametrize("r0", [math.nan, math.inf])
+    def test_radius_must_be_finite(self, r0):
+        # nan passed an r0 <= 0 check and ended in the tail walk's
+        # ConvergenceError, inf in a DomainError about r_start
+        with pytest.raises(DomainError, match="r0 must be finite and positive"):
+            bag_model_case(A=1.0, r0=r0, M=20, lam=0.5, kappa0=-1)
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf])
+    def test_mass_must_be_finite(self, m):
+        with pytest.raises(DomainError,
+                           match="mass must be finite and positive"):
+            bag_model_case(A=1.0, r0=10.0, M=20, lam=0.5, kappa0=-1, m=m)
 
 
 # bytes of bag_model_case(A=1, r0=10, lam=0.5, kappa0=-1) at 20,000 points:
