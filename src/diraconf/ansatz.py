@@ -39,11 +39,11 @@ walk, in the state's own length 1/s (``AnsatzParams.inverse_length``).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coulomb import CouplingSet
 from .errors import DomainError
 from .radial_solver import RadialGrid, _tail_radius, dirac_residual
 from .special_functions import kummer_U
@@ -76,10 +76,19 @@ def nu_fine_tuned(mu: float, lam: float, kappa0: int) -> float:
 @dataclass(frozen=True)
 class AnsatzParams:
     """The closed-form nodeless state f = N r^(b-1) e^(-a r - alpha2 r^2/2),
-    g = -gamma f (immutable): ``build_ansatz``'s, or at mu = 0 (alpha2 = 0,
-    N = 1) ``dirac_coulomb_ground_state``'s."""
+    g = -gamma f (immutable): ``build_ansatz``'s, or at mu = nu = 0
+    (alpha2 = 0, N = 1) ``dirac_coulomb_ground_state``'s.
 
-    couplings: CouplingSet
+    mass      particle mass, finite and m > 0
+    lam       dimensionless Coulomb coupling (the -lam/r term)
+    mu        scalar (beta-coupled) linear confinement coefficient, energy^2
+    nu        time-like linear confinement coefficient, energy^2
+    """
+
+    mass: float
+    lam: float
+    mu: float
+    nu: float
     kappa0: int
     b: float
     a: float
@@ -87,6 +96,11 @@ class AnsatzParams:
     gamma: float
     energy: float
     norm: float
+
+    def __post_init__(self):
+        if not 0 < self.mass < math.inf:
+            raise DomainError(
+                f"mass must be finite and positive, got {self.mass}")
 
     @property
     def inverse_length(self) -> float:
@@ -111,16 +125,15 @@ class AnsatzParams:
     def gamma_candidates(self) -> tuple[float, ...]:
         """The six independent expressions that must all equal gamma; for
         ``build_ansatz`` records only (at mu = 0 two are 0/0 and raise)."""
-        c = self.couplings
-        m, e = c.mass, self.energy
+        m, e = self.mass, self.energy
         ak = abs(self.kappa0)
         return (
             self.a / (m + e),
-            (ak - self.b) / c.lam,
-            self.alpha2 / (c.mu - c.nu),
+            (ak - self.b) / self.lam,
+            self.alpha2 / (self.mu - self.nu),
             (m - e) / self.a,
-            c.lam / (ak + self.b),
-            (c.mu + c.nu) / self.alpha2,
+            self.lam / (ak + self.b),
+            (self.mu + self.nu) / self.alpha2,
         )
 
     def gamma_deviations(self) -> tuple[float, ...]:
@@ -137,7 +150,7 @@ def dirac_coulomb_ground_state(lam: float, kappa0: int,
         raise DomainError(f"need 0 < lam < |kappa0|, got lam={lam}")
     b = math.sqrt(kappa0 * kappa0 - lam * lam)
     return AnsatzParams(
-        couplings=CouplingSet(mass=m, lam=lam), kappa0=kappa0, b=b,
+        mass=m, lam=lam, mu=0.0, nu=0.0, kappa0=kappa0, b=b,
         a=m * lam / abs(kappa0), alpha2=0.0, gamma=lam / (abs(kappa0) + b),
         energy=m * math.sqrt(1.0 - lam * lam / (kappa0 * kappa0)), norm=1.0)
 
@@ -149,8 +162,11 @@ def build_ansatz(lam: float, mu: float, kappa0: int, m: float = 1.0) -> AnsatzPa
     a positive scalar slope gives a decaying (normalizable) profile.  The
     fine-tuned nu is computed internally; the state is
     ``dirac_coulomb_ground_state(lam, kappa0, m)`` with alpha2, the norm N,
-    mu and nu set.
+    mu and nu set.  A norm factor alpha2^(-1-b) outside the normal float
+    range raises ArithmeticError before kummer_U is called.
     """
+    if not math.isfinite(mu):
+        raise DomainError(f"mu must be finite, got {mu}")
     ground = dirac_coulomb_ground_state(lam, kappa0, m)
     alpha2 = mu * lam / abs(kappa0)
     if not alpha2 > 0:
@@ -160,17 +176,24 @@ def build_ansatz(lam: float, mu: float, kappa0: int, m: float = 1.0) -> AnsatzPa
         )
     nu = nu_fine_tuned(mu, lam, kappa0)
     b, a, gamma = ground.b, ground.a, ground.gamma
+    try:
+        width_factor = alpha2 ** (-1.0 - b)
+    except OverflowError:
+        width_factor = math.inf
+    if not sys.float_info.min <= width_factor < math.inf:
+        raise ArithmeticError(
+            f"closed-form norm leaves the float range: alpha2^(-1-b) = "
+            f"{width_factor!r} at mu={mu}, lam={lam}, kappa0={kappa0}")
     norm = (
         2.0 ** (-2.0 * b)
         * a
         * b
         * (1.0 + gamma * gamma)
-        * alpha2 ** (-1.0 - b)
+        * width_factor
         * math.gamma(2.0 * b)
         * kummer_U(1.0 + b, 1.5, a * a / alpha2)
     ) ** (-0.5)
-    return replace(ground, couplings=replace(ground.couplings, mu=mu, nu=nu),
-                   alpha2=alpha2, norm=norm)
+    return replace(ground, mu=mu, nu=nu, alpha2=alpha2, norm=norm)
 
 
 def evaluate_spinor(params: AnsatzParams, r):
@@ -193,9 +216,9 @@ def radial_residual(params: AnsatzParams, grid) -> float:
     r = grid.r if isinstance(grid, RadialGrid) else np.asarray(grid, dtype=float)
     f, g = evaluate_spinor(params, r)
     logderiv = params.log_derivative(r)
-    c = params.couplings
     return dirac_residual(f, f * logderiv, g, g * logderiv, r, params.energy,
-                          params.kappa0, c.mass, -c.lam / r, c.mu * r, c.nu * r)
+                          params.kappa0, params.mass, -params.lam / r,
+                          params.mu * r, params.nu * r)
 
 
 def residual_grid(params: AnsatzParams) -> np.ndarray:

@@ -64,7 +64,7 @@ from .radial_solver import (
     coulomb_potential,
     find_bound_state,
 )
-from .rescale import bag_model_case
+from .rescale import bag_model_case, build_rescaled_state
 from .special_functions import integrate_adaptive
 
 EXIT_OK = 0
@@ -202,11 +202,8 @@ _NORM_DEFECT_BOUND = 1e-8
 def cmd_ansatz(args) -> int:
     params = build_ansatz(args.lam, args.mu, args.kappa0, args.mass)
     if args.detune_nu != 0.0:
-        c = params.couplings
         params = dataclasses.replace(
-            params,
-            couplings=dataclasses.replace(c, nu=c.nu * (1.0 + args.detune_nu)),
-        )
+            params, nu=params.nu * (1.0 + args.detune_nu))
     resid = radial_residual(params, residual_grid(params))
     quad = integrate_adaptive(_norm_integrand(params), 0.0, math.inf, tol=1e-11)
     norm_defect = abs(quad.value - 1.0)
@@ -217,7 +214,7 @@ def cmd_ansatz(args) -> int:
     devs = params.gamma_deviations()
     rows = [{"quantity": name, "value": value} for name, value in [
         ("b", params.b), ("a", params.a), ("alpha2", params.alpha2),
-        ("gamma", params.gamma), ("nu", params.couplings.nu),
+        ("gamma", params.gamma), ("nu", params.nu),
         ("energy", params.energy), ("norm", params.norm),
         *((f"gamma_dev_{k}", dev) for k, dev in enumerate(devs, 1)),
         ("norm_quadrature_defect", norm_defect),
@@ -260,10 +257,10 @@ def _solve_bag(args):
            "energy_ref": e_ref, "residual": case.residual}
 
     def wavefunction():
-        r = case.grid.r
-        scale = np.exp(case.profile.h - np.max(case.profile.h))
-        return {"r": r, "f": case.ground.f(r) * scale,
-                "g": case.ground.g(r) * scale}
+        r = case.profile.grid.r
+        f, g = build_rescaled_state(case.ground.f(r), case.ground.g(r),
+                                    case.profile)
+        return {"r": r, "f": f, "g": g}
 
     return [row], wavefunction
 

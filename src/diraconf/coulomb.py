@@ -13,7 +13,6 @@ it is the mu = 0 member of ``ansatz.AnsatzParams``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .errors import DomainError
 from .quantum_numbers import check_state
 
 __all__ = [
-    "CouplingSet",
     "dirac_coulomb_energy",
     "schrodinger_energy",
     "expectation_r",
@@ -29,27 +27,6 @@ __all__ = [
     "expectation_anticomm_p2_r",
     "radial_wavefunction",
 ]
-
-
-@dataclass(frozen=True)
-class CouplingSet:
-    """Physical parameters of the generalized Dirac problem.
-
-    mass      particle mass, finite and m > 0
-    lam       dimensionless Coulomb coupling (the -lam/r term)
-    mu        scalar (beta-coupled) linear confinement coefficient, energy^2
-    nu        time-like linear confinement coefficient, energy^2
-    """
-
-    mass: float
-    lam: float
-    mu: float = 0.0
-    nu: float = 0.0
-
-    def __post_init__(self):
-        if not 0 < self.mass < math.inf:
-            raise DomainError(
-                f"mass must be finite and positive, got {self.mass}")
 
 
 def dirac_coulomb_energy(n: int, kappa: int, lam: float, m: float = 1.0) -> float:

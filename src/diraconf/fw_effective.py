@@ -71,7 +71,7 @@ def _expectation_terms(n, kappa, kappa0, lam, mu, m):
     r_exp = expectation_r(n, kappa, lam, m)
     inv_r_exp = expectation_inv_r(n, lam, m)
     p2r_exp = expectation_anticomm_p2_r(n, kappa, lam, m)
-    sl1 = sigma_dot_L_plus_one_eigenvalue(kappa, upper=True)
+    sl1 = sigma_dot_L_plus_one_eigenvalue(kappa)
     term_linear = mu * lam * lam * r_exp / (2.0 * kappa0 * kappa0)
     term_spin_orbit = -mu * sl1 * inv_r_exp / (2.0 * m * m)
     term_kinetic = -mu * p2r_exp / (4.0 * m * m)

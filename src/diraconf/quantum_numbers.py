@@ -41,11 +41,12 @@ def decompose_kappa(kappa: int) -> tuple[int, int]:
     return ell, 2 * abs(kappa) - 1
 
 
-def sigma_dot_L_plus_one_eigenvalue(kappa: int, upper: bool = True) -> int:
-    """Eigenvalue of (sigma.L + 1) on chi_kappa (upper) or chi_{-kappa} (lower)."""
+def sigma_dot_L_plus_one_eigenvalue(kappa: int) -> int:
+    """Eigenvalue of (sigma.L + 1) on the upper two-spinor chi_kappa; its
+    negation is the one on the lower two-spinor chi_{-kappa}."""
     if kappa == 0:
         raise DomainError("kappa must be nonzero")
-    return -kappa if upper else kappa
+    return -kappa
 
 
 def check_state(n: int, kappa: int):

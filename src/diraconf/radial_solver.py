@@ -254,8 +254,11 @@ def _sampled(r: np.ndarray, tables) -> list:
     before it.  All are evaluated under one ``np.errstate`` with
     floating-point overflow, division by zero and invalid operations
     raising, so no NaN or inf reaches the kernel (whose non-finite check
-    would otherwise be the only guard) and no warning is printed.  Either
-    failure raises DomainError naming the first bad table and radius.
+    would otherwise be the only guard) and no warning is printed.  A table
+    that raised is sampled again with the errors ignored, and kept if every
+    value is finite (an ``np.where`` that masks an invalid branch computes
+    it everywhere).  A non-finite table raises DomainError naming it and
+    its first bad radius, with the floating-point error if there was one.
     """
     done = []
     with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -271,13 +274,10 @@ def _sampled(r: np.ndarray, tables) -> list:
                 detail = f" ({exc})"
             if values.shape != r.shape:
                 values = np.broadcast_to(values, r.shape)
-            if detail or not np.isfinite(values).all():
-                bad = ~np.isfinite(values)
-                if bad.any():
-                    i = int(np.argmax(bad))
-                    raise DomainError(
-                        f"{name} is not finite at r={float(r[i])!r}{detail}")
-                raise DomainError(f"sampling {name} failed{detail}")
+            if not np.isfinite(values).all():
+                i = int(np.argmax(~np.isfinite(values)))
+                raise DomainError(
+                    f"{name} is not finite at r={float(r[i])!r}{detail}")
             done.append(values)
     return done
 

@@ -253,13 +253,12 @@ def rescaled_residual(f0, df0, g0, dg0, profile: RescaleProfile, v0: Callable,
 
 @dataclass(frozen=True)
 class BagCase:
-    """Preserved state for a steep power-law (bag-like) confining pair."""
+    """Preserved state for a steep power-law (bag-like) confining pair: the
+    walls and the grid are ``profile``'s, and the state is ``ground`` (the
+    Coulomb state at ``energy``) rescaled by ``profile``'s e^h."""
 
-    v1: Callable
-    v2: Callable
     energy: float
     residual: float
-    grid: RadialGrid
     profile: RescaleProfile
     ground: AnsatzParams
 
@@ -319,5 +318,5 @@ def bag_model_case(A: float, r0: float, M: int, lam: float, kappa0: int,
     gam = ground.gamma
     residual = dirac_residual(one, dlog_f, -gam * one, -gam * dlog_f, rn,
                               ground.energy, kappa0, m, -lam / rn, w1, w2)
-    return BagCase(v1=v1, v2=v2, energy=ground.energy, residual=residual,
-                   grid=grid, profile=profile, ground=ground)
+    return BagCase(energy=ground.energy, residual=residual, profile=profile,
+                   ground=ground)

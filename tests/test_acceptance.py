@@ -93,7 +93,7 @@ def test_criterion_02_exact_preservation_numerical():
                 energies = []
                 for mu in (1e-6, 1e-5, 1e-4):
                     p = build_ansatz(lam, mu, kappa0, m)
-                    pot = coulomb_plus_linear(lam, mu, p.couplings.nu)
+                    pot = coulomb_plus_linear(lam, mu, p.nu)
                     st = find_bound_state(pot, kappa0, m, grid, bracket, 0)
                     energies.append(st.energy)
                 assert all(abs(e - e_ref) <= 1e-8 * m for e in energies)
@@ -234,9 +234,10 @@ def test_criterion_08_rescaling():
         case20 = bag_model_case(A=1.0, r0=10.0, M=20, lam=lam, kappa0=kappa0,
                                 m=m)
         from diraconf.radial_solver import PotentialSpec
-        pot = PotentialSpec(v0=lambda r: -lam / r, v1=case20.v1, v2=case20.v2,
+        pot = PotentialSpec(v0=lambda r: -lam / r, v1=case20.profile.v1,
+                            v2=case20.profile.v2,
                             coulomb_strength=lam)
-        grid20 = RadialGrid(1e-6 / lam, case20.grid.r_max, 20000)
+        grid20 = RadialGrid(1e-6 / lam, case20.profile.grid.r_max, 20000)
         e_ref = case20.energy
         st = find_bound_state(pot, kappa0, m, grid20,
                               (e_ref - 0.01, e_ref + 0.01), 0)
@@ -245,7 +246,7 @@ def test_criterion_08_rescaling():
         # (d) M = 1000 behaves as a hard wall at r0
         case1k = bag_model_case(A=1.0, r0=10.0, M=1000, lam=lam,
                                 kappa0=kappa0, m=m)
-        inside = case1k.grid.r < 0.97 * 10.0
+        inside = case1k.profile.grid.r < 0.97 * 10.0
         wall_factor = np.exp(case1k.profile.h[inside]
                              - case1k.profile.h[0])
         assert np.max(np.abs(wall_factor - 1.0)) < 1e-10

@@ -15,7 +15,7 @@ from diraconf.ansatz import (
     radial_residual,
     residual_grid,
 )
-from diraconf.coulomb import CouplingSet, dirac_coulomb_energy
+from diraconf.coulomb import dirac_coulomb_energy
 from diraconf.errors import DomainError
 from diraconf.special_functions import integrate_adaptive
 
@@ -48,7 +48,7 @@ class TestBuildAnsatz:
         assert p.alpha2 == pytest.approx(5e-5, rel=1e-12)
         assert p.gamma == pytest.approx(0.2679492, abs=1e-7)
         assert p.energy == pytest.approx(0.8660254, abs=1e-7)
-        assert p.couplings.nu == pytest.approx(-8.660254e-5, rel=1e-7)
+        assert p.nu == pytest.approx(-8.660254e-5, rel=1e-7)
 
     @pytest.mark.parametrize("lam,kappa0,mu", SWEEP)
     def test_gamma_consistency_sweep(self, lam, kappa0, mu):
@@ -102,6 +102,12 @@ class TestBuildAnsatz:
         with pytest.raises(DomainError,
                            match="mass must be finite and positive"):
             build_ansatz(0.5, 1e-4, -1, math.inf)
+
+    @pytest.mark.parametrize("mu", [math.inf, math.nan])
+    def test_non_finite_mu_rejected(self, mu):
+        # mu = inf reached kummer_U, whose DomainError named z, not mu
+        with pytest.raises(DomainError, match="mu must be finite"):
+            build_ansatz(0.5, mu, -1)
 
 
 class TestCoulombGroundState:
@@ -196,9 +202,7 @@ class TestResidual:
         p = build_ansatz(0.5, 1e-4, -1)
         grid = residual_grid(p)
         base = radial_residual(p, grid)
-        c = p.couplings
-        detuned = dataclasses.replace(
-            p, couplings=dataclasses.replace(c, nu=c.nu * 1.01))
+        detuned = dataclasses.replace(p, nu=p.nu * 1.01)
         assert radial_residual(detuned, grid) > 1e6 * base
 
     def test_negative_mu_solves_locally_but_diverges(self):
@@ -214,7 +218,7 @@ class TestResidual:
         assert alpha2 < 0
         nu = nu_fine_tuned(mu, lam, kappa0)
         p = AnsatzParams(
-            couplings=CouplingSet(mass=m, lam=lam, mu=mu, nu=nu),
+            mass=m, lam=lam, mu=mu, nu=nu,
             kappa0=kappa0, b=b, a=a, alpha2=alpha2,
             gamma=lam / (abs(kappa0) + b),
             energy=m * math.sqrt(1 - lam**2 / kappa0**2), norm=1.0,
@@ -231,7 +235,7 @@ class TestResidual:
         lam, kappa0, m = 0.5, -1, 1.0
         b = math.sqrt(kappa0**2 - lam**2)
         p = AnsatzParams(
-            couplings=CouplingSet(mass=m, lam=lam, mu=0.0, nu=0.0),
+            mass=m, lam=lam, mu=0.0, nu=0.0,
             kappa0=kappa0, b=b, a=m * lam / abs(kappa0), alpha2=0.0,
             gamma=lam / (abs(kappa0) + b),
             energy=m * math.sqrt(1 - lam**2 / kappa0**2), norm=1.0,

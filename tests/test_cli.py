@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -423,6 +424,28 @@ class TestSolve:
         assert lines[0] == "r,f,g"
         assert len(lines) == 6001
 
+    @pytest.mark.parametrize("argv", [
+        ("--family", "coulomb", "--lambda", "0.5"),
+        ("--family", "coulomb-linear", "--lambda", "0.5", "--mu", "1e-4"),
+        ("--family", "antiparticle-linear", "--mu", "0.5"),
+        ("--family", "bag", "--lambda", "0.5"),
+        ("--family", "bag", "--lambda", "0.5", "--M", "1000"),
+    ])
+    def test_dumped_state_is_normalized(self, capsys, tmp_path, argv):
+        # the bag dump was the N = 1 Coulomb state times e^(h - max h),
+        # whose norm over the dump was 1.695 at these flags
+        path = tmp_path / "wf.csv"
+        code, _, _ = run_cli(capsys, "solve", *argv, "--points", "4001",
+                             "--dump-wavefunction", str(path))
+        assert code == 0
+        table = np.genfromtxt(path, delimiter=",", names=True)
+        r = table["r"]
+        if "u" in table.dtype.names:
+            density = table["u"] ** 2
+        else:
+            density = (table["f"] ** 2 + table["g"] ** 2) * r * r
+        assert abs(np.trapezoid(density, r) - 1.0) < 1e-5
+
     def test_unwritable_dump_writes_no_table(self, capsys, tmp_path):
         # the table was printed in full before the dump path failed
         path = tmp_path / "missing" / "wf.csv"
@@ -472,6 +495,19 @@ class TestNumericalFailure:
         assert code == 4
         assert out == ""
         assert "numerical failure" in err
+
+    @pytest.mark.parametrize("mu", ["1e300", "1e200", "1e170", "1e-200"])
+    def test_norm_outside_the_float_range(self, capsys, mu):
+        # alpha2^(-1-b) underflows (to 0 at 1e200 and up, to a subnormal
+        # at 1e170) or overflows (at 1e-200); the norm is refused before
+        # kummer_U and the norm quadrature, with no warning
+        code, out, err = run_cli(capsys, "ansatz", "--lambda", "0.5",
+                                 "--mu", mu, "--kappa0", "-1")
+        assert code == 4
+        assert out == ""
+        assert "numerical failure: closed-form norm leaves the float range" \
+            in err
+        assert "mu=" in err
 
     def test_norm_just_above_its_bound_writes_nothing(self, capsys,
                                                        monkeypatch):
@@ -885,7 +921,11 @@ class TestDeterminism:
 # +1 ulp (0x1.586d4d34a49d4p+2 -> 0x1.586d4d34a49d5p+2); their residuals, a
 # smoothness check at rounding level, moved with the states
 # (2.2300392234971527e-02 -> 2.1299876784224236e-02 and
-# 1.7637024488489968e-02 -> 2.1452689629393062e-02), and so did the dump
+# 1.7637024488489968e-02 -> 2.1452689629393062e-02), and so did the dump.
+# The bag dump was re-pinned when it became the normalized rescaled state
+# (``build_rescaled_state``) rather than the N = 1 Coulomb state times
+# e^(h - max h), whose trapezoid norm was 1.695: 5212c476...e1aac0b0c ->
+# aa63a91f...924b7dd3; the bag stdout kept its bytes
 GOLDEN = {
     "energy --lambda 0.5 --n 1 --kappa -1":
         ("479e547d12329227eb6388957eebe6af743dfb301922f36a80e48a5d7de0a976",
@@ -923,7 +963,7 @@ GOLDEN = {
     "solve --family bag --lambda 0.5 --kappa0 -1 --A 1.0 --r0 10.0 --M 20":
         ("9b1381aaadfde51975ef564c771b76f8df70505525372446fe4f8410ba9b97aa",
          "884b21ed5d0260a2e35bbd89c410d72a2757eb6c8505c80cdc3d40a116a15e7a",
-         "5212c47609875dd6f67cf9ef5248c41b84c40aa678cfc8f966ceb46e1aac0b0c"),
+         "aa63a91f734b318a496e30e3da02a2ee811c4ae4bcbd14777ea5c632924b7dd3"),
 }
 
 

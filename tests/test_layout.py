@@ -1,6 +1,7 @@
 """Layout rules of the package source: no private name without a caller,
 no exported name without a definition, no public name or public method
-without a caller, and one export list, each module's ``__all__``."""
+without a caller, no defaulted public parameter that no caller sets to
+another value, and one export list, each module's ``__all__``."""
 import ast
 import importlib
 import inspect
@@ -24,6 +25,15 @@ UNREAD_EXPORTS = {
 # public methods and properties of public classes (``Class.method``) kept
 # with no caller in the package or its readers, each with its reason
 UNREAD_METHODS = {}
+
+# defaulted parameters of public functions and methods, (function, name),
+# kept with no caller in the package or its readers that passes another
+# value, each with its reason
+UNSET_DEFAULTS = {
+    ("h_profile", "branch"): "the growing '+' branch is the paper's "
+                             "non-normalizable solution, which "
+                             "build_rescaled_state must reject",
+}
 
 
 def _module_names(tree):
@@ -165,6 +175,97 @@ def unread_methods(sources, readers):
         and not part.name.startswith("_") and part.name not in read)
 
 
+def _defaulted_parameters(tree):
+    """(function, position, name, default) of each defaulted parameter of a
+    public module-level function, or of a public method of a public class
+    (function ``Class.method``, position not counting ``self``); position
+    is None for a keyword-only parameter."""
+    params = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            functions = [(f"{node.name}.{part.name}", part, 1)
+                         for part in node.body
+                         if isinstance(part, ast.FunctionDef)
+                         and not part.name.startswith("_")]
+        elif (isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_")):
+            functions = [(node.name, node, 0)]
+        else:
+            continue
+        for function, fn, skip in functions:
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            params += [(function, k - skip, arg.arg, default)
+                       for k, (arg, default) in enumerate(
+                           zip(positional[first:], args.defaults), first)]
+            params += [(function, None, arg.arg, default)
+                       for arg, default in zip(args.kwonlyargs,
+                                               args.kw_defaults)
+                       if default is not None]
+    return params
+
+
+def _calls_outside_definitions(tree):
+    """(callee name, call) of each call in a module, outside the top-level
+    function or method of a top-level class whose name it calls."""
+    calls = []
+    for node in tree.body:
+        for part in node.body if isinstance(node, ast.ClassDef) else [node]:
+            own = getattr(part, "name", None)
+            for call in ast.walk(part):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                name = (func.id if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute) else None)
+                if name is not None and name != own:
+                    calls.append((name, call))
+    return calls
+
+
+def _is_the_default(arg, default):
+    """Whether the argument is a constant equal to the (constant) default."""
+    try:
+        value, expected = ast.literal_eval(arg), ast.literal_eval(default)
+    except ValueError:
+        return False
+    return type(value) is type(expected) and value == expected
+
+
+def _sets_another_value(call, position, name, default):
+    """Whether the call passes the parameter a value other than its default
+    (a ``*args`` or ``**kwargs`` splat may, so it counts)."""
+    for keyword in call.keywords:
+        if keyword.arg is None:
+            return True
+        if keyword.arg == name:
+            return not _is_the_default(keyword.value, default)
+    for k, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return True
+        if k == position:
+            return not _is_the_default(arg, default)
+    return False
+
+
+def unset_defaults(sources, readers):
+    """(module, function, name) of each defaulted public parameter of
+    ``sources`` (module name -> source text) that no call in ``sources`` or
+    ``readers``, outside the function's own definition, sets to another
+    value.  Calls match by the function's name alone."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    calls = [call for tree in [*trees.values(), *map(ast.parse, readers)]
+             for call in _calls_outside_definitions(tree)]
+    return sorted(
+        (module, function, name)
+        for module, tree in trees.items()
+        for function, position, name, default in _defaulted_parameters(tree)
+        if not any(callee == function.rsplit(".", 1)[-1]
+                   and _sets_another_value(call, position, name, default)
+                   for callee, call in calls))
+
+
 def _package_sources():
     sources = {path.stem: path.read_text()
                for path in sorted(PACKAGE.glob("*.py"))}
@@ -217,6 +318,13 @@ def test_every_public_method_has_a_caller():
     readers = [path.read_text() for path in READERS]
     unread = unread_methods(_package_sources(), readers)
     assert {name for _, name in unread} == set(UNREAD_METHODS)
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    readers = [path.read_text() for path in READERS]
+    unset = unset_defaults(_package_sources(), readers)
+    assert {(function, name) for _, function, name in unset} == set(
+        UNSET_DEFAULTS)
 
 
 def test_the_modules_all_is_the_one_export_list():
@@ -273,3 +381,22 @@ def test_an_unread_public_method_is_caught():
                "print(State().scale, State().g(1.0))\n",
     }
     assert unread_methods(sources, []) == [("special", "State.dg")]
+
+
+def test_a_default_no_caller_changes_is_caught():
+    # a flag every caller passes as its default, positionally or by
+    # keyword, and only its own body sets otherwise; next to a default a
+    # caller sets by position, one set by keyword, one set by a splat,
+    # one whose non-constant default a caller passes as a variable, and a
+    # method's default a caller sets past ``self``
+    sources = {
+        "special": "def eig(kappa, upper=True, scale=1.0, *, tol=1e-12):\n"
+                   "    return eig(kappa, False)\n"
+                   "def grid(n=20000, m=None, **kw):\n    return n\n"
+                   "class State:\n"
+                   "    def f(self, r, order=0):\n        return r\n",
+        "cli": "from .special import eig, grid, State\n"
+               "eig(-1, True, 2.0)\neig(-1, upper=True, tol=1e-8)\n"
+               "grid(*(4001,), m=mass)\nState().f(1.0, 1)\n",
+    }
+    assert unset_defaults(sources, []) == [("special", "eig", "upper")]

@@ -48,7 +48,9 @@ def test_round_trip_decompose_compose():
     (1, True, -1),
 ])
 def test_sigma_dot_L_plus_one(kappa, upper, expected):
-    assert sigma_dot_L_plus_one_eigenvalue(kappa, upper) == expected
+    # the lower two-spinor's eigenvalue is the negation of the upper one's
+    value = sigma_dot_L_plus_one_eigenvalue(kappa)
+    assert (value if upper else -value) == expected
 
 
 def test_sigma_dot_L_kappa_zero_rejected():
@@ -60,10 +62,8 @@ def test_sigma_dot_L_antisymmetry():
     for kappa in range(-20, 21):
         if kappa == 0:
             continue
-        assert sigma_dot_L_plus_one_eigenvalue(kappa, True) == \
-            -sigma_dot_L_plus_one_eigenvalue(-kappa, True)
-        assert sigma_dot_L_plus_one_eigenvalue(kappa, False) == \
-            -sigma_dot_L_plus_one_eigenvalue(kappa, True)
+        assert sigma_dot_L_plus_one_eigenvalue(kappa) == \
+            -sigma_dot_L_plus_one_eigenvalue(-kappa)
 
 
 def test_enumerate_kappa_examples():

@@ -268,6 +268,25 @@ class TestIntegrateRadial:
 
 
 class TestFindBoundState:
+    def test_negative_outward_sweep_is_flipped(self, monkeypatch):
+        # a sweep pair of either overall sign is one state: negating the
+        # outward seed negates both glued sweeps, and the solver turns the
+        # state back so that f rises positive from the origin
+        pot, grid, e_ref = _preserved_case()
+        bracket = (e_ref - 1e-4, e_ref + 1e-4)
+        plain = find_bound_state(pot, -2, 1.0, grid, bracket, 0)
+        seed = rs._DiracSystem.outward_seed
+
+        def negated(system, E):
+            f0, g0 = seed(system, E)
+            return -f0, -g0
+
+        monkeypatch.setattr(rs._DiracSystem, "outward_seed", negated)
+        flipped = find_bound_state(pot, -2, 1.0, grid, bracket, 0)
+        assert flipped.energy == plain.energy
+        assert flipped.f.tobytes() == plain.f.tobytes()
+        assert flipped.g.tobytes() == plain.g.tobytes()
+
     @pytest.mark.parametrize("lam", [0.1, 0.3, 0.5])
     @pytest.mark.parametrize("n,kappa", [
         (1, -1), (2, -1), (3, -1), (2, -2), (3, -2), (2, 1), (3, 1),
@@ -312,7 +331,7 @@ class TestFindBoundState:
     def test_preserved_state_matches_ansatz_pointwise(self):
         lam, kappa0, mu, m = 0.5, -1, 1e-4, 1.0
         params = build_ansatz(lam, mu, kappa0, m)
-        pot = coulomb_plus_linear(lam, mu, params.couplings.nu)
+        pot = coulomb_plus_linear(lam, mu, params.nu)
         grid = coulomb_grid(lam, 1, kappa0)
         e = params.energy
         state = find_bound_state(pot, kappa0, m, grid, (e - 0.01, e + 0.01), 0)
@@ -420,6 +439,20 @@ class TestFiniteTables:
             rs.solve_schrodinger_radial(lambda r: 1e308 / r, 0, 1.0, grid,
                                         (1.5, 2.0), 0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_table_with_a_masked_invalid_branch(self):
+        # np.where computes sqrt(r - 1) at r < 1 too; the table is finite,
+        # and was rejected as "sampling v1 failed (invalid value ...)"
+        def v1(r):
+            return np.where(r > 1.0, 1e-6 * np.sqrt(r - 1.0), 0.0)
+
+        pot = rs.PotentialSpec(v0=lambda r: -0.5 / r, v1=v1,
+                               coulomb_strength=0.5)
+        grid = coulomb_grid(0.5, 1, -1, 1.0, 2000)
+        state = find_bound_state(pot, -1, 1.0, grid,
+                                 coulomb_bracket(1, -1, 0.5, 1.0), 0)
+        assert abs(state.energy - dirac_coulomb_energy(1, -1, 0.5)) < 1e-5
+        assert state.residual < 1e-5
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("table", ["v1", "m + v1 - v0 - v2"])
@@ -509,8 +542,45 @@ class TestHotPath:
             rs._propagate(system, E, system.coefficients(E), reverse,
                           0 if reverse else grid.count - 1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_inward_seed_when_the_mass_term_squares_to_overflow(self):
+        # (m + v1)^2 = 1e400 at the last node: the decay rate is taken as
+        # the factored root sqrt(b - a) sqrt(b + a), finite
+        grid = RadialGrid(1e-3, 10.0, 101)
+        r_last = grid.r_all[-1]
+
+        def v1(r):
+            return np.where(r < r_last, 0.0, 1e200)
+
+        system = rs._DiracSystem(rs.PotentialSpec(v1=v1), -1, 1.0, grid)
+        E = 0.5
+        f0, g0 = system.inward_seed(E)
+        a, b = E, 1.0 + 1e200
+        root = math.sqrt(b - a) * math.sqrt(b + a)
+        assert f0 == 1.0
+        assert math.isfinite(g0)
+        assert g0 == (-root + system._kf_end) / (E + system._p_end)
+
 
 class TestEigenvalueSearch:
+    @pytest.mark.parametrize("sweep,component,node,value", [
+        (0, 0, None, 0.0),      # outward y1 is 0 at the match node
+        (1, 0, None, 0.0),      # inward y1 is 0 there
+        (0, 0, 0, math.nan),    # the outward norm sum is NaN
+        (1, 1, -1, math.inf),   # the inward norm sum is inf
+    ])
+    def test_energy_step_without_a_corrector_is_nan(self, sweep, component,
+                                                    node, value):
+        pot, grid, e_ref = _preserved_case()
+        system = rs._DiracSystem(pot, -2, 1.0, grid)
+        E = e_ref + 1e-5
+        i = rs._match_index(system, E)
+        _, pair = rs._sweep_pair(system, E, i)
+        assert math.isfinite(rs._energy_step(system, pair, i))
+        pair = tuple(tuple(a.copy() for a in part) for part in pair)
+        pair[sweep][component][i if node is None else node] = value
+        assert math.isnan(rs._energy_step(system, pair, i))
+
     def test_preserved_level_evaluation_budget(self, defect_calls):
         pot, grid, e_ref = _preserved_case()
         state = find_bound_state(pot, -2, 1.0, grid,
@@ -913,7 +983,7 @@ class TestSuggestRmax:
     def test_bag_rmax_pinned(self, A, r0, M, lam, kappa0, expected):
         from diraconf.rescale import bag_model_case
         case = bag_model_case(A, r0, M, lam, kappa0, points=64)
-        assert case.grid.r_max.hex() == expected
+        assert case.profile.grid.r_max.hex() == expected
 
     # the last two re-pinned once when the Airy zeros became the correctly
     # rounded constants: r_start = 2 (E_top - m)/slope moved with E_top

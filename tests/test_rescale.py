@@ -335,8 +335,8 @@ class TestBagModel:
         case = bag_model_case(A=1.0, r0=10.0, M=1000, lam=0.5, kappa0=-1)
         assert case.residual <= 1e-8
         # inside the bag the wall factor is numerically exactly 1
-        r_in = case.grid.r[case.grid.r < 0.97 * 10.0]
-        h_in = np.interp(r_in, case.grid.r, case.profile.h)
+        r_in = case.profile.grid.r[case.profile.grid.r < 0.97 * 10.0]
+        h_in = np.interp(r_in, case.profile.grid.r, case.profile.h)
         assert np.max(np.abs(np.exp(h_in - case.profile.h[0]) - 1.0)) < 1e-10
 
     def test_m0_constant_shell(self):
